@@ -17,13 +17,12 @@ every artifact across processes — the trace reports the disk hits.
 ``--executor process`` runs the CPU-bound front ends on a process pool
 (one per degree, deduplicated across workers by lock-file single
 flight), which is where a cold multi-program sweep actually scales with
-cores.  ``--executor distributed`` spools the same job specs through a
-durable work queue instead: the broker spawns ``--jobs`` local worker
-processes by default, or — with ``--queue DIR`` pointing at a standing
-spool on a shared filesystem, or ``--listen HOST:PORT`` serving a TCP
-broker that ``cfdlang-flow worker --connect`` processes join from
-anywhere on the network — any fleet of workers drains the grid, which
-is how the sweep scales past one machine.
+cores.  ``--executor distributed`` submits the same job specs as one job
+to a broker the sweep starts: it spawns ``--jobs`` local worker
+processes by default, and with ``--listen HOST:PORT`` the broker binds a
+reachable address so ``cfdlang-flow worker --connect`` processes join
+from anywhere on the network — any fleet of workers drains the grid,
+which is how the sweep scales past one machine.
 
 With a standing ``cfdlang-flow broker`` running the job service,
 ``--submit`` sends the whole grid off as one durable job and exits
@@ -33,7 +32,7 @@ bit-identical to running the sweep locally.
 
     python examples/design_space_exploration.py [cache-dir] \\
         [--executor serial|thread|process|distributed] [--jobs N] \\
-        [--queue DIR | --listen HOST:PORT --token SECRET]
+        [--listen HOST:PORT --token SECRET [--external-workers]]
     python examples/design_space_exploration.py \\
         --broker HOST:PORT --token SECRET --submit
     python examples/design_space_exploration.py \\
@@ -171,10 +170,6 @@ def main() -> None:
                         default="thread", help="compile_many backend")
     parser.add_argument("--jobs", type=int, default=4,
                         help="parallel workers (default 4)")
-    parser.add_argument("--queue", default=None, metavar="DIR",
-                        help="with --executor distributed: a standing spool "
-                             "directory shared with external "
-                             "'cfdlang-flow worker' processes")
     parser.add_argument("--listen", default=None, metavar="HOST:PORT",
                         help="with --executor distributed: serve the sweep "
                              "over TCP; workers join with 'cfdlang-flow "
@@ -183,8 +178,8 @@ def main() -> None:
                         help="shared-secret token for --listen "
                              "(or set CFDLANG_FLOW_TOKEN)")
     parser.add_argument("--external-workers", action="store_true",
-                        help="with --queue/--listen: spawn no local workers; "
-                             "the attached fleet does all the work")
+                        help="with --listen: spawn no local workers; the "
+                             "attached fleet does all the work")
     parser.add_argument("--broker", default=None, metavar="HOST:PORT",
                         help="a standing 'cfdlang-flow broker' whose job "
                              "service runs the sweep (--submit/--job-id)")
@@ -207,17 +202,12 @@ def main() -> None:
     else:
         cache = StageCache()
     executor = args.executor
-    if args.executor == "distributed" and (args.queue or args.listen):
+    if args.executor == "distributed" and args.listen:
         from repro.flow import DistributedExecutor
+        from repro.flow.nettransport import parse_hostport
 
-        listen = None
-        if args.listen:
-            from repro.flow.nettransport import parse_hostport
-
-            listen = parse_hostport(args.listen, listening=True)
         executor = DistributedExecutor(
-            queue_dir=args.queue,
-            listen=listen,
+            listen=parse_hostport(args.listen, listening=True),
             token=args.token,
             spawn_workers=not args.external_workers,
         )

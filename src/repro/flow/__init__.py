@@ -18,7 +18,8 @@ thread pool (``jobs=N``) with single-flight deduplication;
 :class:`DiskStageCache` persists the cache across processes.  The
 ``process`` and ``distributed`` executors (:mod:`repro.flow.executors`,
 :mod:`repro.flow.distributed`) scale the same batch across cores and
-across hosts — over a shared spool/cache filesystem, or over TCP
+across hosts — the latter as one job on a compile-service broker
+(:mod:`repro.flow.service`) whose workers connect over TCP
 (:mod:`repro.flow.nettransport`) with no shared mount at all.
 """
 
@@ -62,7 +63,6 @@ from repro.flow.executors import (
 from repro.flow.distributed import (
     BrokerUnreachableError,
     DistributedExecutor,
-    SpoolTransport,
     Transport,
     TransportClosedError,
     WorkerCrashError,
@@ -118,7 +118,6 @@ __all__ = [
     "ProcessExecutor",
     "DistributedExecutor",
     "Transport",
-    "SpoolTransport",
     "MemoryTransport",
     "TcpTransport",
     "BrokerServer",

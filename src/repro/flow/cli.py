@@ -12,7 +12,6 @@
         --jobs 4 --cache-dir .flowcache
     cfdlang-flow --app helmholtz --sweep 1x1,8x8 --executor distributed \\
         --listen 127.0.0.1:8765 --token SECRET --jobs 2 --cache-dir .flowcache
-    cfdlang-flow worker --queue /mnt/spool --cache-dir /mnt/flowcache
     cfdlang-flow worker --connect broker-host:8765 --token SECRET
     cfdlang-flow broker --listen 0.0.0.0:8765 --token SECRET \\
         --cache-dir /srv/flowcache --tenant alice=S1 --tenant bob=S2
@@ -111,33 +110,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution backend for --sweep: 'thread' shares one "
                         "in-process cache (default); 'process' scales "
                         "CPU-bound sweeps across cores through a disk cache; "
-                        "'distributed' spools jobs to worker processes (see "
-                        "the 'worker' subcommand) and scales across hosts; "
+                        "'distributed' runs the sweep as a job on a broker "
+                        "whose worker processes (see the 'worker' "
+                        "subcommand) scale it across hosts; "
                         "'service' submits the sweep as a durable job on a "
                         "standing broker (--broker; see also the 'submit' "
                         "verb); 'serial' is the in-order reference")
-    p.add_argument("--queue", default=None, metavar="DIR",
-                   help="spool directory for --executor distributed: use a "
-                        "standing queue that external 'cfdlang-flow worker' "
-                        "processes are draining (default: a temporary spool "
-                        "plus --jobs locally spawned workers)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                   help="with --executor distributed: serve the job queue "
-                        "and stage cache over TCP from this process; workers "
-                        "join with 'cfdlang-flow worker --connect HOST:PORT' "
-                        "and need no shared filesystem (requires --token)")
+                   help="with --executor distributed: bind the sweep's "
+                        "broker here instead of a private loopback port, so "
+                        "external 'cfdlang-flow worker --connect HOST:PORT' "
+                        "processes can join (requires --token)")
     p.add_argument("--broker", default=None, metavar="HOST:PORT",
                    help="with --executor distributed or service: run the "
                         "sweep against the standing 'cfdlang-flow broker' "
-                        "at this address instead of running a queue here "
-                        "(requires --token)")
+                        "at this address instead of starting a broker for "
+                        "the sweep (requires --token)")
     p.add_argument("--token", default=None, metavar="SECRET",
                    help="shared-secret token for --listen/--broker "
                         "(or set CFDLANG_FLOW_TOKEN)")
     p.add_argument("--external-workers", action="store_true",
                    help="with --executor distributed: do not spawn local "
-                        "workers; rely entirely on workers already attached "
-                        "to the --queue spool / --listen broker")
+                        "workers; rely entirely on workers attached to the "
+                        "--listen / --broker address")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist the stage cache to DIR, reusing artifacts "
                         "across runs (content-addressed pickle store)")
@@ -295,24 +290,18 @@ def build_cache_parser() -> argparse.ArgumentParser:
 def build_worker_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cfdlang-flow worker",
-        description="pull and run distributed-sweep jobs from a spool queue "
-                    "(--queue: hosts sharing the spool/cache filesystem) or "
-                    "a TCP broker (--connect: any host that can reach it)",
+        description="pull and run sweep jobs from a broker over TCP (any "
+                    "host that can reach it)",
     )
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--queue", metavar="DIR",
-                      help="the spool directory jobs are enqueued in")
-    mode.add_argument("--connect", metavar="HOST:PORT",
-                      help="pull jobs from the 'cfdlang-flow broker' (or "
-                           "sweep --listen) at this address instead of a "
-                           "spool; needs --token")
+    p.add_argument("--connect", required=True, metavar="HOST:PORT",
+                   help="pull jobs from the 'cfdlang-flow broker' (or sweep "
+                        "--listen) at this address; needs --token")
     p.add_argument("--token", default=None, metavar="SECRET",
                    help="shared-secret token for --connect "
                         "(or set CFDLANG_FLOW_TOKEN)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="the stage cache directory: required (and shared) "
-                        "with --queue; optional worker-local tier with "
-                        "--connect (default: a temporary directory)")
+                   help="worker-local stage cache tier in front of the "
+                        "broker's (default: a temporary directory)")
     p.add_argument("--poll", type=float, default=0.05, metavar="SECONDS",
                    help="queue polling interval (default 0.05)")
     p.add_argument("--heartbeat", type=float, default=1.0, metavar="SECONDS",
@@ -330,10 +319,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
 
 
 def _worker_main(argv) -> int:
-    import os
     import signal
 
-    from repro.flow.distributed import run_worker
+    from repro.flow.nettransport import run_tcp_worker
 
     args = build_worker_parser().parse_args(argv)
     try:
@@ -345,44 +333,18 @@ def _worker_main(argv) -> int:
     except (ValueError, OSError):  # pragma: no cover — exotic hosts
         pass
     try:
-        if args.connect:
-            from repro.flow.nettransport import run_tcp_worker
-
-            handled = run_tcp_worker(
-                args.connect,
-                args.token,
-                args.cache_dir,
-                poll_seconds=args.poll,
-                heartbeat_seconds=args.heartbeat,
-                idle_timeout=args.idle_timeout,
-                max_jobs=args.max_jobs,
-                worker_id=args.worker_id,
-            )
-        else:
-            if args.cache_dir is None:
-                print("error: worker --queue needs --cache-dir: spool "
-                      "workers share artifacts through the cache directory",
-                      file=sys.stderr)
-                return 2
-            if not os.path.isdir(args.queue):
-                # a broker creates its spool before spawning workers, so
-                # a missing directory here is a typo or a missing mount —
-                # silently mkdir-ing it would strand the worker on an
-                # empty queue nobody ever fills
-                print(f"error: no spool directory at {args.queue!r} "
-                      "(is the shared mount up?)", file=sys.stderr)
-                return 2
-            handled = run_worker(
-                args.queue,
-                args.cache_dir,
-                poll_seconds=args.poll,
-                heartbeat_seconds=args.heartbeat,
-                idle_timeout=args.idle_timeout,
-                max_jobs=args.max_jobs,
-                worker_id=args.worker_id,
-            )
+        handled = run_tcp_worker(
+            args.connect,
+            args.token,
+            args.cache_dir,
+            poll_seconds=args.poll,
+            heartbeat_seconds=args.heartbeat,
+            idle_timeout=args.idle_timeout,
+            max_jobs=args.max_jobs,
+            worker_id=args.worker_id,
+        )
     except SystemGenerationError as exc:
-        # unreachable/rejecting broker, bad address, unwritable spool …
+        # unreachable/rejecting broker, bad address …
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -1037,6 +999,48 @@ def _run_sweep(source, options: FlowOptions, args, cache, trace) -> int:
               f"{args.executor} needs --cache-dir: a temporary cache starts "
               "cold, so the check could never pass", file=sys.stderr)
         return 2
+    executor = args.executor
+    if args.executor != "distributed" and (args.listen or args.external_workers):
+        print("error: --listen/--external-workers need --executor "
+              "distributed", file=sys.stderr)
+        return 2
+    if args.broker and args.executor not in ("distributed", "service"):
+        print("error: --broker needs --executor distributed (drive the "
+              "sweep yourself) or --executor service (submit it as a "
+              "durable job)", file=sys.stderr)
+        return 2
+    if args.executor == "service" and not args.broker:
+        print("error: --executor service needs --broker HOST:PORT: a "
+              "service sweep runs on a standing 'cfdlang-flow broker'",
+              file=sys.stderr)
+        return 2
+    if args.external_workers and not (args.listen or args.broker):
+        print("error: --external-workers needs --listen or --broker: "
+              "external workers must have an address to attach to",
+              file=sys.stderr)
+        return 2
+    if args.listen or args.broker:
+        from repro.flow.distributed import DistributedExecutor
+        from repro.flow.nettransport import parse_hostport, resolve_token
+        from repro.flow.service import ServiceExecutor
+
+        if not resolve_token(args.token):
+            print("error: --listen/--broker need a shared-secret token: "
+                  "pass --token or set CFDLANG_FLOW_TOKEN", file=sys.stderr)
+            return 2
+        broker = parse_hostport(args.broker) if args.broker else None
+        if args.executor == "service":
+            executor = ServiceExecutor(broker=broker, token=args.token)
+        else:
+            executor = DistributedExecutor(
+                listen=(
+                    parse_hostport(args.listen, listening=True)
+                    if args.listen else None
+                ),
+                broker=broker,
+                token=args.token,
+                spawn_workers=not args.external_workers,
+            )
     if multi_process and not isinstance(cache, DiskStageCache):
         # workers share artifacts through disk; without --cache-dir, use a
         # throwaway directory so the stats line still reflects the sweep
@@ -1044,62 +1048,6 @@ def _run_sweep(source, options: FlowOptions, args, cache, trace) -> int:
         cache = DiskStageCache(tmp_cache_dir.name)
         print(f"{args.executor} executor: using a temporary cache directory "
               "(pass --cache-dir to persist artifacts across runs)")
-    executor = args.executor
-    distributed_flags = (args.queue or args.listen
-                         or args.external_workers)
-    if args.executor != "distributed" and distributed_flags:
-        print("error: --queue/--listen/--external-workers need "
-              "--executor distributed", file=sys.stderr)
-        return 2
-    if args.broker and args.executor not in ("distributed", "service"):
-        print("error: --broker needs --executor distributed (drive the "
-              "sweep yourself) or --executor service (submit it as a "
-              "durable job)", file=sys.stderr)
-        return 2
-    if args.executor == "service":
-        from repro.flow.nettransport import resolve_token
-        from repro.flow.service import ServiceExecutor
-
-        if not args.broker:
-            print("error: --executor service needs --broker HOST:PORT: a "
-                  "service sweep runs on a standing 'cfdlang-flow broker'",
-                  file=sys.stderr)
-            return 2
-        if not resolve_token(args.token):
-            print("error: --broker needs a shared-secret token: pass "
-                  "--token or set CFDLANG_FLOW_TOKEN", file=sys.stderr)
-            return 2
-        executor = ServiceExecutor(broker=args.broker, token=args.token)
-    if args.executor == "distributed" and (distributed_flags or args.broker):
-        from repro.flow.distributed import DistributedExecutor
-
-        if args.external_workers and not (args.queue or args.listen
-                                          or args.broker):
-            print("error: --external-workers needs --queue, --listen, or "
-                  "--broker: external workers must have a standing queue "
-                  "to attach to", file=sys.stderr)
-            return 2
-        listen = broker = None
-        if args.listen or args.broker:
-            from repro.flow.nettransport import parse_hostport, resolve_token
-
-            if not resolve_token(args.token):
-                print("error: --listen/--broker need a shared-secret "
-                      "token: pass --token or set CFDLANG_FLOW_TOKEN",
-                      file=sys.stderr)
-                return 2
-            listen = (
-                parse_hostport(args.listen, listening=True)
-                if args.listen else None
-            )
-            broker = parse_hostport(args.broker) if args.broker else None
-        executor = DistributedExecutor(
-            queue_dir=args.queue,
-            listen=listen,
-            broker=broker,
-            token=args.token,
-            spawn_workers=not args.external_workers,
-        )
     try:
         results = compile_many(
             jobs, jobs=args.jobs, cache=cache, trace=trace,

@@ -1,53 +1,39 @@
-"""Distributed sweep execution: durable spool queue, workers, broker.
+"""Distributed sweep execution: the worker loop and the sweep client.
 
 The process-pool backend tops out at one host's cores.  This module
-turns ``compile_many`` into a fleet workload: the broker
-(:class:`DistributedExecutor`) serializes each design point as a
-(source text, options spec) message onto a durable work queue, and any
-number of worker processes — spawned locally by the broker, started by
-hand with ``cfdlang-flow worker``, or running on other hosts that share
-the cache/spool filesystem — pull jobs, run them against the shared
-:class:`~repro.flow.store.DiskStageCache` with
-:class:`~repro.flow.store.FileSingleFlight` dedup, and post results
-back.  Results are bit-identical to the serial backend: workers run the
-exact same :class:`~repro.flow.session.Flow` machinery over the exact
-same specs.
+turns ``compile_many`` into a fleet workload on top of the compile
+service (:mod:`repro.flow.service`).  :class:`DistributedExecutor`
+submits the whole batch as one job to a
+:class:`~repro.flow.service.JobService` — on a broker it starts for the
+sweep, or on a standing ``cfdlang-flow broker`` — and any number of
+worker processes pull design points from that broker over TCP
+(``cfdlang-flow worker --connect HOST:PORT``, see
+:mod:`repro.flow.nettransport`), run them through the exact same
+:class:`~repro.flow.session.Flow` machinery, and post the results back.
+Workers need nothing from the broker but a network: the broker serves
+its stage cache over the same socket (workers a sweep spawns share the
+caller's cache directory instead).  Results are bit-identical to the
+serial backend.
 
-The reference transport is a filesystem spool directory
-(:class:`SpoolTransport`), chosen because the flow already assumes a
-shared filesystem for its disk cache; the :class:`Transport` protocol
-keeps the broker and worker loops transport-agnostic.
-:mod:`repro.flow.nettransport` implements the same protocol over a TCP
-socket (broker server + ``cfdlang-flow worker --connect``), which drops
-the shared-mount requirement entirely; a Redis transport could slot in
-the same way without touching either loop.
-
-Crash safety is lease-based.  A claimed job's spool file doubles as its
-lease; the worker heartbeats it (mtime touches from a background
-thread) while the job runs.  The broker requeues any lease that stops
-moving — a killed worker's jobs are re-leased and complete elsewhere —
-with bounded retries so a job that reproducibly kills its worker ends
-as a :class:`WorkerCrashError` in its own slot instead of looping
-forever.  A worker that was merely slow, not dead, may then complete a
-requeued job a second time; results are deterministic and result writes
-are atomic, so the duplicate is byte-identical and harmless.
-
-Spool layout (all writes atomic via tempfile + ``os.replace``; claims
-atomic via ``os.rename``)::
-
-    spool/
-      queue/    <job-id>.json   pending job messages, claimed by rename
-      leases/   <job-id>.json   claimed jobs; mtime is the heartbeat
-      results/  <job-id>.pkl    posted outcomes (FlowResult or exception)
-      workers/  <worker-id>.hb  worker heartbeat files (liveness)
+The job service is the one scheduler.  It leases each point to one
+worker, requeues a point whose lease stops heartbeating (a killed
+worker) with bounded retries — a point that reproducibly kills its
+worker ends as a :class:`WorkerCrashError` in its own slot instead of
+looping forever — applies the ``fail_fast`` rule, and records results.
+This module holds what runs outside it: the worker loop
+(:func:`run_worker`, which heartbeats the running point's lease from a
+background :class:`WorkerPulse`) and the executor, which spawns and
+respawns local workers and waits for the job.  A worker that was merely
+slow, not dead, may complete a requeued point a second time; results are
+deterministic and the service keeps the first, so the duplicate is
+harmless.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import pickle
+import secrets
 import shutil
 import socket
 import subprocess
@@ -55,8 +41,7 @@ import sys
 import tempfile
 import threading
 import time
-import uuid
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import SystemGenerationError
 from repro.flow.stages import source_fingerprint
@@ -66,18 +51,8 @@ from repro.flow.store import (
     DiskStageCache,
     FileSingleFlight,
     NamespacedStageCache,
-    atomic_write_bytes,
-    file_age_seconds,
-    touch_file,
+    StageCache,
 )
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 class WorkerCrashError(SystemGenerationError):
@@ -89,7 +64,7 @@ class WorkerCrashError(SystemGenerationError):
 class TransportClosedError(SystemGenerationError):
     """The transport's far side went away mid-conversation (broker
     connection lost).  Workers treat it as "the sweep is over" and exit
-    cleanly; a broker mid-supervision propagates it."""
+    cleanly."""
 
 
 class BrokerUnreachableError(SystemGenerationError):
@@ -106,26 +81,21 @@ def batch_of(job_id: str) -> str:
 
 @runtime_checkable
 class Transport(Protocol):
-    """What the broker and worker loops require of a work queue.
+    """What the worker loop requires of a work queue.
 
     Messages are primitives-only dicts (JSON-safe); result payloads are
     opaque dicts the transport ships by pickle.  ``claim_job`` must hand
     each pending job to exactly one concurrent claimer and start its
     lease; ``heartbeat_job`` keeps a claimed job's lease alive;
-    ``expired_leases`` surfaces jobs whose claimer stopped heartbeating
-    so the broker can ``release`` and re-``put_job`` them.
-    ``heartbeat_worker`` / ``unregister_worker`` / ``alive_workers`` are
-    the fleet-liveness side: how a worker proves it exists and how the
-    broker's stall detection finds out nobody does.  How leases and
-    liveness are clocked is the transport's business (file mtimes for
-    the spool, timestamps for TCP); the loops never look at files.
+    ``complete`` posts the result and drops the lease.
+    ``heartbeat_worker`` / ``unregister_worker`` are the fleet-liveness
+    side: how a worker proves it exists.  The broker-side queue state is
+    :class:`~repro.flow.nettransport.MemoryTransport`;
+    :class:`~repro.flow.nettransport.TcpTransport` is its remote proxy.
 
     The contract is pinned by the transport-conformance suite in
-    ``tests/test_flow_nettransport.py`` — run any new transport against
-    it.
+    ``tests/test_flow_nettransport.py``.
     """
-
-    def put_job(self, message: Dict[str, object]) -> None: ...
 
     def claim_job(self) -> Optional[Dict[str, object]]: ...
 
@@ -133,197 +103,9 @@ class Transport(Protocol):
 
     def complete(self, job_id: str, payload: Dict[str, object]) -> None: ...
 
-    def take_result(self, job_id: str) -> Optional[Dict[str, object]]: ...
-
-    def expired_leases(self, lease_seconds: float) -> List[str]: ...
-
-    def release(self, job_id: str) -> None: ...
-
-    def cancel_pending(self, job_ids: Set[str]) -> Set[str]: ...
-
-    def batch_done(self, job_id: str) -> bool: ...
-
-    def mark_batch_done(self, batch_id: str) -> None: ...
-
     def heartbeat_worker(self, worker_id: str) -> None: ...
 
     def unregister_worker(self, worker_id: str) -> None: ...
-
-    def alive_workers(self, stale_seconds: float) -> List[str]: ...
-
-
-class SpoolTransport:
-    """The reference :class:`Transport`: a spool directory on a shared
-    filesystem.
-
-    Queue/lease/result files live in sibling subdirectories keyed by job
-    id.  Claiming renames ``queue/<id>.json`` to ``leases/<id>.json`` —
-    rename is atomic and exactly one concurrent claimer wins; the losers
-    see ``FileNotFoundError`` and move on.  The lease file's mtime is
-    the job heartbeat.  Everything else is plain atomic file writes, so
-    brokers and workers on different hosts need nothing but the shared
-    mount.
-    """
-
-    #: tombstones older than this are garbage-collected on the next
-    #: mark_batch_done — far longer than any worker could still be
-    #: mid-job for that batch
-    _TOMBSTONE_TTL_SECONDS = 86400.0
-
-    def __init__(self, spool_dir) -> None:
-        self.spool_dir = pathlib.Path(spool_dir)
-        self.queue_dir = self.spool_dir / "queue"
-        self.lease_dir = self.spool_dir / "leases"
-        self.result_dir = self.spool_dir / "results"
-        self.worker_dir = self.spool_dir / "workers"
-        self.done_dir = self.spool_dir / "done"
-        for sub in (self.queue_dir, self.lease_dir, self.result_dir,
-                    self.worker_dir, self.done_dir):
-            sub.mkdir(parents=True, exist_ok=True)
-
-    # -- job side ------------------------------------------------------------
-    def put_job(self, message: Dict[str, object]) -> None:
-        path = self.queue_dir / (str(message["id"]) + ".json")
-        atomic_write_bytes(path, json.dumps(message).encode())
-
-    def claim_job(self) -> Optional[Dict[str, object]]:
-        for path in sorted(self.queue_dir.glob("*.json")):
-            lease = self.lease_dir / path.name
-            try:
-                os.rename(path, lease)
-            except OSError:
-                continue  # another worker won this job; try the next
-            try:
-                # rename preserved the *enqueue* mtime; the lease clock
-                # starts at the claim, or the job would look instantly
-                # abandoned
-                os.utime(lease)
-            except OSError:
-                pass
-            try:
-                with open(lease) as f:
-                    return json.load(f)
-            except (OSError, ValueError):
-                # enqueue is atomic, so this is outside interference
-                # (manual edit, disk fault).  Leave the lease in place:
-                # it expires unheartbeaten and the broker requeues the
-                # job from its own copy of the message.
-                continue
-        return None
-
-    def heartbeat_job(self, job_id: str) -> None:
-        try:
-            os.utime(self.lease_dir / (job_id + ".json"))
-        except OSError:
-            pass
-
-    def complete(self, job_id: str, payload: Dict[str, object]) -> None:
-        if self.batch_done(job_id):
-            # the broker is gone (batch finished or aborted): posting
-            # would orphan a result pickle in a standing spool forever
-            self.release(job_id)
-            return
-        # result first, then the lease drop: a crash between the two
-        # leaves a result plus a dangling lease, which expired_leases
-        # cleans up without a requeue
-        atomic_write_bytes(
-            self.result_dir / (job_id + ".pkl"),
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        self.release(job_id)
-
-    def take_result(self, job_id: str) -> Optional[Dict[str, object]]:
-        path = self.result_dir / (job_id + ".pkl")
-        try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # result writes are atomic, so an unreadable payload means
-            # outside damage; surface it so the broker can retry the job
-            payload = {"id": job_id, "corrupt": True}
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return payload
-
-    def expired_leases(self, lease_seconds: float) -> List[str]:
-        expired = []
-        for path in sorted(self.lease_dir.glob("*.json")):
-            job_id = path.name[: -len(".json")]
-            if self.batch_done(job_id):
-                # a straggler's recreated lease for a finished batch
-                self.release(job_id)
-                continue
-            if (self.result_dir / (job_id + ".pkl")).exists():
-                # completed but the worker died before dropping the lease
-                self.release(job_id)
-                continue
-            age = file_age_seconds(path)
-            if age is not None and age >= lease_seconds:
-                expired.append(job_id)
-        return expired
-
-    def release(self, job_id: str) -> None:
-        try:
-            (self.lease_dir / (job_id + ".json")).unlink()
-        except OSError:
-            pass
-
-    def cancel_pending(self, job_ids: Set[str]) -> Set[str]:
-        """Remove still-unclaimed jobs from the queue; returns the ids
-        actually cancelled (claimed jobs run to completion)."""
-        cancelled = set()
-        for job_id in job_ids:
-            try:
-                (self.queue_dir / (job_id + ".json")).unlink()
-                cancelled.add(job_id)
-            except OSError:
-                pass
-        return cancelled
-
-    # -- batch tombstones ----------------------------------------------------
-    def batch_done(self, job_id: str) -> bool:
-        """Whether the batch this job belongs to has been closed out.
-
-        Workers check this before posting a result: once the broker has
-        marked its batch done (normal completion or abort), a straggler
-        result would sit in a standing spool unconsumed forever.
-        """
-        return (self.done_dir / (batch_of(job_id) + ".done")).exists()
-
-    def mark_batch_done(self, batch_id: str) -> None:
-        atomic_write_bytes(self.done_dir / (batch_id + ".done"), b"")
-        for path in self.done_dir.glob("*.done"):  # bound the tombstones
-            age = file_age_seconds(path)
-            if age is not None and age >= self._TOMBSTONE_TTL_SECONDS:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    # -- worker liveness -----------------------------------------------------
-    def worker_heartbeat_path(self, worker_id: str) -> str:
-        return str(self.worker_dir / (worker_id + ".hb"))
-
-    def heartbeat_worker(self, worker_id: str) -> None:
-        touch_file(self.worker_heartbeat_path(worker_id))
-
-    def unregister_worker(self, worker_id: str) -> None:
-        try:
-            os.unlink(self.worker_heartbeat_path(worker_id))
-        except OSError:
-            pass
-
-    def alive_workers(self, stale_seconds: float) -> List[str]:
-        alive = []
-        for path in sorted(self.worker_dir.glob("*.hb")):
-            age = file_age_seconds(path)
-            if age is not None and age < stale_seconds:
-                alive.append(path.name[: -len(".hb")])
-        return alive
 
 
 # -- worker ------------------------------------------------------------------
@@ -384,35 +166,32 @@ class WorkerPulse:
 
 
 def run_worker(
-    queue_dir=None,
-    cache_dir=None,
+    transport: Transport,
+    cache,
     *,
     poll_seconds: float = 0.05,
     heartbeat_seconds: float = 1.0,
     idle_timeout: Optional[float] = None,
     max_jobs: Optional[int] = None,
     worker_id: Optional[str] = None,
-    transport: Optional[Transport] = None,
-    cache=None,
 ) -> int:
     """Pull and run queued jobs until told (or timed) out.
 
     The body of ``cfdlang-flow worker``, for any transport: claim a job,
     run it through the standard :class:`~repro.flow.session.Flow`
-    against the shared cache (with cross-process
-    :class:`FileSingleFlight` dedup on the cache's lock directory, so
-    co-hosted workers never duplicate stage work), post the result,
-    repeat.  A background :class:`WorkerPulse` keeps the worker's
-    liveness and the running job's lease fresh — if this process dies
-    mid-job, the lease goes stale and the broker requeues the job
-    elsewhere.
+    against ``cache`` (with :class:`FileSingleFlight` dedup on the
+    cache's lock directory, so co-hosted workers never duplicate stage
+    work), post the result, repeat.  A background :class:`WorkerPulse`
+    keeps the worker's liveness and the running job's lease fresh — if
+    this process dies mid-job, the lease goes stale and the broker
+    requeues the job elsewhere.
 
-    Spool mode passes ``queue_dir``/``cache_dir`` (the shared-mount
-    fleet); TCP mode passes ``transport``/``cache`` built by
-    :func:`repro.flow.nettransport.run_tcp_worker`.  A transport that
-    reports :class:`TransportClosedError` (its broker hung up) ends the
-    loop cleanly rather than erroring: a vanished broker means the sweep
-    is over.
+    :func:`repro.flow.nettransport.run_tcp_worker` builds the TCP
+    transport and broker-backed cache; tests drive a
+    :class:`~repro.flow.nettransport.MemoryTransport` directly.  A
+    transport that reports :class:`TransportClosedError` (its broker
+    hung up) ends the loop cleanly rather than erroring: a vanished
+    broker means the sweep is over.
 
     ``idle_timeout`` bounds how long an empty queue is polled before the
     worker exits (None = poll forever, the long-lived fleet-member
@@ -422,9 +201,7 @@ def run_worker(
     """
     from repro.flow.executors import maybe_crash_for_test, run_job_spec
 
-    transport = transport if transport is not None else SpoolTransport(queue_dir)
     worker = worker_id or default_worker_id()
-    cache = cache if cache is not None else DiskStageCache(cache_dir)
     flight = FileSingleFlight(cache.lock_dir)
     pulse = WorkerPulse(transport, worker, heartbeat_seconds).start()
     handled = 0
@@ -448,9 +225,9 @@ def run_worker(
             maybe_crash_for_test(
                 str(message["source"]), int(message.get("attempt", 0))
             )
-            # a job stamped with a tenant namespace (submitted through
-            # the job service, or by a tenant-token connection) computes
-            # into that tenant's partition of the shared cache
+            # a job stamped with a tenant namespace (submitted with a
+            # tenant token) computes into that tenant's partition of the
+            # shared cache
             namespace = str(message.get("namespace") or "")
             job_cache = (
                 NamespacedStageCache(cache, namespace) if namespace else cache
@@ -492,262 +269,325 @@ def run_worker(
     return handled
 
 
-# -- broker ------------------------------------------------------------------
+# -- sweep client ------------------------------------------------------------
 class DistributedExecutor:
-    """Queue-and-workers backend: sweep throughput bounded by fleet size.
+    """Broker-and-workers backend: sweep throughput bounded by fleet size.
 
-    ``compile_many(..., executor="distributed", jobs=N)`` enqueues every
-    design point on a work queue and spawns N local worker processes
-    (the ``cfdlang-flow worker`` subcommand) that drain it — plus any
-    number of externally attached workers that happen to be polling the
-    same queue.  Three queue modes:
+    ``compile_many(..., executor="distributed", jobs=N)`` submits every
+    design point as one job to a compile service and spawns N local
+    ``cfdlang-flow worker --connect`` processes that drain it, plus any
+    number of external workers attached to the same broker.  Two broker
+    modes:
 
-    * default — a temporary spool directory, provisioned and removed
-      around the batch; external workers on hosts sharing the spool and
-      cache filesystem may also attach.  ``queue_dir`` keeps a standing
-      spool instead (and ``spawn_workers=False`` relies purely on the
-      external fleet).
-    * ``listen=(host, port)`` — this process runs a TCP broker
-      (:class:`~repro.flow.nettransport.BrokerServer`) owning the queue
-      and the stage cache; spawned and external workers connect with
-      ``cfdlang-flow worker --connect host:port --token ...`` and need
-      no shared filesystem at all.  Port 0 binds an ephemeral port.
-    * ``broker=(host, port)`` — attach to a *standing* broker
-      (``cfdlang-flow broker``) as a remote submitter: jobs, results,
-      and supervision all travel over the wire.
+    * default, or ``listen=(host, port)`` — this process starts a broker
+      (:func:`~repro.flow.service.start_service_broker`) for the sweep.
+      It serves the caller's :class:`~repro.flow.store.DiskStageCache`
+      and keeps its job files in a service directory the executor owns
+      and removes.  By default it binds ``127.0.0.1:0`` with a minted
+      token, so only the spawned workers can reach it; ``listen=`` binds
+      a known address (port 0 picks an ephemeral one) secured by
+      ``token``, so external workers can join from any host.
+    * ``broker=(host, port)`` or ``'HOST:PORT'`` — submit to a
+      *standing* ``cfdlang-flow broker``.  The job counts against that
+      broker's ``--max-jobs`` and runs in the token's cache namespace;
+      the broker's own lease and retry settings apply, so
+      ``lease_seconds`` and ``max_attempts`` are refused here.
 
-    ``token`` is the shared secret of the TCP modes (falls back to the
-    ``CFDLANG_FLOW_TOKEN`` environment variable).
+    ``token`` is the shared secret of ``listen=``/``broker=`` (falls back
+    to the ``CFDLANG_FLOW_TOKEN`` environment variable);
+    ``spawn_workers=False`` relies purely on external workers.
 
-    Supervision: the broker polls for results, requeues jobs whose lease
-    stopped heartbeating (a dead worker) up to ``max_attempts`` total
-    attempts, respawns its own crashed workers while work remains, and
-    fails loudly — rather than hanging — if jobs are pending but no
-    worker anywhere has heartbeat for ``worker_grace_seconds``.  Worker
-    traces merge back in point order with the worker's identity tagged
-    in each event origin, and cache counter deltas fold into the shared
-    cache, exactly as the process backend does.  All of this is
-    transport-agnostic — leases and liveness are the transport's
-    business, so every mode shares one supervision loop.
+    The job service does all scheduling: leases, up to ``max_attempts``
+    attempts per point, and the ``fail_fast`` rule.  This client spawns
+    its workers, respawns crashed ones while the job runs, and fails
+    loudly — rather than hanging — if the job makes no progress and no
+    worker anywhere has heartbeat for ``worker_grace_seconds``.  The
+    error names the job id: a stalled job on a standing broker stays
+    queued and can be fetched by id later; on the sweep's own broker,
+    and on any other error or interrupt, the job is cancelled.  Worker
+    traces merge back in point order with each worker's identity tagged
+    in the event origins, and cache counter deltas merge into the
+    caller's cache exactly once.
 
     ``lease_seconds`` must comfortably exceed the workers' heartbeat
     interval or live jobs get requeued spuriously: spawned workers are
     configured automatically (a quarter of the lease window), but
     externally attached workers choose their own ``--heartbeat`` — keep
-    it at most a quarter of every broker's ``lease_seconds``.
+    it at most a quarter of every broker's lease window.
     """
 
     name = "distributed"
+    #: return the :class:`~repro.flow.service.SweepJob` handle instead of
+    #: outcomes (only :class:`~repro.flow.service.ServiceExecutor` sets it)
+    detach = False
 
     def __init__(
         self,
         *,
-        queue_dir=None,
         spawn_workers: bool = True,
         listen=None,
         broker=None,
         token: Optional[str] = None,
-        lease_seconds: float = 30.0,
+        lease_seconds: Optional[float] = None,
         poll_seconds: float = 0.05,
-        max_attempts: int = 3,
+        max_attempts: Optional[int] = None,
         worker_grace_seconds: float = DEFAULT_LOCK_STALE_SECONDS,
         worker_idle_timeout: float = 300.0,
     ) -> None:
-        if sum(x is not None for x in (queue_dir, listen, broker)) > 1:
+        if listen is not None and broker is not None:
             raise SystemGenerationError(
-                "pick one queue mode: queue_dir (spool), listen "
-                "(run a TCP broker), or broker (attach to one)"
+                "pick one broker mode: listen (run a broker here) or "
+                "broker (submit to a standing one)"
             )
-        self.queue_dir = queue_dir
+        if broker is not None and (
+            lease_seconds is not None or max_attempts is not None
+        ):
+            raise SystemGenerationError(
+                "lease_seconds/max_attempts configure the broker a sweep "
+                "starts; a standing broker (broker=...) applies its own "
+                "lease and retry settings"
+            )
         self.spawn_workers = spawn_workers
         self.listen = listen
         self.broker = broker
         self.token = token
-        self.lease_seconds = lease_seconds
+        self.lease_seconds = 30.0 if lease_seconds is None else lease_seconds
         self.poll_seconds = poll_seconds
-        self.max_attempts = max_attempts
+        self.max_attempts = 3 if max_attempts is None else max_attempts
         self.worker_grace_seconds = worker_grace_seconds
         self.worker_idle_timeout = worker_idle_timeout
-        self._tmp_cache_dir: Optional[str] = None
-        self._tmp_spool_dir: Optional[str] = None
-        self._tmp_worker_root: Optional[str] = None
+        self._tmp_root: Optional[str] = None
         self._procs: List[subprocess.Popen] = []
-        #: mode-specific argv/env for spawning one worker; set by run()
+        #: (argv, env) that spawns one worker; set by run()
         self._spawn_plan = None
+        #: the spawned workers' --cache-dir when not a scratch tier
+        self._worker_tier = None
 
     # -- Executor protocol ---------------------------------------------------
     def prepare_cache(self, cache: Optional[CacheBackend]) -> CacheBackend:
+        if self.broker is None and self.listen is None and not self.spawn_workers:
+            raise SystemGenerationError(
+                f"executor {self.name!r} has nowhere to run: pass "
+                "broker='HOST:PORT' to submit to a standing broker (the "
+                "distributed executor also takes listen= so external "
+                "workers can attach, or spawn_workers=True)"
+            )
+        if self.broker is not None:
+            # the standing broker owns the authoritative cache; the local
+            # one only collects the workers' counter deltas
+            return cache if cache is not None else StageCache()
         if cache is None:
-            self._tmp_cache_dir = tempfile.mkdtemp(prefix="cfdlang-flow-cache-")
-            return DiskStageCache(self._tmp_cache_dir)
+            return DiskStageCache(self._scratch("cache"))
         if not isinstance(cache, DiskStageCache):
             raise TypeError(
-                "executor 'distributed' shares artifacts between workers "
-                "through a DiskStageCache on a shared filesystem; pass "
+                f"executor {self.name!r} serves its stage cache to workers "
+                "from the sweep's broker, which needs a DiskStageCache; pass "
                 "cache=DiskStageCache(dir) or cache=None for a temporary "
                 f"one, not {type(cache).__name__}"
             )
         return cache
 
-    def run(self, context) -> List[object]:
-        cache = context.cache
-        assert isinstance(cache, DiskStageCache)  # prepare_cache guarantees
-        outcomes: List[object] = [None] * len(context.jobs)
-        if not context.jobs:
-            return outcomes
-        transport, server, client = self._make_transport(cache)
-        batch = uuid.uuid4().hex[:12]
-        messages: Dict[str, Dict[str, object]] = {}
-        for i, (source, options) in enumerate(context.jobs):
-            job_id = f"{batch}-{i:05d}"
-            messages[job_id] = {
-                "id": job_id,
-                "index": i,
-                "source": source_fingerprint(source),
-                "options": None if options is None else options.to_spec(),
-                "attempt": 0,
-            }
+    def run(self, context):
+        from repro.flow.nettransport import resolve_token
+        from repro.flow.service import ServiceClient, start_service_broker
+
+        if not context.jobs and not self.detach:
+            return []
+        points = [
+            (
+                source_fingerprint(source),
+                None if options is None else options.to_spec(),
+            )
+            for source, options in context.jobs
+        ]
+        server = client = None
         try:
-            for message in messages.values():
-                transport.put_job(message)
-            if self.spawn_workers:
-                n = min(max(1, context.workers), len(messages))
-                for _ in range(n):
-                    self._spawn_worker()
-            try:
-                events_by_point = self._supervise(
-                    context, transport, messages, outcomes
+            if self.broker is None:
+                token = (
+                    resolve_token(self.token) if self.listen is not None
+                    else self.token or secrets.token_hex(16)
                 )
-            finally:
-                self._reap_workers()
-                # close the batch out, success or not.  The tombstone
-                # stops in-flight straggler workers from posting results
-                # nobody will consume; the scrub removes what is already
-                # there: unclaimed jobs of an aborted sweep (which a
-                # worker attaching to a standing queue later would
-                # execute) and duplicate results of re-leased jobs that
-                # completed twice.
-                transport.mark_batch_done(batch)
-                transport.cancel_pending(set(messages))
-                for job_id in messages:
-                    transport.take_result(job_id)
-                    transport.release(job_id)
+                host, port = self.listen or ("127.0.0.1", 0)
+                server = start_service_broker(
+                    host, port, token or "", context.cache,
+                    self._scratch("service"),
+                    lease_seconds=self.lease_seconds,
+                    max_attempts=self.max_attempts,
+                    poll_seconds=self.poll_seconds,
+                )
+                address = server.address
+            else:
+                address, token = self.broker, resolve_token(self.token)
+            client = ServiceClient(address, token).connect()
+            job = client.submit(points, fail_fast=context.fail_fast)
+            if self.detach:
+                client = None  # the returned handle owns the connection
+                return job
+            try:
+                if self.spawn_workers:
+                    if server is not None and self.listen is None:
+                        # a private loopback broker's workers run on this
+                        # host, so they share the caller's cache directory
+                        # (run_tcp_worker then skips the wire for entries)
+                        self._worker_tier = context.cache.cache_dir
+                    self._start_workers(
+                        client.transport.address, token,
+                        min(max(1, context.workers), len(points)),
+                    )
+                stall = self._wait(job)
+            except BaseException:
+                self._cancel(job, server)
+                raise
+            if stall is not None:
+                if server is not None:
+                    # nothing of this sweep may start after it gave up
+                    self._cancel(job, server)
+                raise SystemGenerationError(stall)
+            # the sweep's own broker hands results over in-process: no
+            # frame, so no frame-size cap on the batch
+            payloads = (
+                job.fetch_payloads() if server is None
+                else server.service.fetch(job.job_id)
+            )
         finally:
-            if server is not None:
-                server.close()
+            self._reap_workers()
             if client is not None:
                 client.close()
-        # point-order merge: deterministic --trace output, same as the
-        # process backend
-        if context.trace is not None:
-            for i in sorted(events_by_point):
-                for stage, seconds, cached, origin in events_by_point[i]:
+            if server is not None:
+                server.close()
+        # the sweep's own broker merged the deltas into this very cache
+        merge_stats = (
+            getattr(context.cache, "merge_stats", None)
+            if server is None else None
+        )
+        for payload in payloads:  # point order: deterministic --trace
+            if payload is None:
+                continue
+            if context.trace is not None:
+                for stage, seconds, cached, origin in payload["events"]:
                     context.trace.record(stage, seconds, cached, origin)
-        return outcomes
+            if merge_stats is not None and payload["deltas"]:
+                merge_stats(payload["deltas"])
+        return [None if p is None else p["outcome"] for p in payloads]
 
     def cleanup(self) -> None:
         self._reap_workers()
-        for attr in ("_tmp_spool_dir", "_tmp_cache_dir", "_tmp_worker_root"):
-            path = getattr(self, attr)
-            if path is not None:
-                shutil.rmtree(path, ignore_errors=True)
-                setattr(self, attr, None)
+        if self._tmp_root is not None:
+            shutil.rmtree(self._tmp_root, ignore_errors=True)
+            self._tmp_root = None
 
-    # -- transport selection -------------------------------------------------
-    def _make_transport(self, cache: DiskStageCache):
-        """The batch's (transport, server, client) per queue mode; also
-        records how to spawn one worker against it (``_spawn_plan``)."""
-        if self.listen is not None:
-            from repro.flow.nettransport import BrokerServer, resolve_token
+    def _scratch(self, name: str) -> pathlib.Path:
+        """A path under this executor's temporary root (cleanup removes
+        it): the default cache, the sweep broker's service directory, and
+        the spawned workers' cache tier and logs."""
+        if self._tmp_root is None:
+            self._tmp_root = tempfile.mkdtemp(prefix="cfdlang-flow-")
+        return pathlib.Path(self._tmp_root) / name
 
-            host, port = self.listen
-            server = BrokerServer(
-                host, port, resolve_token(self.token) or "", cache
-            )
-            self._set_tcp_spawn_plan(server.address)
-            return server.transport, server, None
-        if self.broker is not None:
-            from repro.flow.nettransport import TcpTransport
+    # -- waiting -------------------------------------------------------------
+    def _wait(self, job) -> Optional[str]:
+        """Poll ``job`` until it is terminal, respawning crashed local
+        workers.  Returns None, or the stall error's message if the job
+        made no progress with no live worker anywhere."""
+        from repro.flow.service import TERMINAL_STATES
 
-            client = TcpTransport(self.broker, self.token).connect()
-            self._set_tcp_spawn_plan(client.address)
-            return client, None, client
-        spool = self.queue_dir
-        if spool is None:
-            self._tmp_spool_dir = tempfile.mkdtemp(prefix="cfdlang-flow-spool-")
-            spool = self._tmp_spool_dir
-        log_dir = pathlib.Path(spool) / "workers"
-        self._spawn_plan = (
-            ["--queue", str(spool), "--cache-dir", str(cache.cache_dir)],
-            log_dir,
-            None,
-        )
-        return SpoolTransport(spool), None, None
+        # respawn budget: tolerate as many worker deaths as the per-job
+        # retry budget allows across the whole batch, with a floor so a
+        # single flaky worker can't exhaust it instantly
+        budget = max(2 * len(self._procs), self.max_attempts) + 2
+        progress = None
+        last_progress = time.monotonic()
+        while True:
+            status = job.status()
+            if status["state"] in TERMINAL_STATES:
+                return None
+            now = time.monotonic()
+            if (status["done_points"], status["retries"]) != progress:
+                progress = (status["done_points"], status["retries"])
+                last_progress = now
+            elif (now - last_progress >= self.worker_grace_seconds
+                    and not any(p.poll() is None for p in self._procs)
+                    and not job.client.stats(
+                        stale_seconds=self.worker_grace_seconds
+                    )["workers"]):
+                return (
+                    f"{self.name} sweep stalled: job {job.job_id} has "
+                    f"{status['total'] - status['done_points']} point(s) "
+                    "pending but no worker has heartbeat for "
+                    f"{self.worker_grace_seconds:.1f}s — start workers with "
+                    "'cfdlang-flow worker --connect HOST:PORT' (a job on a "
+                    "standing broker stays queued; fetch it by id later)"
+                )
+            for proc in [p for p in self._procs if p.poll() is not None]:
+                self._procs.remove(proc)
+                if budget > 0:
+                    budget -= 1
+                    self._spawn_worker()
+            time.sleep(self.poll_seconds)
 
-    def _set_tcp_spawn_plan(self, address) -> None:
-        from repro.flow.nettransport import TOKEN_ENV, resolve_token
-
-        # spawned workers share one local cache tier under a disposable
-        # root this executor owns and cleanup() removes — passing no
-        # --cache-dir would have each worker mkdtemp a tier that leaks
-        # when _reap_workers SIGTERMs it.  Sharing the tier between
-        # same-host spawns is a feature (lock-file single flight dedups
-        # them); sharing the *broker's* directory would defeat the
-        # no-shared-mount point, and the wire already shares entries.
-        self._tmp_worker_root = tempfile.mkdtemp(prefix="cfdlang-flow-workers-")
-        root = pathlib.Path(self._tmp_worker_root)
-        host, port = address
-        self._spawn_plan = (
-            ["--connect", f"{host}:{port}",
-             "--cache-dir", str(root / "cache")],
-            root / "logs",
-            {TOKEN_ENV: resolve_token(self.token) or ""},
-        )
+    @staticmethod
+    def _cancel(job, server) -> None:
+        """Cancel a job this sweep gave up on, so it neither holds a
+        broker slot nor starts another point.  Best effort: a broker that
+        is gone (or refuses) must not mask the error being raised."""
+        try:
+            if server is not None:
+                server.service.cancel(job.job_id)
+            else:
+                job.cancel()
+        except Exception:  # noqa: BLE001 — see docstring
+            pass
 
     # -- worker lifecycle ----------------------------------------------------
-    def _spawn_worker(self) -> None:
-        argv_tail, log_dir, extra_env = self._spawn_plan
-        env = dict(os.environ)
-        if extra_env:
-            env.update(extra_env)  # the token travels by env, not argv
+    def _start_workers(self, address, token: Optional[str], count: int) -> None:
+        from repro.flow.nettransport import TOKEN_ENV
+
+        env = dict(os.environ, **{TOKEN_ENV: token or ""})
         # workers must import this package even when it is not installed
         # (tests run from a source tree via PYTHONPATH)
         pkg_root = str(pathlib.Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (pkg_root, env.get("PYTHONPATH")) if p
         )
-        log_path = pathlib.Path(log_dir) / f"worker-{len(self._procs)}.log"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
+        self._spawn_plan = (self._worker_argv(address), env)
+        for _ in range(count):
+            self._spawn_worker()
+
+    def _worker_argv(self, address) -> List[str]:
+        """The command line of one spawned ``cfdlang-flow worker``.
+
+        Spawned workers share one cache tier: the caller's cache
+        directory behind a private loopback broker, else a local tier
+        under this executor's temporary root, which the broker's cache
+        reaches over the wire — passing no ``--cache-dir`` would have
+        each worker mkdtemp a tier that leaks when _reap_workers
+        SIGTERMs it.  Sharing the tier between same-host spawns is a
+        feature (lock-file single flight dedups them).
+        """
+        host, port = address
         # a lease only stays alive if it is touched faster than the broker
         # expires it: heartbeat at a quarter of the lease window, so a
         # short-lease configuration cannot spuriously requeue live jobs
         heartbeat = min(1.0, max(0.05, self.lease_seconds / 4.0))
+        return [
+            sys.executable, "-m", "repro.flow.cli", "worker",
+            "--connect", f"{host}:{port}",
+            "--cache-dir",
+            str(self._worker_tier or self._scratch("worker-cache")),
+            "--idle-timeout", str(self.worker_idle_timeout),
+            "--poll", str(self.poll_seconds),
+            "--heartbeat", str(heartbeat),
+        ]
+
+    def _spawn_worker(self) -> None:
+        argv, env = self._spawn_plan  # the token travels by env, not argv
+        log_path = self._scratch("logs") / f"worker-{len(self._procs)}.log"
+        log_path.parent.mkdir(parents=True, exist_ok=True)
         with open(log_path, "ab") as log:
             proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.flow.cli",
-                    "worker",
-                    *argv_tail,
-                    "--idle-timeout", str(self.worker_idle_timeout),
-                    "--poll", str(self.poll_seconds),
-                    "--heartbeat", str(heartbeat),
-                ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=env,
+                argv, stdout=log, stderr=subprocess.STDOUT, env=env
             )
         self._procs.append(proc)
-
-    def _respawn_dead_workers(self, budget: List[int]) -> None:
-        for proc in list(self._procs):
-            if proc.poll() is None:
-                continue
-            self._procs.remove(proc)
-            if budget[0] > 0:
-                budget[0] -= 1
-                self._spawn_worker()
 
     def _reap_workers(self) -> None:
         for proc in self._procs:
@@ -760,113 +600,3 @@ class DistributedExecutor:
                 proc.kill()
                 proc.wait(timeout=10)
         self._procs = []
-
-    # -- supervision loop ----------------------------------------------------
-    def _supervise(
-        self,
-        context,
-        transport: Transport,
-        messages: Dict[str, Dict[str, object]],
-        outcomes: List[object],
-    ) -> Dict[int, list]:
-        cache = context.cache
-        pending: Set[str] = set(messages)
-        events_by_point: Dict[int, list] = {}
-        # respawn budget: tolerate as many worker deaths as the per-job
-        # retry budget allows across the whole batch, with a floor so a
-        # single flaky worker can't exhaust it instantly
-        budget = [max(2 * len(self._procs), self.max_attempts) + 2]
-        failed = False
-        last_progress = time.monotonic()
-
-        def abort_pending() -> None:
-            """First failure under fail_fast: stop starting points."""
-            nonlocal failed
-            failed = True
-            cancelled = transport.cancel_pending(set(pending))
-            pending.difference_update(cancelled)  # their slots stay None
-
-        def retry_or_give_up(job_id: str) -> None:
-            """One attempt burned (dead worker / damaged result).
-
-            Worker death is infrastructure churn, not a point failure,
-            so the job is requeued even under fail_fast — until the
-            retry budget is spent, at which point it *becomes* the
-            point's failure (WorkerCrashError).  But once any point has
-            failed under fail_fast, nothing new may start: the crashed
-            job is abandoned and its slot stays None.
-            """
-            message = messages[job_id]
-            message["attempt"] = int(message["attempt"]) + 1
-            transport.release(job_id)
-            if context.fail_fast and failed:
-                pending.discard(job_id)  # aborting: never re-started
-            elif int(message["attempt"]) >= self.max_attempts:
-                outcomes[message["index"]] = WorkerCrashError(
-                    f"job {job_id} lost its worker {self.max_attempts} "
-                    f"times (lease expired after {self.lease_seconds:.1f}s "
-                    "each); giving up"
-                )
-                pending.discard(job_id)
-                if context.fail_fast:
-                    abort_pending()
-            else:
-                transport.put_job(message)
-
-        while pending:
-            progressed = False
-            for job_id in sorted(pending):
-                payload = transport.take_result(job_id)
-                if payload is None:
-                    continue
-                progressed = True
-                if payload.get("corrupt"):
-                    retry_or_give_up(job_id)
-                    continue
-                pending.discard(job_id)
-                index = messages[job_id]["index"]
-                outcomes[index] = payload["outcome"]
-                events_by_point[index] = payload.get("events", [])
-                deltas = payload.get("deltas")
-                if deltas:
-                    cache.merge_stats(deltas)
-                if (
-                    context.fail_fast
-                    and not failed
-                    and isinstance(payload["outcome"], BaseException)
-                ):
-                    abort_pending()
-            for job_id in transport.expired_leases(self.lease_seconds):
-                if job_id in messages and job_id not in pending:
-                    # ours, already resolved: a straggler worker's
-                    # recreated lease — reclaim the spool space
-                    transport.release(job_id)
-                    continue
-                if job_id not in pending:
-                    continue  # another broker's job
-                progressed = True
-                retry_or_give_up(job_id)
-            if pending and self.spawn_workers:
-                self._respawn_dead_workers(budget)
-            now = time.monotonic()
-            if progressed:
-                last_progress = now
-            elif pending:
-                spawned_alive = any(p.poll() is None for p in self._procs)
-                external_alive = bool(
-                    transport.alive_workers(self.worker_grace_seconds)
-                )
-                if (
-                    not spawned_alive
-                    and not external_alive
-                    and now - last_progress >= self.worker_grace_seconds
-                ):
-                    raise SystemGenerationError(
-                        f"distributed sweep stalled: {len(pending)} job(s) "
-                        "pending but no worker has heartbeat for "
-                        f"{self.worker_grace_seconds:.1f}s — start workers "
-                        "with 'cfdlang-flow worker --queue DIR --cache-dir "
-                        "DIR' or use spawn_workers=True"
-                    )
-                time.sleep(self.poll_seconds)
-        return events_by_point

@@ -1,5 +1,5 @@
 """Execution backends for ``compile_many``: serial, thread, process,
-distributed.
+distributed, service.
 
 A batch of design points is embarrassingly parallel *between* points but
 shares work *across* them (the front end of a k x m sweep is identical
@@ -22,11 +22,13 @@ for every point), so the right backend depends on where the time goes:
   guarantee between address spaces.  This is the backend that makes
   core count, not stage count, the limit on CPU-bound sweep throughput.
 * ``distributed`` — :mod:`repro.flow.distributed`: the same job specs,
-  shipped through a durable work queue instead of a pool — a spool
-  directory for workers sharing the cache/spool filesystem, or a TCP
-  broker (:mod:`repro.flow.nettransport`) for workers that share
-  nothing but a network.  This is the backend that makes fleet size,
-  not core count, the limit.
+  submitted as one job to a compile-service broker
+  (:mod:`repro.flow.service`) — one the sweep starts, or a standing
+  ``cfdlang-flow broker`` — whose workers pull them over TCP
+  (:mod:`repro.flow.nettransport`) and share nothing but a network.
+  This is the backend that makes fleet size, not core count, the limit.
+* ``service`` — the same client against a standing broker only, run by
+  that broker's fleet; ``detach=True`` returns the durable job handle.
 
 Backends implement the :class:`Executor` protocol and register under a
 name; ``compile_many(..., executor="process")`` or the CLI's
@@ -49,7 +51,7 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.errors import SystemGenerationError
 from repro.flow.options import FlowOptions
@@ -63,15 +65,6 @@ from repro.flow.store import (
     SingleFlight,
     StageCache,
 )
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 #: one parsed design point: (source, options-or-None)
 Job = Tuple[object, Optional[FlowOptions]]
@@ -424,7 +417,7 @@ def _distributed_factory():
 
 def _service_factory():
     # same on-demand pattern: repro.flow.service sits atop the
-    # distributed/nettransport stack
+    # distributed stack
     from repro.flow.service import ServiceExecutor
 
     return ServiceExecutor()

@@ -1,41 +1,41 @@
-"""TCP transport for distributed sweeps: broker server, client proxy.
+"""TCP transport for remote sweeps: broker server, worker proxy.
 
-:class:`~repro.flow.distributed.SpoolTransport` scales a sweep across
-hosts, but only hosts that mount the broker's spool/cache filesystem.
-This module removes that constraint: the broker owns the job queue and
-the stage cache in one process and serves both over a length-prefixed
-socket protocol, so a worker anywhere on the network joins the fleet
-with nothing but an address and a shared-secret token.
+The broker owns the job queue and the stage cache in one process and
+serves both over a length-prefixed socket protocol, so a worker anywhere
+on the network joins the fleet with nothing but an address and a
+shared-secret token.
 
 Three pieces:
 
-* :class:`MemoryTransport` — the broker-local queue state: a thread-safe
-  in-memory implementation of the :class:`~repro.flow.distributed.
-  Transport` protocol whose leases and worker liveness are monotonic
-  timestamps instead of file mtimes.  The PR-4 supervision machinery
-  (lease expiry, requeue-on-death, bounded retries, stall detection)
-  runs against it unchanged.
-* :class:`BrokerServer` — a threaded TCP server wrapping a
-  :class:`MemoryTransport` plus the broker's
-  :class:`~repro.flow.store.DiskStageCache`.  Every request is a framed
-  message; the first must be a JSON ``hello`` carrying the shared-secret
-  token (compared constant-time), and only authenticated connections may
-  send or receive pickle frames.  A worker's requests double as its
-  heartbeat; a dropped connection unregisters the worker immediately,
-  and its leases expire on the normal clock.
-* :class:`TcpTransport` — the client proxy: implements the full
-  ``Transport`` protocol by RPC, so a worker (``cfdlang-flow worker
-  --connect HOST:PORT``), a remote sweep submitter (``--broker``), and
-  the transport-conformance test suite all drive a remote broker through
-  the same object they would use locally.
+* :class:`MemoryTransport` — the broker-local queue state: thread-safe
+  claim/lease/result bookkeeping whose leases and worker liveness are
+  monotonic timestamps.  On the broker side only its
+  :class:`~repro.flow.service.JobService` calls it: it enqueues points,
+  collects results, and heals expired leases.
+* :class:`BrokerServer` — a threaded TCP server in front of a
+  :class:`~repro.flow.service.JobService`, its :class:`MemoryTransport`,
+  and the broker's :class:`~repro.flow.store.DiskStageCache`.  Every
+  request is a framed message; the first must be a JSON ``hello``
+  carrying the shared-secret token (compared constant-time), and only
+  authenticated connections may send or receive pickle frames.  A
+  worker's requests double as its heartbeat; a dropped connection
+  unregisters the worker immediately, and its leases expire on the
+  normal clock.
+* :class:`TcpTransport` — the client proxy: the worker side of the
+  :class:`~repro.flow.distributed.Transport` protocol by RPC (what
+  ``cfdlang-flow worker --connect HOST:PORT`` drives), plus the
+  connection that :class:`~repro.flow.service.ServiceClient` sends
+  job-service requests over.
 
-Workers without the shared mount still reuse cache artifacts:
-:class:`RemoteStageCache` layers a worker-local
+Workers share no filesystem with the broker yet still reuse cache
+artifacts: :class:`RemoteStageCache` layers a worker-local
 :class:`~repro.flow.store.DiskStageCache` over ``cache_fetch`` /
 ``cache_put`` RPCs against the broker's cache (the serializable
-entry export/import added to :mod:`repro.flow.store`), so a warm broker
+entry export/import of :mod:`repro.flow.store`), so a warm broker
 serves the whole front end to a cold worker as ``"remote"`` hits and
-every entry a worker computes lands back in the broker's store.
+every entry a worker computes lands back in the broker's store.  A
+worker whose tier is the broker's own cache directory (the ``hello``
+reply names it by :func:`dir_identity`) uses it directly instead.
 
 Security model: the token authenticates, the wire does not encrypt, and
 authenticated peers exchange pickles — run brokers and workers on a
@@ -73,7 +73,7 @@ from repro.flow.store import DiskStageCache, Entry, namespaced_key
 
 #: bump when the message schema changes incompatibly; hello replies
 #: carry it so mismatched peers fail with a clear error, not a hang
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: refuse frames bigger than this (a corrupt length prefix must not
 #: trigger a multi-gigabyte allocation)
@@ -92,15 +92,15 @@ class BrokerAuthError(SystemGenerationError):
     """The broker rejected this client's token."""
 
 
-#: the request surface a tenant-token connection may use: service RPCs,
-#: its own (namespace-stamped) job submission, and its cache partition.
-#: Everything else is the worker/supervisor surface — claiming queued
-#: points, posting results, stealing/expiring leases — which would let
-#: one tenant read or forge another tenant's work, so it is reserved
-#: for primary-token connections.
+#: the request surface a tenant-token connection may use: service RPCs
+#: (its jobs are namespace-stamped) and its cache partition.  Everything
+#: else is the worker surface — claiming queued points, posting results,
+#: heartbeating leases — which would let one tenant read or forge
+#: another tenant's work, so it is reserved for primary-token
+#: connections.
 TENANT_OPS = frozenset({
     "submit", "job_status", "job_fetch", "job_cancel", "service_stats",
-    "put_job", "cache_fetch", "cache_put",
+    "cache_fetch", "cache_put",
 })
 
 
@@ -130,6 +130,16 @@ def parse_hostport(text: str, *, listening: bool = False) -> Tuple[str, int]:
             )
         host = "0.0.0.0"
     return host, port_number
+
+
+def dir_identity(path) -> Optional[List[object]]:
+    """Host and inode of a directory (None for no directory): equal only
+    for the same directory seen from the same host."""
+    try:
+        st = os.stat(path)
+    except (OSError, TypeError):
+        return None
+    return [socket.gethostname(), st.st_dev, st.st_ino]
 
 
 def resolve_token(token: Optional[str]) -> Optional[str]:
@@ -195,16 +205,16 @@ def recv_frame(sock: socket.socket, *, allow_pickle: bool):
 
 # -- broker-local state -------------------------------------------------------
 class MemoryTransport:
-    """In-memory :class:`~repro.flow.distributed.Transport` — the queue
-    state a :class:`BrokerServer` owns.
+    """The queue state a :class:`BrokerServer` owns: the worker side of
+    the :class:`~repro.flow.distributed.Transport` protocol plus the
+    broker side its :class:`~repro.flow.service.JobService` drives.
 
-    The same claim/lease/tombstone semantics as the spool, with
-    ``time.monotonic`` timestamps where the spool uses file mtimes:
-    claiming restarts the lease clock, ``heartbeat_job`` advances it,
-    ``expired_leases`` compares it against the broker's lease window.
-    All methods are thread-safe (the server handles each connection on
-    its own thread).  Jobs claim in sorted-id order, matching the spool,
-    so broker behavior is transport-independent.
+    Claiming starts a lease clock (``time.monotonic``),
+    ``heartbeat_job`` advances it, ``expired_leases`` compares it
+    against the broker's lease window.  All methods are thread-safe (the
+    server handles each connection on its own thread).  Jobs claim in
+    sorted-id order, so time-sortable job ids drain first-come
+    first-served.
     """
 
     _TOMBSTONE_TTL_SECONDS = 86400.0
@@ -279,14 +289,15 @@ class MemoryTransport:
             return cancelled
 
     # -- batch tombstones ----------------------------------------------------
-    def batch_done(self, job_id: str) -> bool:
-        with self._lock:
-            return batch_of(job_id) in self._done
-
     def mark_batch_done(self, batch_id: str) -> None:
+        """Close a batch: later results for it are dropped on arrival,
+        and strays already posted (a re-leased point completing twice)
+        are discarded now."""
         now = time.monotonic()
         with self._lock:
             self._done[batch_id] = now
+            for job_id in [j for j in self._results if batch_of(j) == batch_id]:
+                del self._results[job_id]
             for batch in list(self._done):
                 if now - self._done[batch] >= self._TOMBSTONE_TTL_SECONDS:
                     del self._done[batch]
@@ -325,12 +336,15 @@ class MemoryTransport:
 
 # -- broker server ------------------------------------------------------------
 class BrokerServer:
-    """Threaded TCP front end over a :class:`MemoryTransport` + cache.
+    """Threaded TCP front end over a job service, its
+    :class:`MemoryTransport`, and its cache.
 
     One accept thread plus one thread per connection — fleets here are
     tens of workers, not thousands.  ``address`` is the bound (host,
     port) pair, so listening on port 0 yields a usable ephemeral port.
-    ``close()`` shuts the listener and every live connection down.
+    ``close()`` stops the service, then shuts the listener and every
+    live connection down.  Build one with
+    :func:`~repro.flow.service.start_service_broker`.
     """
 
     def __init__(
@@ -338,10 +352,8 @@ class BrokerServer:
         host: str,
         port: int,
         token: str,
-        cache: Optional[DiskStageCache] = None,
+        service,
         *,
-        transport: Optional[MemoryTransport] = None,
-        service=None,
         tenants: Optional[Dict[str, str]] = None,
     ) -> None:
         if not token:
@@ -350,11 +362,12 @@ class BrokerServer:
                 f"(CLI --token) or set {TOKEN_ENV}"
             )
         self.token = token
-        self.cache = cache
-        #: optional :class:`~repro.flow.service.JobService` (duck-typed:
-        #: this module never imports service, which imports it) — routes
+        #: the :class:`~repro.flow.service.JobService` (duck-typed: this
+        #: module never imports service, which imports it) — routes
         #: submit/status/fetch/cancel RPCs and is stopped by close()
         self.service = service
+        self.transport: MemoryTransport = service.transport
+        self.cache: Optional[DiskStageCache] = service.cache
         #: extra shared secrets: tenant name -> token.  A tenant
         #: connection's cache RPCs and submitted jobs are confined to
         #: that tenant's namespace of the shared store; the primary
@@ -365,7 +378,6 @@ class BrokerServer:
             raise SystemGenerationError(
                 "every tenant needs a non-empty token (NAME=TOKEN)"
             )
-        self.transport = transport if transport is not None else MemoryTransport()
         try:
             self._listener = socket.create_server((host, port))
         except OSError as exc:
@@ -387,8 +399,13 @@ class BrokerServer:
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         self._closing.set()
-        if self.service is not None:
-            self.service.stop()  # scheduler first: no new puts mid-teardown
+        self.service.stop()  # scheduler first: no new puts mid-teardown
+        try:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the join below returns at once
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -480,7 +497,12 @@ class BrokerServer:
                 worker_id = str(hello.get("worker") or "")
                 if worker_id:
                     self.transport.heartbeat_worker(worker_id)
-            send_frame(conn, {"ok": True, "version": PROTOCOL_VERSION})
+            send_frame(conn, {
+                "ok": True,
+                "version": PROTOCOL_VERSION,
+                "cache": dir_identity(getattr(self.cache, "cache_dir", None))
+                if hello.get("role") == "worker" else None,
+            })
             while True:
                 request = recv_frame(conn, allow_pickle=True)
                 if not isinstance(request, dict):
@@ -508,16 +530,16 @@ class BrokerServer:
         """One request -> (reply, pickled?).  Requests from workers count
         as liveness: any op refreshes the connection's worker heartbeat.
         ``tenant`` is the connection's authenticated tenant: its cache
-        RPCs are confined to that namespace of the shared store and its
-        enqueued jobs are stamped so workers compute into it too."""
+        RPCs are confined to that namespace of the shared store, and the
+        service stamps its jobs so workers compute into it too."""
         t = self.transport
         op = request.get("op")
         if worker_id:
             t.heartbeat_worker(worker_id)
         if tenant and op not in TENANT_OPS:
-            # tenant isolation: the worker/supervisor surface could pop
-            # another tenant's queued point (leaking its source), post a
-            # forged result for it, or steal its in-flight results
+            # tenant isolation: the worker surface could pop another
+            # tenant's queued point (leaking its source) or post a forged
+            # result for it
             return {
                 "ok": False,
                 "error": f"op {op!r} requires the primary broker token; "
@@ -525,13 +547,6 @@ class BrokerServer:
                          "cancel their own, and use their cache namespace",
             }, False
         if op in ("submit", "job_status", "job_fetch", "job_cancel"):
-            if self.service is None:
-                return {
-                    "ok": False,
-                    "error": "this broker runs no job service (a sweep's "
-                             "--listen broker is transport-only; submit to "
-                             "a standing 'cfdlang-flow broker' instead)",
-                }, False
             return self.service.handle_rpc(op, request, tenant)
         if op == "service_stats":
             stats: Dict[str, object] = {
@@ -541,8 +556,7 @@ class BrokerServer:
             }
             if self.cache is not None:
                 stats["cache"] = self.cache.counters()
-            if self.service is not None:
-                stats.update(self.service.stats())
+            stats.update(self.service.stats())
             return {"ok": True, "stats": stats}, False
         if op == "claim":
             return {"job": t.claim_job()}, False
@@ -556,40 +570,11 @@ class BrokerServer:
         if op == "complete":
             t.complete(str(request["id"]), request["payload"])
             return {"ok": True}, False
-        if op == "put_job":
-            message = dict(request["message"])
-            if tenant:
-                # a tenant's directly-enqueued points still land in its
-                # own namespace: workers read this stamp and wrap their
-                # cache (the rest of the transport surface — claiming,
-                # results, leases — stays primary-token only)
-                message["namespace"] = tenant
-            t.put_job(message)
-            return {"ok": True}, False
-        if op == "take_result":
-            return {"payload": t.take_result(str(request["id"]))}, True
-        if op == "expired_leases":
-            jobs = t.expired_leases(float(request["lease_seconds"]))
-            return {"jobs": jobs}, False
-        if op == "release":
-            t.release(str(request["id"]))
-            return {"ok": True}, False
-        if op == "cancel_pending":
-            cancelled = t.cancel_pending(set(request["ids"]))
-            return {"cancelled": sorted(cancelled)}, False
-        if op == "batch_done":
-            return {"done": t.batch_done(str(request["id"]))}, False
-        if op == "mark_batch_done":
-            t.mark_batch_done(str(request["batch"]))
-            return {"ok": True}, False
         if op == "unregister_worker":
             worker = request.get("worker") or worker_id
             if worker:
                 t.unregister_worker(str(worker))
             return {"ok": True}, False
-        if op == "alive_workers":
-            workers = t.alive_workers(float(request["stale_seconds"]))
-            return {"workers": workers}, False
         if op == "cache_fetch":
             key = namespaced_key(tenant, str(request["key"]))
             data = (
@@ -609,8 +594,8 @@ class BrokerServer:
 
 # -- client proxy -------------------------------------------------------------
 class TcpTransport:
-    """Client-side :class:`~repro.flow.distributed.Transport` over a
-    broker connection.
+    """Worker-side :class:`~repro.flow.distributed.Transport` over a
+    broker connection (and the connection a service client rides).
 
     Every protocol method is one request/reply round trip on a single
     persistent socket, serialized by a lock so the worker's heartbeat
@@ -647,6 +632,8 @@ class TcpTransport:
         self.call_timeout = call_timeout
         self._sock: Optional[socket.socket] = None
         self._was_connected = False
+        #: the broker's cache directory, as :func:`dir_identity` sees it
+        self.broker_cache: Optional[List[object]] = None
         self._lock = threading.Lock()
 
     # -- connection lifecycle ------------------------------------------------
@@ -713,6 +700,7 @@ class TcpTransport:
                 )
             self._sock = sock
             self._was_connected = True
+            self.broker_cache = reply.get("cache")
             return
         raise BrokerUnreachableError(
             f"cannot reach broker at {host}:{port} after "
@@ -772,9 +760,6 @@ class TcpTransport:
         return reply
 
     # -- Transport protocol --------------------------------------------------
-    def put_job(self, message: Dict[str, object]) -> None:
-        self._call({"op": "put_job", "message": message})
-
     def claim_job(self) -> Optional[Dict[str, object]]:
         return self._call({"op": "claim"})["job"]
 
@@ -787,29 +772,6 @@ class TcpTransport:
             pickled=True,
         )
 
-    def take_result(self, job_id: str) -> Optional[Dict[str, object]]:
-        return self._call({"op": "take_result", "id": job_id})["payload"]
-
-    def expired_leases(self, lease_seconds: float) -> List[str]:
-        return self._call(
-            {"op": "expired_leases", "lease_seconds": lease_seconds}
-        )["jobs"]
-
-    def release(self, job_id: str) -> None:
-        self._call({"op": "release", "id": job_id})
-
-    def cancel_pending(self, job_ids: Set[str]) -> Set[str]:
-        reply = self._call(
-            {"op": "cancel_pending", "ids": sorted(job_ids)}
-        )
-        return set(reply["cancelled"])
-
-    def batch_done(self, job_id: str) -> bool:
-        return bool(self._call({"op": "batch_done", "id": job_id})["done"])
-
-    def mark_batch_done(self, batch_id: str) -> None:
-        self._call({"op": "mark_batch_done", "batch": batch_id})
-
     def heartbeat_worker(self, worker_id: str) -> None:
         self._call({"op": "heartbeat", "worker": worker_id})
 
@@ -818,11 +780,6 @@ class TcpTransport:
             self._call({"op": "unregister_worker", "worker": worker_id})
         except TransportClosedError:
             pass  # the dropped connection already unregistered us
-
-    def alive_workers(self, stale_seconds: float) -> List[str]:
-        return self._call(
-            {"op": "alive_workers", "stale_seconds": stale_seconds}
-        )["workers"]
 
     # -- broker cache access -------------------------------------------------
     def cache_fetch(self, key: str) -> Optional[bytes]:
@@ -992,10 +949,17 @@ def run_tcp_worker(
         tmp_dir = tempfile.mkdtemp(prefix="cfdlang-flow-worker-cache-")
         cache_dir = tmp_dir
     try:
-        cache = RemoteStageCache(DiskStageCache(cache_dir), transport)
+        local = DiskStageCache(cache_dir)
+        # a tier that *is* the broker's cache directory (a sweep's spawned
+        # workers get the caller's) is read and written directly: the
+        # wire would only echo entries both sides already see on disk
+        cache = (
+            local if transport.broker_cache == dir_identity(local.cache_dir)
+            else RemoteStageCache(local, transport)
+        )
         return run_worker(
-            transport=transport,
-            cache=cache,
+            transport,
+            cache,
             poll_seconds=poll_seconds,
             heartbeat_seconds=heartbeat_seconds,
             idle_timeout=idle_timeout,

@@ -1,44 +1,42 @@
-"""Compile-as-a-service: durable jobs on the standing broker.
+"""Compile-as-a-service: durable jobs on a broker, and the one scheduler.
 
-The distributed executor made the broker a *transport*: a sweep client
-stays connected for its whole run, supervising leases and collecting
-results itself.  This module makes the broker a *service*.  A client
-submits an entire DSE grid in one RPC and gets back a durable job id;
-the broker owns the job from there — queued → running → done / failed /
-cancelled — persisting the spec and every per-point result under a
-service directory, so the client can disconnect immediately and any
-later connection (the same host or another) can ``poll``/``fetch``/
+A client submits an entire DSE grid in one RPC and gets back a durable
+job id; the broker owns the job from there — queued → running → done /
+failed / cancelled — persisting the spec and every per-point result
+under a service directory, so the client can disconnect immediately and
+any later connection (the same host or another) can ``poll``/``fetch``/
 ``cancel`` by id.  A broker restarted over the same service directory
 recovers its jobs and re-enqueues the unfinished points; fetched
 results are bit-identical to the serial backend because workers run the
 exact same specs through the exact same :class:`~repro.flow.session.
-Flow` machinery.
+Flow` machinery.  Every remote sweep runs on this service: the
+``distributed`` executor starts a broker for the sweep (or submits to a
+standing one) and waits for its job like any other client.
 
 Pieces, broker side:
 
-* :class:`JobService` — the job registry and scheduler.  ``submit``
-  persists a spec and enqueues one message per design point on the
-  broker's :class:`~repro.flow.distributed.Transport`; a background
-  scheduler thread collects results, heals expired leases with bounded
-  retries (a point whose workers keep dying resolves to
-  :class:`~repro.flow.distributed.WorkerCrashError`), and finalizes the
-  job when every point is resolved.  Admission control bounds the queue:
-  over ``max_jobs`` unfinished jobs (or ``max_tenant_jobs`` for one
-  token) a submit is refused with :class:`BrokerBusyError` instead of
-  growing the backlog — clients degrade gracefully, they never stall.
-  Retention keeps the standing broker bounded too: a terminal job is
-  purged ``terminal_ttl_seconds`` after it finishes (CLI
-  ``--retention-hours``), so unfetched results cannot accumulate
-  disk and recovery time forever.
+* :class:`JobService` — the job registry and the only scheduler.
+  ``submit`` persists a spec and enqueues one message per design point
+  on the broker's :class:`~repro.flow.nettransport.MemoryTransport`; a
+  background scheduler thread collects results, heals expired leases
+  with bounded retries (a point whose workers keep dying resolves to
+  :class:`~repro.flow.distributed.WorkerCrashError`), applies a
+  ``fail_fast`` job's early exit, and finalizes the job when every
+  point is resolved.  Admission control bounds the queue: over
+  ``max_jobs`` unfinished jobs (or ``max_tenant_jobs`` for one token) a
+  submit is refused with :class:`BrokerBusyError` instead of growing the
+  backlog — clients degrade gracefully, they never stall.  Retention
+  keeps the standing broker bounded too: a terminal job is purged
+  ``terminal_ttl_seconds`` after it finishes (CLI ``--retention-hours``),
+  so unfetched results cannot accumulate disk and recovery time forever.
 * Multi-tenancy — the broker's extra ``--tenant NAME=TOKEN`` secrets
   each map to a cache namespace (:func:`~repro.flow.store.
   namespaced_key`): a tenant's jobs are computed into, and served from,
   its own partition of the shared store, and its jobs cannot be fetched
   or cancelled with another tenant's token.  Tenant tokens are confined
-  to this service surface (plus their cache namespace): the raw
-  worker/transport ops — claiming queued points, posting completions,
-  collecting results — require the primary token (see
-  :data:`~repro.flow.nettransport.TENANT_OPS`).
+  to this service surface (plus their cache namespace): the worker ops —
+  claiming queued points, posting completions — require the primary
+  token (see :data:`~repro.flow.nettransport.TENANT_OPS`).
 
 Pieces, client side:
 
@@ -49,8 +47,9 @@ Pieces, client side:
   ``fetch()``, ``cancel()``.  Constructable from nothing but an address
   and a job id, which is the whole point.
 * :class:`ServiceExecutor` — ``compile_many(..., executor="service")``:
-  submits the batch as one job and polls it to completion, or with
-  ``detach=True`` returns the :class:`SweepJob` immediately.
+  the :class:`~repro.flow.distributed.DistributedExecutor` client
+  against a standing broker, spawning no workers of its own; with
+  ``detach=True`` it returns the :class:`SweepJob` immediately.
 
 Service directory layout (all writes atomic)::
 
@@ -74,8 +73,8 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SystemGenerationError
-from repro.flow.distributed import Transport, WorkerCrashError
-from repro.flow.store import atomic_write_bytes
+from repro.flow.distributed import DistributedExecutor, WorkerCrashError
+from repro.flow.store import DEFAULT_LOCK_STALE_SECONDS, atomic_write_bytes
 
 #: job lifecycle states; the last three are terminal
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -109,16 +108,21 @@ class _JobRecord:
 
     __slots__ = (
         "job_id", "tenant", "points", "state", "created", "finished",
-        "resolved", "failed_points", "attempts",
+        "resolved", "failed_points", "attempts", "fail_fast", "abandoned",
     )
 
-    def __init__(self, job_id, tenant, points, state, created) -> None:
+    def __init__(
+        self, job_id, tenant, points, state, created, fail_fast=False
+    ) -> None:
         self.job_id = str(job_id)
         self.tenant = str(tenant)
         #: [(source text, options spec or None), ...] in point order
         self.points = points
         self.state = state
         self.created = float(created)
+        #: stop starting points once one has failed (the executors'
+        #: shared fail_fast contract)
+        self.fail_fast = bool(fail_fast)
         #: wall-clock time the job went terminal (retention clock);
         #: None while unfinished
         self.finished: Optional[float] = None
@@ -127,23 +131,34 @@ class _JobRecord:
         self.failed_points = 0
         #: point index -> attempts burned (dead workers)
         self.attempts: Dict[int, int] = {}
+        #: point indexes a fail_fast abort kept from ever (re)starting;
+        #: their fetched slots stay None
+        self.abandoned: set = set()
 
     def point_id(self, index: int) -> str:
         return f"{self.job_id}-{index:05d}"
 
+    def aborted(self) -> bool:
+        return self.fail_fast and self.failed_points > 0
+
     def unresolved(self) -> List[int]:
-        return [i for i in range(len(self.points)) if i not in self.resolved]
+        return [
+            i for i in range(len(self.points))
+            if i not in self.resolved and i not in self.abandoned
+        ]
 
 
 class JobService:
-    """Durable job lifecycle for a standing broker.
+    """Durable job lifecycle for a broker, and the only scheduler of
+    remote sweeps.
 
-    Owns a service directory and a :class:`~repro.flow.distributed.
-    Transport` the broker's workers drain.  ``start()`` launches the
-    scheduler thread (result collection, lease healing, finalization)
-    and ``stop()`` joins it; :class:`~repro.flow.nettransport.
-    BrokerServer` calls ``stop()`` from its own ``close()`` when handed
-    a service.  Construction recovers state from the service directory:
+    Owns a service directory and the
+    :class:`~repro.flow.nettransport.MemoryTransport` the broker's
+    workers drain.  ``start()`` launches the scheduler thread (result
+    collection, lease healing, fail_fast aborts, finalization) and
+    ``stop()`` joins it; :class:`~repro.flow.nettransport.BrokerServer`
+    calls ``stop()`` from its own ``close()``.  Construction recovers
+    state from the service directory:
     jobs already terminal stay terminal, everything else has its
     unfinished points re-enqueued — the restart-durability contract.
 
@@ -156,7 +171,7 @@ class JobService:
     def __init__(
         self,
         service_dir,
-        transport: Transport,
+        transport,
         cache=None,
         *,
         lease_seconds: float = 30.0,
@@ -242,7 +257,7 @@ class JobService:
             job = _JobRecord(
                 spec["id"], spec.get("tenant", ""),
                 [tuple(p) for p in spec["points"]],
-                "queued", spec.get("created", 0.0),
+                "queued", spec.get("created", 0.0), spec.get("fail_fast"),
             )
             try:
                 state = json.loads(
@@ -269,6 +284,8 @@ class JobService:
                 # restarting the retention clock keeps an unfetched job
                 # available for a full window after the restart
                 job.finished = time.time()
+            elif job.aborted():
+                job.abandoned.update(job.unresolved())  # finalized next tick
             else:
                 job.state = "running" if job.resolved else "queued"
                 for index in job.unresolved():
@@ -302,12 +319,15 @@ class JobService:
             return None
 
     # -- client API (also reachable as RPCs via handle_rpc) ------------------
-    def submit(self, points, tenant: str = "") -> str:
+    def submit(self, points, tenant: str = "", fail_fast: bool = False) -> str:
         """Persist and enqueue a job; returns its durable id.
 
         ``points`` is a list of ``(source text, options spec or None)``
-        pairs — the same primitives-only shape distributed messages use.
-        Raises :class:`BrokerBusyError` when admission limits are hit.
+        pairs — the primitives-only shape worker messages use.  With
+        ``fail_fast`` the first failed point stops the job from starting
+        any other: unclaimed points are dropped (their slots stay None),
+        claimed ones finish and are recorded.  Raises
+        :class:`BrokerBusyError` when admission limits are hit.
         """
         tenant = str(tenant)
         points = [
@@ -333,7 +353,8 @@ class JobService:
                     "resubmit later"
                 )
             job = _JobRecord(
-                mint_job_id(), tenant, points, "queued", time.time()
+                mint_job_id(), tenant, points, "queued", time.time(),
+                fail_fast,
             )
             atomic_write_bytes(
                 self._spec_path(job.job_id),
@@ -342,6 +363,7 @@ class JobService:
                     "tenant": job.tenant,
                     "points": [list(p) for p in job.points],
                     "created": job.created,
+                    "fail_fast": job.fail_fast,
                 }).encode(),
             )
             self._jobs[job.job_id] = job
@@ -381,11 +403,18 @@ class JobService:
                 "created": job.created,
             }
 
-    def fetch(self, job_id: str, tenant: str = "") -> List[object]:
-        """The per-point result payloads of a terminal job, point order.
+    def fetch(
+        self, job_id: str, tenant: str = "", start: int = 0,
+        max_bytes: Optional[int] = None,
+    ) -> List[object]:
+        """The per-point result payloads of a terminal job, in point
+        order from point ``start`` on.
 
-        Slots a cancelled job never ran hold None.  Non-destructive: a
-        fetched job stays fetchable until cancelled (which purges it).
+        Slots a cancelled job never ran hold None.  With ``max_bytes``
+        the list stops before the stored payloads would exceed that many
+        bytes (it always holds at least one slot), so a fetch reply
+        stays within a frame.  Non-destructive: a fetched job stays
+        fetchable until cancelled (which purges it).
         """
         with self._lock:
             job = self._get(job_id, tenant)
@@ -394,11 +423,23 @@ class JobService:
                     f"job {job.job_id} is {job.state}: poll status until it "
                     "is done/failed/cancelled before fetching"
                 )
-            return [
-                self._load_result(job.job_id, i) if i in job.resolved
-                else None
-                for i in range(len(job.points))
-            ]
+            payloads: List[object] = []
+            size = 0
+            for index in range(max(0, start), len(job.points)):
+                if index not in job.resolved:
+                    payloads.append(None)
+                    continue
+                if max_bytes is not None:
+                    try:
+                        size += self._result_path(
+                            job.job_id, index
+                        ).stat().st_size
+                    except OSError:
+                        pass
+                    if payloads and size > max_bytes:
+                        break
+                payloads.append(self._load_result(job.job_id, index))
+            return payloads
 
     def cancel(self, job_id: str, tenant: str = "") -> Dict[str, object]:
         """Cancel a job: unclaimed points are dropped, running ones are
@@ -449,7 +490,7 @@ class JobService:
             for job in self._jobs.values():
                 by_state[job.state] += 1
                 if job.state not in TERMINAL_STATES:
-                    depth += len(job.points) - len(job.resolved)
+                    depth += len(job.unresolved())
                     name = job.tenant or "(default)"
                     tenants[name] = tenants.get(name, 0) + 1
             return {
@@ -483,15 +524,30 @@ class JobService:
                                  "list of [source, options] pairs",
                     }, False
                 points = [(p[0], p[1]) for p in raw_points]
-                return {"ok": True, "job": self.submit(points, tenant)}, False
+                job_id = self.submit(
+                    points, tenant, bool(request.get("fail_fast"))
+                )
+                return {"ok": True, "job": job_id}, False
             if op == "job_status":
                 return {
                     "ok": True,
                     "status": self.status(str(request.get("job")), tenant),
                 }, False
             if op == "job_fetch":
-                payloads = self.fetch(str(request.get("job")), tenant)
-                return {"ok": True, "payloads": payloads}, True
+                from repro.flow.nettransport import MAX_FRAME_BYTES
+
+                # one frame-sized chunk per request: a reply over the
+                # frame cap would be refused after the whole job ran
+                job_id = str(request.get("job"))
+                payloads = self.fetch(
+                    job_id, tenant, int(request.get("start") or 0),
+                    max_bytes=MAX_FRAME_BYTES // 2,
+                )
+                return {
+                    "ok": True,
+                    "payloads": payloads,
+                    "total": self.status(job_id, tenant)["total"],
+                }, True
             if op == "job_cancel":
                 return {
                     "ok": True,
@@ -547,14 +603,9 @@ class JobService:
 
     def _collect(self, job: _JobRecord) -> None:
         for index in job.unresolved():
-            pid = job.point_id(index)
-            payload = self.transport.take_result(pid)
-            if payload is None:
-                continue
-            if payload.get("corrupt"):
-                self._burn_attempt(job, index)
-                continue
-            self._resolve(job, index, payload)
+            payload = self.transport.take_result(job.point_id(index))
+            if payload is not None:
+                self._resolve(job, index, payload)
 
     def _resolve(self, job: _JobRecord, index: int, payload) -> None:
         with self._lock:
@@ -583,6 +634,13 @@ class JobService:
             job.resolved.add(index)
             if isinstance(payload.get("outcome"), BaseException):
                 job.failed_points += 1
+                if job.fail_fast:
+                    # nothing unclaimed may start after a failure (the
+                    # scheduler thread is the only requeuer, and it
+                    # abandons instead of requeueing from here on)
+                    pending = {job.point_id(i): i for i in job.unresolved()}
+                    for pid in self.transport.cancel_pending(set(pending)):
+                        job.abandoned.add(pending[pid])
             if job.state == "queued":
                 job.state = "running"
             deltas = payload.get("deltas")
@@ -603,14 +661,20 @@ class JobService:
             self._burn_attempt(*hit)
 
     def _burn_attempt(self, job: _JobRecord, index: int) -> None:
-        """A point's worker died (or its result came back damaged):
-        requeue within the retry budget, else fail the point."""
+        """A point's worker died: requeue within the retry budget, else
+        fail the point.  Worker death is infrastructure churn, not a
+        point failure, so a fail_fast job requeues too — until one of its
+        points has failed, after which a lost point is abandoned."""
         with self._lock:
             if job.state in TERMINAL_STATES:
                 return  # a cancel raced the scheduler: never requeue
             attempts = job.attempts.get(index, 0) + 1
             job.attempts[index] = attempts
+            if job.aborted():
+                job.abandoned.add(index)
         self.transport.release(job.point_id(index))
+        if index in job.abandoned:
+            return
         if attempts >= self.max_attempts:
             self._resolve(job, index, {
                 "id": job.point_id(index),
@@ -630,7 +694,7 @@ class JobService:
         with self._lock:
             if job.state in TERMINAL_STATES:
                 return
-            if len(job.resolved) < len(job.points):
+            if len(job.resolved) + len(job.abandoned) < len(job.points):
                 return
             job.state = "failed" if job.failed_points else "done"
             job.finished = time.time()
@@ -659,10 +723,10 @@ def start_service_broker(
     running :class:`JobService` attached — the body of ``cfdlang-flow
     broker``.
 
-    ``cache`` is the broker's :class:`~repro.flow.store.DiskStageCache`;
-    ``service_dir`` defaults to ``<cache-dir>/.service`` (outside the
-    ``??/`` entry fan-out, so cache gc/clear/verify never touch job
-    state).  Recovery happens here: jobs persisted by a previous broker
+    ``cache`` is the broker's :class:`~repro.flow.store.DiskStageCache`
+    (None serves no cache); ``service_dir`` defaults to
+    ``<cache-dir>/.service`` (outside the ``??/`` entry fan-out, so cache
+    gc/clear/verify never touch job state).  Recovery happens here: jobs persisted by a previous broker
     over the same directory are re-enqueued before the first connection
     lands.  ``server.close()`` stops the service too.
     """
@@ -682,10 +746,7 @@ def start_service_broker(
         poll_seconds=poll_seconds,
         terminal_ttl_seconds=terminal_ttl_seconds,
     )
-    server = BrokerServer(
-        host, port, token, cache,
-        transport=transport, service=service, tenants=tenants,
-    )
+    server = BrokerServer(host, port, token, service, tenants=tenants)
     service.start()
     return server
 
@@ -741,12 +802,14 @@ class ServiceClient:
             raise SystemGenerationError(str(error))
         return reply
 
-    def submit(self, points) -> "SweepJob":
+    def submit(self, points, fail_fast: bool = False) -> "SweepJob":
         """Submit ``[(source text, options spec or None), ...]``; returns
-        the durable :class:`SweepJob` handle."""
+        the durable :class:`SweepJob` handle (``fail_fast``: see
+        :meth:`JobService.submit`)."""
         reply = self._rpc({
             "op": "submit",
             "points": [[source, spec] for source, spec in points],
+            "fail_fast": bool(fail_fast),
         })
         return SweepJob(self, str(reply["job"]))
 
@@ -754,14 +817,27 @@ class ServiceClient:
         return self._rpc({"op": "job_status", "job": job_id})["status"]
 
     def fetch(self, job_id: str) -> List[object]:
-        return self._rpc({"op": "job_fetch", "job": job_id})["payloads"]
+        """All result payloads of a terminal job (see
+        :meth:`JobService.fetch`), pulled in frame-sized chunks."""
+        payloads: List[object] = []
+        while True:
+            reply = self._rpc(
+                {"op": "job_fetch", "job": job_id, "start": len(payloads)}
+            )
+            payloads.extend(reply["payloads"])
+            if len(payloads) >= reply["total"]:
+                return payloads
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         reply = self._rpc({"op": "job_cancel", "job": job_id})
         return {k: v for k, v in reply.items() if k != "ok"}
 
-    def stats(self) -> Dict[str, object]:
-        return self._rpc({"op": "service_stats"})["stats"]
+    def stats(self, stale_seconds: float = 60.0) -> Dict[str, object]:
+        """Broker-wide counters; ``workers`` lists those that heartbeat
+        within ``stale_seconds``."""
+        return self._rpc(
+            {"op": "service_stats", "stale_seconds": stale_seconds}
+        )["stats"]
 
 
 class SweepJob:
@@ -829,14 +905,17 @@ def attach_job(broker, token: Optional[str], job_id: str) -> SweepJob:
 
 
 # -- executor backend ---------------------------------------------------------
-class ServiceExecutor:
-    """``compile_many`` backend that rides the job service.
+class ServiceExecutor(DistributedExecutor):
+    """``compile_many(..., executor="service")``: the whole batch becomes
+    one job on the standing broker at ``broker=``, run by that broker's
+    worker fleet — the executor spawns no workers.
 
-    The whole batch becomes one submitted job; the executor polls it to
-    completion and unpacks the payloads, so results, traces, and
-    exceptions read exactly like every other backend.  With
-    ``detach=True``, ``run`` returns the :class:`SweepJob` handle
-    immediately instead of outcomes — ``compile_many`` passes it
+    The executor shares :class:`~repro.flow.distributed.
+    DistributedExecutor`'s submit → wait → unpack path, so results,
+    traces, exceptions, ``fail_fast`` and the no-live-worker stall error
+    (after ``worker_grace_seconds``) read exactly like every other
+    backend.  With ``detach=True``, ``run`` returns the :class:`SweepJob`
+    handle immediately instead of outcomes — ``compile_many`` passes it
     through, and the caller fetches whenever (and wherever) it likes.
     """
 
@@ -849,59 +928,11 @@ class ServiceExecutor:
         token: Optional[str] = None,
         detach: bool = False,
         poll_seconds: float = 0.2,
-        client: Optional[ServiceClient] = None,
+        worker_grace_seconds: float = DEFAULT_LOCK_STALE_SECONDS,
     ) -> None:
-        self.broker = broker
-        self.token = token
+        super().__init__(
+            spawn_workers=False, broker=broker, token=token,
+            poll_seconds=poll_seconds,
+            worker_grace_seconds=worker_grace_seconds,
+        )
         self.detach = detach
-        self.poll_seconds = poll_seconds
-        self.client = client
-        self._owns_client = client is None
-
-    def prepare_cache(self, cache):
-        # the broker owns the authoritative cache; a local one only
-        # backs any stray direct Flow use, so default in-memory is fine
-        from repro.flow.store import StageCache
-
-        return cache if cache is not None else StageCache()
-
-    def run(self, context):
-        from repro.flow.stages import source_fingerprint
-
-        if self.client is None:
-            if self.broker is None:
-                raise SystemGenerationError(
-                    "executor 'service' submits to a standing broker: use "
-                    "ServiceExecutor(broker='HOST:PORT', token=...) — the "
-                    "bare name has nowhere to submit to"
-                )
-            self.client = ServiceClient(self.broker, self.token).connect()
-        points = [
-            (
-                source_fingerprint(source),
-                None if options is None else options.to_spec(),
-            )
-            for source, options in context.jobs
-        ]
-        job = self.client.submit(points)
-        if self.detach:
-            return job
-        job.wait(poll_seconds=self.poll_seconds)
-        payloads = job.fetch_payloads()
-        outcomes: List[object] = [None] * len(points)
-        for index, payload in enumerate(payloads):
-            if payload is None:
-                continue
-            outcomes[index] = payload.get("outcome")
-        if context.trace is not None:
-            for index, payload in enumerate(payloads):
-                for stage, seconds, cached, origin in (
-                    (payload or {}).get("events") or []
-                ):
-                    context.trace.record(stage, seconds, cached, origin)
-        return outcomes
-
-    def cleanup(self) -> None:
-        if self._owns_client and self.client is not None:
-            self.client.close()
-            self.client = None

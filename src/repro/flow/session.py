@@ -531,18 +531,20 @@ def compile_many(
     ``"process"`` runs them on a process pool for CPU-bound sweeps,
     sharing artifacts through a :class:`DiskStageCache` (a temporary one
     if ``cache`` is None) with lock-file single flight; ``"distributed"``
-    (:mod:`repro.flow.distributed`) spools job specs to worker processes
-    — local ones it spawns, or any number attached from other hosts
-    sharing the cache/spool filesystem; ``"serial"`` forces the in-order
-    reference semantics.  Every backend computes each needed stage
-    exactly once and produces results identical to the sequential run.
+    (:mod:`repro.flow.distributed`) submits the batch as one job to a
+    compile-service broker — one it starts for the sweep, or a standing
+    ``cfdlang-flow broker`` (``broker=``) — drained by worker processes
+    it spawns plus any attached over TCP from other hosts; ``"serial"``
+    forces the in-order reference semantics.  Every backend computes
+    each needed stage exactly once and produces results identical to the
+    sequential run.
 
     ``ServiceExecutor(broker=..., token=...)`` (:mod:`repro.flow.
-    service`) submits the batch as one durable job on a standing
-    ``cfdlang-flow broker`` and polls it to completion; with
-    ``detach=True`` this function returns the :class:`~repro.flow.
-    service.SweepJob` handle immediately instead of a result list, and
-    the job can be fetched later from any connection.
+    service`) is the same client against a standing broker, run by that
+    broker's own workers; with ``detach=True`` this function returns the
+    :class:`~repro.flow.service.SweepJob` handle immediately instead of
+    a result list, and the job can be fetched later from any
+    connection.
 
     Errors are captured per point: with ``return_exceptions=True`` every
     point runs to completion and a failing point's slot holds its

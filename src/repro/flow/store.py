@@ -34,16 +34,7 @@ import pickle
 import tempfile
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from typing import Dict, List, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 #: outputs of one stage, as stored/returned by a backend
 Entry = Dict[str, object]
@@ -65,19 +56,18 @@ def content_key(*parts: str) -> str:
         h.update(b"\x00")
     return h.hexdigest()
 
-#: how long an untouched lock / lease / heartbeat file may sit before it
-#: counts as abandoned by a dead process — shared by
-#: :class:`FileSingleFlight`, the cache lifecycle commands, and the
-#: distributed executor's spool supervision
+#: how long an untouched lock file may sit before it counts as abandoned
+#: by a dead process — shared by :class:`FileSingleFlight` and the cache
+#: lifecycle commands; also the distributed executor's default grace for
+#: a sweep with no live worker
 DEFAULT_LOCK_STALE_SECONDS = 60.0
 
 
 def file_age_seconds(path) -> Optional[float]:
     """Seconds since ``path`` was last touched, or None if it is gone.
 
-    The staleness primitive behind every crash-detection decision in the
-    flow: single-flight lock theft, spool lease expiry, and worker
-    heartbeat liveness all compare this against a stale threshold.
+    The staleness primitive behind single-flight lock theft and stale
+    lock cleanup: both compare this against a stale threshold.
     """
     try:
         return max(0.0, time.time() - os.stat(path).st_mtime)
@@ -88,8 +78,8 @@ def file_age_seconds(path) -> Optional[float]:
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path`` with no torn-read window.
 
-    The shared durability primitive of the disk cache and the spool
-    transport: a tempfile in the target directory plus ``os.replace``,
+    The shared durability primitive of the disk cache and the job
+    service directory: a tempfile in the target directory plus ``os.replace``,
     so concurrent readers on any host of a shared filesystem see either
     the old content or the new, never a partial write.
     """
@@ -105,20 +95,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def touch_file(path) -> None:
-    """Refresh ``path``'s mtime (creating it if needed), ignoring races."""
-    try:
-        os.utime(path)
-    except FileNotFoundError:
-        try:
-            with open(path, "a"):
-                pass
-        except OSError:
-            pass
-    except OSError:
-        pass
 
 
 #: a cache hit: the entry plus where it came from ("memory" or "disk")

@@ -1,9 +1,11 @@
-"""Distributed executor: spool transport semantics, worker loop, broker
-supervision (lease expiry, requeue, retries, stall detection), and
-serial-equivalence of fleet-run sweeps."""
+"""Distributed executor: the worker loop, the sweep client on the job
+service (worker death, retries, stall detection), external
+``worker --connect`` fleets, and serial-equivalence of fleet-run
+sweeps."""
 
 import os
-import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -20,12 +22,14 @@ from repro.flow import (
 )
 from repro.flow.distributed import (
     DistributedExecutor,
-    SpoolTransport,
-    Transport,
     WorkerCrashError,
     run_worker,
 )
+from repro.flow.nettransport import TOKEN_ENV, MemoryTransport
+from repro.flow.service import TERMINAL_STATES, start_service_broker
 from repro.mnemosyne import SharingMode
+
+TOKEN = "distributed-secret"
 
 
 def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
@@ -38,112 +42,48 @@ def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
     }
 
 
-class TestSpoolTransport:
-    def test_put_claim_complete_roundtrip(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1", index=7))
-        claimed = t.claim_job()
-        assert claimed["id"] == "j1" and claimed["index"] == 7
-        assert t.claim_job() is None  # leased, not re-claimable
-        t.complete("j1", {"id": "j1", "outcome": 42})
-        assert t.take_result("j1")["outcome"] == 42
-        assert t.take_result("j1") is None  # consumed
-        assert t.expired_leases(0.0) == []  # lease dropped on complete
+def worker_env():
+    """Environment for a `cfdlang-flow worker` subprocess: this source
+    tree importable, the token off argv."""
+    import pathlib
 
-    def test_claim_is_exclusive_across_instances(self, tmp_path):
-        a, b = SpoolTransport(tmp_path), SpoolTransport(tmp_path)
-        a.put_job(message("j1"))
-        first, second = a.claim_job(), b.claim_job()
-        assert (first is None) != (second is None)
+    import repro
 
-    def test_claim_restarts_the_lease_clock(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        # the job sat in the queue "for a long time" before the claim
-        stale = time.time() - 3600
-        os.utime(t.queue_dir / "j1.json", (stale, stale))
-        assert t.claim_job() is not None
-        # the lease must be fresh, or the broker would requeue instantly
-        assert t.expired_leases(60.0) == []
+    pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, **{TOKEN_ENV: TOKEN})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p
+    )
+    return env
 
-    def test_expired_lease_detection_and_heartbeat(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.claim_job()
-        stale = time.time() - 3600
-        os.utime(t.lease_dir / "j1.json", (stale, stale))
-        assert t.expired_leases(1.0) == ["j1"]
-        t.heartbeat_job("j1")  # a live worker touched the lease
-        assert t.expired_leases(1.0) == []
 
-    def test_completed_job_with_dangling_lease_is_not_requeued(self, tmp_path):
-        from repro.flow.store import atomic_write_bytes
+@pytest.fixture
+def standing_broker(tmp_path):
+    server = start_service_broker(
+        "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "broker"),
+        tmp_path / "service", poll_seconds=0.01,
+    )
+    try:
+        yield server
+    finally:
+        server.close()
 
-        # worker crashed between posting the result and dropping the lease
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.claim_job()
-        atomic_write_bytes(t.result_dir / "j1.pkl",
-                           pickle.dumps({"id": "j1", "outcome": 1}))
-        stale = time.time() - 3600
-        os.utime(t.lease_dir / "j1.json", (stale, stale))
-        assert t.expired_leases(1.0) == []  # cleaned up, not expired
-        assert not (t.lease_dir / "j1.json").exists()
-        assert t.take_result("j1")["outcome"] == 1
 
-    def test_cancel_pending_skips_claimed_jobs(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("j1"))
-        t.put_job(message("j2", index=1))
-        t.claim_job()  # j1 leased
-        assert t.cancel_pending({"j1", "j2"}) == {"j2"}
-
-    def test_corrupt_result_surfaces_for_retry(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        (t.result_dir / "j1.pkl").write_bytes(b"not a pickle")
-        payload = t.take_result("j1")
-        assert payload["corrupt"]
-        assert not (t.result_dir / "j1.pkl").exists()
-
-    def test_worker_heartbeat_liveness(self, tmp_path):
-        t = SpoolTransport(tmp_path)
-        assert t.alive_workers(60.0) == []
-        path = t.worker_heartbeat_path("w1")
-        with open(path, "w"):
-            pass
-        assert t.alive_workers(60.0) == ["w1"]
-        stale = time.time() - 3600
-        os.utime(path, (stale, stale))
-        assert t.alive_workers(60.0) == []
-
-    def test_satisfies_transport_protocol(self, tmp_path):
-        assert isinstance(SpoolTransport(tmp_path), Transport)
-
-    def test_batch_tombstone_blocks_straggler_results(self, tmp_path):
-        """A worker finishing after its batch closed must not orphan a
-        result pickle in a standing spool."""
-        t = SpoolTransport(tmp_path)
-        t.put_job(message("batchA-00000"))
-        t.claim_job()
-        t.mark_batch_done("batchA")
-        t.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
-        assert t.take_result("batchA-00000") is None  # never posted
-        assert not (t.lease_dir / "batchA-00000.json").exists()
-        assert not list(t.result_dir.glob("*.pkl"))
-        # other batches are unaffected
-        t.put_job(message("batchB-00000"))
-        t.claim_job()
-        t.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
-        assert t.take_result("batchB-00000")["outcome"] == 2
+def wait_terminal(service, job_id, timeout=120.0):
+    deadline = time.monotonic() + timeout
+    while (service.status(job_id)["state"] not in TERMINAL_STATES
+           and time.monotonic() < deadline):
+        time.sleep(0.02)
+    return service.status(job_id)
 
 
 class TestWorkerLoop:
     def test_worker_drains_queue_and_posts_results(self, tmp_path):
-        t = SpoolTransport(tmp_path / "spool")
+        t = MemoryTransport()
         opts = FlowOptions(system=SystemOptions(k=2, m=2))
         t.put_job(message("j0", index=0))
         t.put_job(message("j1", index=1, options=opts.to_spec()))
-        handled = run_worker(tmp_path / "spool", tmp_path / "cache",
+        handled = run_worker(t, DiskStageCache(tmp_path / "cache"),
                              max_jobs=2, worker_id="w-test")
         assert handled == 2
         r0 = t.take_result("j0")
@@ -156,15 +96,15 @@ class TestWorkerLoop:
 
     def test_worker_idle_timeout_exits_empty(self, tmp_path):
         t0 = time.monotonic()
-        handled = run_worker(tmp_path / "spool", tmp_path / "cache",
+        handled = run_worker(MemoryTransport(), DiskStageCache(tmp_path),
                              idle_timeout=0.2, poll_seconds=0.02)
         assert handled == 0
         assert time.monotonic() - t0 < 5.0
 
     def test_worker_ships_job_errors_by_value(self, tmp_path):
-        t = SpoolTransport(tmp_path / "spool")
+        t = MemoryTransport()
         t.put_job(message("j0", source="not CFDlang at all"))
-        run_worker(tmp_path / "spool", tmp_path / "cache", max_jobs=1)
+        run_worker(t, DiskStageCache(tmp_path), max_jobs=1)
         assert isinstance(t.take_result("j0")["outcome"], Exception)
 
 
@@ -231,6 +171,17 @@ class TestDistributedExecutor:
     def test_empty_batch(self):
         assert compile_many([], jobs=2, executor="distributed") == []
 
+    def test_sweep_leaves_no_temporary_directories(self, tmp_path,
+                                                   monkeypatch):
+        """The default cache, the sweep broker's service directory, and
+        the spawned workers' cache tier and logs all live under one
+        executor-owned root that is gone once the sweep returns."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        compile_many(DSE_GRID[:1], jobs=1, executor="distributed")
+        assert list(tmp_path.iterdir()) == []
+
     def test_per_point_error_capture(self):
         jobs = [DSE_GRID[0], ("not CFDlang", None), DSE_GRID[1]]
         results = compile_many(jobs, jobs=2, executor="distributed",
@@ -285,55 +236,63 @@ class TestWorkerDeathRecovery:
         with pytest.raises(WorkerCrashError):
             compile_many([(crashing, None)], jobs=1, executor=executor)
 
-    def test_stalled_sweep_fails_loudly_without_workers(self, tmp_path):
+    def test_stalled_sweep_fails_loudly_without_workers(self, tmp_path,
+                                                       monkeypatch):
+        from repro.flow import service
+
+        servers = []
+        start = service.start_service_broker
+
+        def recording_start(*args, **kwargs):
+            servers.append(start(*args, **kwargs))
+            return servers[-1]
+
+        monkeypatch.setattr(service, "start_service_broker", recording_start)
         executor = DistributedExecutor(
-            queue_dir=tmp_path / "spool",
+            listen=("127.0.0.1", 0),
+            token=TOKEN,
             spawn_workers=False,
             worker_grace_seconds=0.5,
             poll_seconds=0.02,
         )
-        with pytest.raises(SystemGenerationError, match="no worker"):
+        cache_dir = tmp_path / "cache"
+        t0 = time.monotonic()
+        with pytest.raises(SystemGenerationError, match="no worker") as err:
             compile_many(DSE_GRID[:1], jobs=1, executor=executor,
-                         cache=DiskStageCache(tmp_path / "cache"))
-        # the aborted batch must be scrubbed from the standing spool, or
-        # the next worker to attach would execute orphaned jobs
-        t = SpoolTransport(tmp_path / "spool")
-        assert t.claim_job() is None
-        assert not list(t.result_dir.glob("*.pkl"))
+                         cache=DiskStageCache(cache_dir))
+        assert time.monotonic() - t0 < 10.0
+        # the sweep gave its job up before closing its broker: nothing
+        # stays queued for a worker that attaches late
+        (server,) = servers
+        assert server.transport.claim_job() is None
+        assert server.service.stats()["jobs"]["cancelled"] == 1
+        assert "job j" in str(err.value)
+        # the sweep's broker kept its job files out of the user's cache
+        assert not (cache_dir / ".service").exists()
 
 
 class TestExternalWorkers:
-    def test_external_worker_drains_broker_batch(self, tmp_path):
-        """A worker attached to a standing spool (what another host would
-        run) serves a broker that spawns none itself."""
-        import subprocess
-        import sys
-
-        spool = tmp_path / "spool"
-        cache_dir = tmp_path / "cache"
-        spool.mkdir()
-        import pathlib
-
-        import repro
-
-        pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
-        )
+    def test_external_worker_drains_broker_batch(self, standing_broker,
+                                                 tmp_path):
+        """A `worker --connect` process attached to a standing broker
+        (what another host would run) serves a sweep that spawns none
+        itself."""
+        host, port = standing_broker.address
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.flow.cli", "worker",
-             "--queue", str(spool), "--cache-dir", str(cache_dir),
+             "--connect", f"{host}:{port}",
+             "--cache-dir", str(tmp_path / "worker"),
              "--idle-timeout", "30", "--poll", "0.02"],
-            env=env,
+            env=worker_env(),
         )
         try:
-            executor = DistributedExecutor(queue_dir=spool,
-                                           spawn_workers=False)
+            executor = DistributedExecutor(
+                broker=standing_broker.address, token=TOKEN,
+                spawn_workers=False,
+            )
             results = compile_many(
                 [(HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=2, m=2)))],
                 executor=executor,
-                cache=DiskStageCache(cache_dir),
             )
             assert results[0].system.k == 2
         finally:
@@ -341,25 +300,163 @@ class TestExternalWorkers:
             proc.wait(timeout=10)
 
 
+class TestStandingBroker:
+    def test_broker_sweep_counts_against_max_jobs(self, tmp_path):
+        """A `--broker` sweep is one job on the standing broker's
+        service, so its admission limit applies."""
+        from repro.flow import BrokerBusyError
+
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "broker"),
+            tmp_path / "service", max_jobs=0,
+        )
+        try:
+            with pytest.raises(BrokerBusyError, match="limit"):
+                compile_many(
+                    DSE_GRID[:1],
+                    executor=DistributedExecutor(
+                        broker=server.address, token=TOKEN,
+                        spawn_workers=False,
+                    ),
+                )
+        finally:
+            server.close()
+
+    def test_string_broker_address_spawns_workers(self, standing_broker):
+        """``broker='HOST:PORT'`` (the form the CLI and the errors show)
+        drives spawned workers like a tuple does."""
+        host, port = standing_broker.address
+        results = compile_many(
+            DSE_GRID[:2], jobs=2,
+            executor=DistributedExecutor(broker=f"{host}:{port}", token=TOKEN),
+        )
+        assert result_signature(results) == result_signature(
+            compile_many(DSE_GRID[:2], executor="serial")
+        )
+        assert standing_broker.service.stats()["jobs"]["done"] == 1
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
+    def test_interrupted_sweep_cancels_its_job(self, standing_broker,
+                                               monkeypatch, interrupt):
+        """Only a stalled job stays queued on a standing broker; a sweep
+        interrupted any other way gives its job (and its --max-jobs
+        slot) back."""
+        def interrupted_wait(self, job):
+            raise interrupt("interrupted after submit")
+
+        monkeypatch.setattr(DistributedExecutor, "_wait", interrupted_wait)
+        with pytest.raises(interrupt):
+            compile_many(
+                DSE_GRID[:2],
+                executor=DistributedExecutor(
+                    broker=standing_broker.address, token=TOKEN,
+                    spawn_workers=False,
+                ),
+            )
+        jobs = standing_broker.service.stats()["jobs"]
+        assert jobs["cancelled"] == 1
+        assert jobs["queued"] == jobs["running"] == 0
+        assert standing_broker.transport.claim_job() is None
+
+    @pytest.mark.parametrize("setting", [
+        {"lease_seconds": 5.0}, {"max_attempts": 1},
+    ])
+    def test_lease_settings_belong_to_the_standing_broker(self, setting):
+        with pytest.raises(SystemGenerationError, match="standing broker"):
+            DistributedExecutor(broker="127.0.0.1:1", token=TOKEN, **setting)
+
+
+class TestFrameCap:
+    """A sweep's results are never shipped as one frame, so no sweep is
+    too large for the wire's frame cap (each single result still is)."""
+
+    CAP = 80_000  # > one DSE_GRID payload (~33 KB), < the whole grid
+
+    def test_owned_broker_hands_results_over_in_process(self, monkeypatch):
+        from repro.flow import nettransport
+
+        monkeypatch.setattr(nettransport, "MAX_FRAME_BYTES", self.CAP)
+        results = compile_many(DSE_GRID, jobs=2, executor="distributed")
+        assert result_signature(results) == result_signature(
+            compile_many(DSE_GRID, executor="serial")
+        )
+
+    @pytest.mark.parametrize("backend", ["distributed", "service"])
+    def test_standing_broker_fetches_in_chunks(self, standing_broker,
+                                               tmp_path, monkeypatch,
+                                               backend):
+        import threading
+
+        from repro.flow import ServiceExecutor, nettransport
+
+        monkeypatch.setattr(nettransport, "MAX_FRAME_BYTES", self.CAP)
+        worker = threading.Thread(
+            target=nettransport.run_tcp_worker,
+            args=(standing_broker.address, TOKEN, tmp_path / "worker"),
+            kwargs={"idle_timeout": 2.0, "poll_seconds": 0.01},
+        )
+        worker.start()
+        try:
+            executor = (
+                ServiceExecutor(broker=standing_broker.address, token=TOKEN,
+                                poll_seconds=0.02)
+                if backend == "service" else
+                DistributedExecutor(broker=standing_broker.address,
+                                    token=TOKEN, spawn_workers=False,
+                                    poll_seconds=0.02)
+            )
+            results = compile_many(DSE_GRID, executor=executor)
+        finally:
+            worker.join()
+        assert result_signature(results) == result_signature(
+            compile_many(DSE_GRID, executor="serial")
+        )
+        stored = sum(
+            path.stat().st_size
+            for path in (tmp_path / "service" / "results").rglob("*.pkl")
+        )
+        assert stored > self.CAP  # one reply frame could not have held it
+
+
+class TestSweepCliFlags:
+    @pytest.mark.parametrize("argv, error", [
+        (["--listen", "127.0.0.1:0"], "need --executor distributed"),
+        (["--executor", "distributed", "--external-workers"],
+         "needs --listen or --broker"),
+        (["--executor", "service"], "needs --broker"),
+    ])
+    def test_inconsistent_remote_flags_are_one_line_errors(
+        self, argv, error, capsys
+    ):
+        from repro.flow.cli import main
+
+        rc = main(["--app", "helmholtz", "--sweep", "1x1", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert error in err and err.count("\n") == 1
+
+
 class TestWorkerCli:
-    def test_parser_requires_queue_and_cache(self, capsys):
+    def test_parser_requires_connect(self):
         from repro.flow.cli import build_worker_parser
 
         with pytest.raises(SystemExit):
             build_worker_parser().parse_args([])
         args = build_worker_parser().parse_args(
-            ["--queue", "q", "--cache-dir", "c", "--max-jobs", "3"]
+            ["--connect", "h:1", "--cache-dir", "c", "--max-jobs", "3"]
         )
-        assert args.queue == "q" and args.max_jobs == 3
+        assert args.connect == "h:1" and args.max_jobs == 3
 
-    def test_worker_subcommand_runs(self, tmp_path, capsys):
+    def test_worker_subcommand_runs(self, standing_broker, tmp_path, capsys):
         from repro.flow.cli import main
 
-        t = SpoolTransport(tmp_path / "spool")
-        t.put_job(message("j0"))
-        rc = main(["worker", "--queue", str(tmp_path / "spool"),
-                   "--cache-dir", str(tmp_path / "cache"),
+        job_id = standing_broker.service.submit([(HELMHOLTZ_DSL, None)])
+        host, port = standing_broker.address
+        rc = main(["worker", "--connect", f"{host}:{port}", "--token", TOKEN,
+                   "--cache-dir", str(tmp_path / "worker"),
                    "--max-jobs", "1"])
         assert rc == 0
         assert "1 job" in capsys.readouterr().out
-        assert t.take_result("j0")["outcome"].memory.brams == 18
+        assert wait_terminal(standing_broker.service, job_id)["state"] == "done"
+        (payload,) = standing_broker.service.fetch(job_id)
+        assert payload["outcome"].memory.brams == 18

@@ -372,12 +372,45 @@ class TestDeterministicTraceMerge:
 class TestFailFastContract:
     """The shared early-exit semantics: once a point fails, no backend
     starts new points; running points finish; never-started points keep
-    their None slot.  (The thread backend used to ignore fail_fast.)"""
+    their None slot.  (The thread backend used to ignore fail_fast, and
+    the service backend never read it.)"""
+
+    @pytest.fixture
+    def service_broker(self, tmp_path):
+        """A standing broker drained by one in-process thread worker."""
+        import threading
+
+        from repro.flow.nettransport import run_tcp_worker
+        from repro.flow.service import start_service_broker
+
+        server = start_service_broker(
+            "127.0.0.1", 0, "fail-fast-secret",
+            DiskStageCache(tmp_path / "cache"), tmp_path / "service",
+            poll_seconds=0.01,
+        )
+        worker = threading.Thread(
+            target=run_tcp_worker,
+            args=(server.address, "fail-fast-secret", tmp_path / "worker"),
+            kwargs={"poll_seconds": 0.005},
+        )
+        worker.start()
+        try:
+            yield server.address
+        finally:
+            server.close()  # the worker exits on the closed connection
+            worker.join(timeout=30.0)
+
+    def _service(self, address):
+        from repro.flow.service import ServiceExecutor
+
+        return ServiceExecutor(
+            broker=address, token="fail-fast-secret", poll_seconds=0.02
+        )
 
     def _run(self, name, jobs, workers, fail_fast=True):
         from repro.flow.executors import ExecutorContext
 
-        backend = get_executor(name)
+        backend = resolve_executor(name)
         cache = backend.prepare_cache(None)
         try:
             return backend.run(ExecutorContext(
@@ -424,9 +457,33 @@ class TestFailFastContract:
             assert (out is None or isinstance(out, Exception)
                     or out.system is not None)
 
-    def test_all_backends_complete_batch_without_fail_fast(self):
+    def test_distributed_stops_starting_points_after_failure(self):
+        jobs = [(BAD_SOURCE, None)] + SWEEP[:4]
+        outcomes = self._run("distributed", jobs, workers=1)
+        assert isinstance(outcomes[0], Exception)
+        # the worker may already hold the next point when the failure
+        # lands (it finishes and is recorded), but the job service drops
+        # every unclaimed one
+        assert outcomes[-1] is None
+        for out in outcomes[1:]:
+            assert out is None or out.system.k in (1, 2, 4, 8)
+
+    def test_service_stops_starting_points_after_failure(
+        self, service_broker
+    ):
+        jobs = [(BAD_SOURCE, None)] + SWEEP[:4]
+        outcomes = self._run(self._service(service_broker), jobs, workers=1)
+        assert isinstance(outcomes[0], Exception)
+        assert outcomes[-1] is None
+        for out in outcomes[1:]:
+            assert out is None or out.system.k in (1, 2, 4, 8)
+
+    def test_all_backends_complete_batch_without_fail_fast(
+        self, service_broker
+    ):
         jobs = [(BAD_SOURCE, None), SWEEP[0]]
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "thread", "process", "distributed",
+                     self._service(service_broker)):
             outcomes = self._run(name, jobs, workers=2, fail_fast=False)
             assert isinstance(outcomes[0], Exception), name
             assert outcomes[1].system.k == 1, name

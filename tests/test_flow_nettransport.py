@@ -1,6 +1,7 @@
-"""TCP transport: transport-conformance contract (spool, memory, TCP),
-broker server auth, remote cache tiering, TCP worker/executor
-end-to-end equivalence, and the worker CLI failure paths."""
+"""TCP transport: transport-conformance contract (memory, and TCP for
+the worker side), broker server auth, remote cache tiering, TCP
+worker/executor end-to-end equivalence, and the worker CLI failure
+paths."""
 
 import os
 import socket
@@ -20,13 +21,11 @@ from repro.flow import (
 from repro.flow.distributed import (
     BrokerUnreachableError,
     DistributedExecutor,
-    SpoolTransport,
     Transport,
     TransportClosedError,
 )
 from repro.flow.nettransport import (
     BrokerAuthError,
-    BrokerServer,
     MemoryTransport,
     RemoteStageCache,
     TcpTransport,
@@ -35,6 +34,7 @@ from repro.flow.nettransport import (
     run_tcp_worker,
     send_frame,
 )
+from repro.flow.service import start_service_broker
 
 TOKEN = "conformance-secret"
 
@@ -49,24 +49,23 @@ def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
     }
 
 
-class Control:
-    """Transport-specific clock manipulation for the conformance suite:
-    how a test simulates "this lease/worker stopped heartbeating long
-    ago" without waiting out a real staleness window."""
-
-    def __init__(self, age_lease, age_worker):
-        self.age_lease = age_lease
-        self.age_worker = age_worker
+def serve(tmp_path, cache=None, token=TOKEN):
+    """A broker (every broker carries a job service) on an ephemeral
+    loopback port."""
+    return start_service_broker(
+        "127.0.0.1", 0, token, cache, tmp_path / "service"
+    )
 
 
 # -- the Transport contract ---------------------------------------------------
 class TransportConformance:
-    """The semantics every :class:`Transport` must provide, pinned once
-    and run against each implementation: exactly-once claiming in
-    sorted-id order, lease heartbeat/expiry/requeue, pending-job
-    cancellation, batch tombstones, result consumption, and worker
-    liveness.  A future transport (Redis, ...) subclasses this with a
-    ``rig`` fixture and inherits the whole suite.
+    """The queue semantics a worker relies on, pinned once and run
+    against each way of reaching the broker's queue state: exactly-once
+    claiming in sorted-id order, lease heartbeat/expiry/requeue,
+    pending-job cancellation, batch tombstones, result consumption, and
+    worker liveness.  ``rig`` yields ``(worker, broker)``: the
+    :class:`Transport` under test, and the :class:`MemoryTransport`
+    holding the queue state it reaches (the job service's side).
     """
 
     @pytest.fixture
@@ -74,140 +73,109 @@ class TransportConformance:
         raise NotImplementedError  # pragma: no cover
 
     def test_satisfies_transport_protocol(self, rig):
-        transport, _ = rig
-        assert isinstance(transport, Transport)
+        worker, _ = rig
+        assert isinstance(worker, Transport)
 
     def test_put_claim_complete_roundtrip(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00000", index=7))
-        claimed = transport.claim_job()
+        worker, broker = rig
+        broker.put_job(message("b-00000", index=7))
+        claimed = worker.claim_job()
         assert claimed["id"] == "b-00000" and claimed["index"] == 7
-        assert transport.claim_job() is None  # leased, not re-claimable
-        transport.complete("b-00000", {"id": "b-00000", "outcome": 42})
-        assert transport.take_result("b-00000")["outcome"] == 42
-        assert transport.take_result("b-00000") is None  # consumed
-        assert transport.expired_leases(0.0) == []  # lease dropped
+        assert worker.claim_job() is None  # leased, not re-claimable
+        worker.complete("b-00000", {"id": "b-00000", "outcome": 42})
+        assert broker.take_result("b-00000")["outcome"] == 42
+        assert broker.take_result("b-00000") is None  # consumed
+        assert broker.expired_leases(0.0) == []  # lease dropped
 
     def test_claims_in_sorted_id_order(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00002", index=2))
-        transport.put_job(message("b-00000", index=0))
-        transport.put_job(message("b-00001", index=1))
-        claimed = [transport.claim_job()["id"] for _ in range(3)]
+        worker, broker = rig
+        broker.put_job(message("b-00002", index=2))
+        broker.put_job(message("b-00000", index=0))
+        broker.put_job(message("b-00001", index=1))
+        claimed = [worker.claim_job()["id"] for _ in range(3)]
         assert claimed == ["b-00000", "b-00001", "b-00002"]
 
     def test_lease_expiry_heartbeat_and_requeue(self, rig):
-        transport, control = rig
-        transport.put_job(message("b-00000"))
-        job = transport.claim_job()
-        assert transport.expired_leases(30.0) == []  # fresh lease
-        control.age_lease(transport, "b-00000", 3600.0)
-        assert transport.expired_leases(30.0) == ["b-00000"]
-        transport.heartbeat_job("b-00000")  # a live worker touched it
-        assert transport.expired_leases(30.0) == []
-        # the broker's requeue path: release, re-put, claim again
-        control.age_lease(transport, "b-00000", 3600.0)
-        transport.release(job["id"])
+        worker, broker = rig
+        broker.put_job(message("b-00000"))
+        job = worker.claim_job()
+        assert broker.expired_leases(30.0) == []  # fresh lease
+        broker._age_lease("b-00000", 3600.0)
+        assert broker.expired_leases(30.0) == ["b-00000"]
+        worker.heartbeat_job("b-00000")  # a live worker touched it
+        assert broker.expired_leases(30.0) == []
+        # the service's requeue path: release, re-put, claim again
+        broker._age_lease("b-00000", 3600.0)
+        broker.release(job["id"])
         job["attempt"] = 1
-        transport.put_job(job)
-        reclaimed = transport.claim_job()
+        broker.put_job(job)
+        reclaimed = worker.claim_job()
         assert reclaimed["id"] == "b-00000" and reclaimed["attempt"] == 1
 
     def test_heartbeat_of_unclaimed_job_is_harmless(self, rig):
-        transport, _ = rig
-        transport.heartbeat_job("never-claimed-00000")
-        assert transport.expired_leases(0.0) == []
+        worker, broker = rig
+        worker.heartbeat_job("never-claimed-00000")
+        assert broker.expired_leases(0.0) == []
 
     def test_cancel_pending_skips_claimed_jobs(self, rig):
-        transport, _ = rig
-        transport.put_job(message("b-00000"))
-        transport.put_job(message("b-00001", index=1))
-        transport.claim_job()  # b-00000 leased
-        cancelled = transport.cancel_pending({"b-00000", "b-00001"})
+        worker, broker = rig
+        broker.put_job(message("b-00000"))
+        broker.put_job(message("b-00001", index=1))
+        worker.claim_job()  # b-00000 leased
+        cancelled = broker.cancel_pending({"b-00000", "b-00001"})
         assert cancelled == {"b-00001"}
-        assert transport.claim_job() is None  # queue scrubbed
+        assert worker.claim_job() is None  # queue scrubbed
 
     def test_batch_tombstone_blocks_straggler_results(self, rig):
-        transport, _ = rig
-        transport.put_job(message("batchA-00000"))
-        transport.claim_job()
-        assert not transport.batch_done("batchA-00000")
-        transport.mark_batch_done("batchA")
-        assert transport.batch_done("batchA-00000")
-        transport.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
-        assert transport.take_result("batchA-00000") is None  # dropped
-        assert transport.expired_leases(0.0) == []  # lease cleaned up
+        worker, broker = rig
+        broker.put_job(message("batchA-00000"))
+        broker.put_job(message("batchA-00001", index=1))
+        worker.claim_job()
+        worker.claim_job()
+        worker.complete("batchA-00001", {"id": "batchA-00001", "outcome": 0})
+        broker.mark_batch_done("batchA")
+        # a stray posted before the close is discarded with the batch...
+        assert broker.take_result("batchA-00001") is None
+        # ...and a straggler posting after it is dropped on arrival
+        worker.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
+        assert broker.take_result("batchA-00000") is None
+        assert broker.expired_leases(0.0) == []  # lease cleaned up
         # other batches are unaffected
-        transport.put_job(message("batchB-00000"))
-        transport.claim_job()
-        transport.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
-        assert transport.take_result("batchB-00000")["outcome"] == 2
+        broker.put_job(message("batchB-00000"))
+        worker.claim_job()
+        worker.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
+        assert broker.take_result("batchB-00000")["outcome"] == 2
 
     def test_worker_liveness(self, rig):
-        transport, control = rig
-        assert transport.alive_workers(60.0) == []
-        transport.heartbeat_worker("w1")
-        assert transport.alive_workers(60.0) == ["w1"]
-        control.age_worker(transport, "w1", 3600.0)
-        assert transport.alive_workers(60.0) == []
-        transport.heartbeat_worker("w1")
-        transport.unregister_worker("w1")
-        assert transport.alive_workers(60.0) == []
-
-
-def _spool_age_lease(transport, job_id, seconds):
-    path = transport.lease_dir / (job_id + ".json")
-    stale = time.time() - seconds
-    os.utime(path, (stale, stale))
-
-
-def _spool_age_worker(transport, worker_id, seconds):
-    path = transport.worker_heartbeat_path(worker_id)
-    stale = time.time() - seconds
-    os.utime(path, (stale, stale))
-
-
-class TestSpoolConformance(TransportConformance):
-    @pytest.fixture
-    def rig(self, tmp_path):
-        yield (
-            SpoolTransport(tmp_path / "spool"),
-            Control(_spool_age_lease, _spool_age_worker),
-        )
+        worker, broker = rig
+        assert broker.alive_workers(60.0) == []
+        worker.heartbeat_worker("w1")
+        assert broker.alive_workers(60.0) == ["w1"]
+        broker._age_worker("w1", 3600.0)
+        assert broker.alive_workers(60.0) == []
+        worker.heartbeat_worker("w1")
+        worker.unregister_worker("w1")
+        assert broker.alive_workers(60.0) == []
 
 
 class TestMemoryConformance(TransportConformance):
     @pytest.fixture
     def rig(self, tmp_path):
         transport = MemoryTransport()
-        yield (
-            transport,
-            Control(
-                lambda t, job, s: t._age_lease(job, s),
-                lambda t, worker, s: t._age_worker(worker, s),
-            ),
-        )
+        yield transport, transport
 
 
 class TestTcpConformance(TransportConformance):
-    """The full contract over the wire: a TcpTransport client proxy
-    against a live BrokerServer (whose state is a MemoryTransport — the
-    control hooks age *that*, the far side of the connection)."""
+    """The worker side over the wire: a TcpTransport client proxy
+    against a live broker, whose queue state (a MemoryTransport) the
+    tests inspect and age directly."""
 
     @pytest.fixture
     def rig(self, tmp_path):
-        server = BrokerServer("127.0.0.1", 0, TOKEN)
+        server = serve(tmp_path)
         client = TcpTransport(server.address, TOKEN).connect()
         try:
-            yield (
-                client,
-                Control(
-                    lambda t, job, s: server.transport._age_lease(job, s),
-                    lambda t, worker, s: server.transport._age_worker(
-                        worker, s
-                    ),
-                ),
-            )
+            yield client, server.transport
         finally:
             client.close()
             server.close()
@@ -215,21 +183,21 @@ class TestTcpConformance(TransportConformance):
 
 # -- broker server specifics --------------------------------------------------
 class TestBrokerServer:
-    def test_rejects_bad_token(self):
-        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+    def test_rejects_bad_token(self, tmp_path):
+        with serve(tmp_path) as server:
             with pytest.raises(BrokerAuthError, match="rejected"):
                 TcpTransport(
                     server.address, "wrong-token", connect_retries=1
                 ).connect()
 
-    def test_requires_a_token(self):
+    def test_requires_a_token(self, tmp_path):
         with pytest.raises(SystemGenerationError, match="token"):
-            BrokerServer("127.0.0.1", 0, "")
+            serve(tmp_path, token="")
 
-    def test_rejects_protocol_version_mismatch(self):
-        # a future v2 client must get a clear error at hello time, not
-        # an authenticated connection that dies on the first frame
-        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+    def test_rejects_protocol_version_mismatch(self, tmp_path):
+        # a future client must get a clear error at hello time, not an
+        # authenticated connection that dies on the first frame
+        with serve(tmp_path) as server:
             with socket.create_connection(server.address, timeout=5.0) as s:
                 send_frame(s, {"op": "hello", "token": TOKEN,
                                "role": "client", "version": 999})
@@ -237,16 +205,16 @@ class TestBrokerServer:
         assert not reply["ok"]
         assert "version mismatch" in reply["error"]
 
-    def test_rejects_pickle_frame_before_auth(self):
+    def test_rejects_pickle_frame_before_auth(self, tmp_path):
         # an unauthenticated peer must never reach the unpickler
-        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+        with serve(tmp_path) as server:
             with socket.create_connection(server.address, timeout=5.0) as s:
                 send_frame(s, {"evil": True}, pickled=True)
                 with pytest.raises(TransportClosedError):
                     recv_frame(s, allow_pickle=False)
 
-    def test_dropped_connection_unregisters_worker(self):
-        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+    def test_dropped_connection_unregisters_worker(self, tmp_path):
+        with serve(tmp_path) as server:
             worker = TcpTransport(
                 server.address, TOKEN, role="worker", worker_id="w1"
             ).connect()
@@ -259,12 +227,12 @@ class TestBrokerServer:
                 time.sleep(0.01)
             assert server.transport.alive_workers(60.0) == []
 
-    def test_lost_connection_stays_lost(self):
+    def test_lost_connection_stays_lost(self, tmp_path):
         """Once connected, a dropped broker reads as TransportClosedError
         on every later call — never a reconnect-retry stall ending in
         BrokerUnreachableError.  This is what lets a worker whose pulse
         thread noticed the drop first still exit cleanly."""
-        server = BrokerServer("127.0.0.1", 0, TOKEN)
+        server = serve(tmp_path)
         client = TcpTransport(server.address, TOKEN).connect()
         server.close()
         with pytest.raises(TransportClosedError):
@@ -274,10 +242,28 @@ class TestBrokerServer:
             client.claim_job()
         assert time.monotonic() - t0 < 1.0
 
-    def test_listen_on_taken_port_is_a_clean_error(self):
-        with BrokerServer("127.0.0.1", 0, TOKEN) as server:
+    def test_listen_on_taken_port_is_a_clean_error(self, tmp_path):
+        with serve(tmp_path) as server:
             with pytest.raises(SystemGenerationError, match="cannot serve"):
-                BrokerServer(*server.address, TOKEN)
+                start_service_broker(
+                    *server.address, TOKEN, None, tmp_path / "second"
+                )
+
+    def test_remote_supervisor_ops_are_gone(self, tmp_path):
+        """The job service is the only scheduler: the wire carries no
+        ops for collecting results, healing leases, or closing batches
+        from outside the broker, not even for the primary token."""
+        with serve(tmp_path) as server:
+            client = TcpTransport(server.address, TOKEN).connect()
+            try:
+                for op in ("put_job", "take_result", "expired_leases",
+                           "release", "cancel_pending", "batch_done",
+                           "mark_batch_done", "alive_workers"):
+                    with pytest.raises(SystemGenerationError,
+                                       match="unknown op"):
+                        client._call({"op": op})
+            finally:
+                client.close()
 
     def test_unreachable_broker_fails_bounded(self):
         with socket.socket() as s:  # grab a port nobody is serving
@@ -310,7 +296,7 @@ class TestBrokerServer:
     def test_cache_rpcs_roundtrip_entries(self, tmp_path):
         cache = DiskStageCache(tmp_path / "broker-cache")
         cache.put("key1", {"artifact": [1, 2, 3]})
-        with BrokerServer("127.0.0.1", 0, TOKEN, cache) as server:
+        with serve(tmp_path, cache) as server:
             client = TcpTransport(server.address, TOKEN).connect()
             try:
                 data = client.cache_fetch("key1")
@@ -335,7 +321,7 @@ class TestRemoteStageCache:
     @pytest.fixture
     def rig(self, tmp_path):
         broker_cache = DiskStageCache(tmp_path / "broker")
-        server = BrokerServer("127.0.0.1", 0, TOKEN, broker_cache)
+        server = serve(tmp_path, broker_cache)
         transport = TcpTransport(server.address, TOKEN).connect()
         cache = RemoteStageCache(
             DiskStageCache(tmp_path / "worker"), transport
@@ -402,7 +388,7 @@ def result_signature(results):
 class TestTcpWorkerLoop:
     def test_worker_drains_broker_queue(self, tmp_path):
         broker_cache = DiskStageCache(tmp_path / "broker")
-        with BrokerServer("127.0.0.1", 0, TOKEN, broker_cache) as server:
+        with serve(tmp_path, broker_cache) as server:
             opts = FlowOptions(system=SystemOptions(k=2, m=2))
             server.transport.put_job(message("b-00000", index=0))
             server.transport.put_job(
@@ -422,8 +408,31 @@ class TestTcpWorkerLoop:
         # the entries the worker computed landed in the broker's cache
         assert broker_cache.stats()["disk_entries"] > 0
 
+    def test_worker_on_the_brokers_cache_dir_skips_the_wire(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker whose --cache-dir is the broker's own cache directory
+        (how a sweep's spawned workers run) reads and writes it directly:
+        no cache RPC, and the broker still sees every entry."""
+        def no_wire(self, *args):
+            raise AssertionError("cache RPC on a shared cache directory")
+
+        monkeypatch.setattr(TcpTransport, "cache_fetch", no_wire)
+        monkeypatch.setattr(TcpTransport, "cache_put", no_wire)
+        broker_cache = DiskStageCache(tmp_path / "broker")
+        with serve(tmp_path, broker_cache) as server:
+            server.transport.put_job(message("b-00000"))
+            handled = run_tcp_worker(
+                server.address, TOKEN, tmp_path / "broker", max_jobs=1,
+            )
+            assert handled == 1
+            r0 = server.transport.take_result("b-00000")
+        assert r0["outcome"].system.k == 16
+        assert r0["deltas"]["misses"] > 0
+        assert broker_cache.stats()["disk_entries"] > 0
+
     def test_worker_exits_cleanly_when_broker_vanishes(self, tmp_path):
-        server = BrokerServer("127.0.0.1", 0, TOKEN)
+        server = serve(tmp_path)
         import threading
 
         threading.Timer(0.5, server.close).start()
@@ -436,7 +445,7 @@ class TestTcpWorkerLoop:
 
 class TestTcpExecutor:
     def test_matches_serial_bit_identical(self, tmp_path):
-        """Acceptance: broker + 2 TCP workers with no shared spool dir
+        """Acceptance: broker + 2 TCP workers with no shared directory
         produce results bit-identical to the serial backend."""
         serial = compile_many(GRID, executor="serial")
         executor = DistributedExecutor(listen=("127.0.0.1", 0), token=TOKEN)
@@ -485,7 +494,7 @@ class TestTcpExecutor:
         owns queue + cache; the sweep attaches as a remote submitter and
         its spawned workers connect to the same address."""
         broker_cache = DiskStageCache(tmp_path / "broker")
-        with BrokerServer("127.0.0.1", 0, TOKEN, broker_cache) as server:
+        with serve(tmp_path, broker_cache) as server:
             executor = DistributedExecutor(broker=server.address, token=TOKEN)
             results = compile_many(
                 GRID[:2], jobs=2, executor=executor,
@@ -501,40 +510,21 @@ class TestTcpExecutor:
         mkdtemp would leak its directory on every sweep."""
         executor = DistributedExecutor(listen=("127.0.0.1", 0), token=TOKEN)
         try:
-            executor._set_tcp_spawn_plan(("127.0.0.1", 1))
-            argv_tail, _, _ = executor._spawn_plan
-            cache_dir = argv_tail[argv_tail.index("--cache-dir") + 1]
-            assert cache_dir.startswith(executor._tmp_worker_root)
+            argv = executor._worker_argv(("127.0.0.1", 1))
+            cache_dir = argv[argv.index("--cache-dir") + 1]
+            assert cache_dir.startswith(executor._tmp_root)
         finally:
             executor.cleanup()
         assert not os.path.exists(os.path.dirname(cache_dir))
 
-    def test_mode_flags_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemGenerationError, match="one queue mode"):
+    def test_mode_flags_are_mutually_exclusive(self):
+        with pytest.raises(SystemGenerationError, match="one broker mode"):
             DistributedExecutor(
-                queue_dir=tmp_path, listen=("127.0.0.1", 0), token=TOKEN
+                listen=("127.0.0.1", 0), broker=("127.0.0.1", 1), token=TOKEN
             )
 
 
 class TestWorkerCliFailurePaths:
-    def test_missing_spool_dir_is_a_one_line_error(self, tmp_path, capsys):
-        from repro.flow.cli import main
-
-        rc = main(["worker", "--queue", str(tmp_path / "nope"),
-                   "--cache-dir", str(tmp_path / "cache")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "no spool directory" in err
-        assert "Traceback" not in err and err.count("\n") == 1
-
-    def test_queue_without_cache_dir_is_rejected(self, tmp_path, capsys):
-        from repro.flow.cli import main
-
-        (tmp_path / "spool").mkdir()
-        rc = main(["worker", "--queue", str(tmp_path / "spool")])
-        assert rc == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
     def test_unreachable_broker_is_a_one_line_error(self, monkeypatch,
                                                     capsys):
         from repro.flow import nettransport
@@ -566,14 +556,6 @@ class TestWorkerCliFailurePaths:
         rc = main(["worker", "--connect", "127.0.0.1:1"])
         assert rc == 2
         assert "token" in capsys.readouterr().err
-
-    def test_queue_and_connect_are_mutually_exclusive(self, tmp_path):
-        from repro.flow.cli import build_worker_parser
-
-        with pytest.raises(SystemExit):
-            build_worker_parser().parse_args(
-                ["--queue", "q", "--connect", "h:1"]
-            )
 
 
 class TestBrokerCli:

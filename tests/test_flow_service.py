@@ -18,6 +18,7 @@ from repro.flow import (
     BrokerBusyError,
     DiskStageCache,
     FlowOptions,
+    FlowTrace,
     JobService,
     NamespacedStageCache,
     ServiceClient,
@@ -28,10 +29,13 @@ from repro.flow import (
     compile_many,
     namespaced_key,
 )
-from repro.flow.distributed import WorkerCrashError, run_worker
+from repro.flow.distributed import (
+    DistributedExecutor,
+    WorkerCrashError,
+    run_worker,
+)
 from repro.flow.nettransport import (
     BrokerAuthError,
-    BrokerServer,
     MemoryTransport,
     TcpTransport,
     run_tcp_worker,
@@ -400,6 +404,63 @@ class TestJobServiceUnit:
         })
         assert not (service.results_dir / job_id).exists()
 
+    def test_fail_fast_job_drops_unclaimed_points(self, tmp_path):
+        """After a fail_fast job's first failed point, unclaimed points
+        never start (slots stay None), claimed ones finish and are
+        recorded, and the job goes terminal."""
+        transport = MemoryTransport()
+        service = JobService(tmp_path, transport)
+        job_id = service.submit(
+            [(HELMHOLTZ_DSL, None)] * 3, fail_fast=True
+        )
+        first, second = transport.claim_job(), transport.claim_job()
+        transport.complete(first["id"], {"outcome": ValueError("boom"),
+                                         "events": [], "deltas": {}})
+        service._tick()
+        assert transport.claim_job() is None  # point 2 was dropped
+        transport.complete(second["id"], {"outcome": "ran",
+                                          "events": [], "deltas": {}})
+        service._tick()
+        status = service.status(job_id)
+        assert status["state"] == "failed" and status["failed_points"] == 1
+        outcomes = [p and p["outcome"] for p in service.fetch(job_id)]
+        assert isinstance(outcomes[0], ValueError)
+        assert outcomes[1:] == ["ran", None]
+
+    def test_fail_fast_abandons_a_lost_point_after_a_failure(self, tmp_path):
+        """Worker death is requeued even under fail_fast — but once a
+        point has failed, a point whose lease expires is abandoned."""
+        transport = MemoryTransport()
+        service = JobService(tmp_path, transport, lease_seconds=30.0)
+        job_id = service.submit([(HELMHOLTZ_DSL, None)] * 2, fail_fast=True)
+        first, second = transport.claim_job(), transport.claim_job()
+        transport.complete(first["id"], {"outcome": ValueError("boom"),
+                                         "events": [], "deltas": {}})
+        transport._age_lease(second["id"], 3600.0)  # its worker died
+        service._tick()
+        service._tick()
+        assert transport.claim_job() is None  # not requeued
+        assert service.status(job_id)["state"] == "failed"
+        assert service.fetch(job_id)[1] is None
+
+    def test_restart_keeps_a_fail_fast_abort(self, tmp_path):
+        """A broker restarted over an aborted fail_fast job re-enqueues
+        nothing: the points it dropped stay dropped."""
+        transport = MemoryTransport()
+        service = JobService(tmp_path, transport)
+        job_id = service.submit([(HELMHOLTZ_DSL, None)] * 3, fail_fast=True)
+        first, _ = transport.claim_job(), transport.claim_job()
+        transport.complete(first["id"], {"outcome": ValueError("boom"),
+                                         "events": [], "deltas": {}})
+        service._tick()  # point 1 still running when the broker dies
+
+        revived_transport = MemoryTransport()
+        revived = JobService(tmp_path, revived_transport)
+        assert revived_transport.claim_job() is None
+        revived._tick()
+        assert revived.status(job_id)["state"] == "failed"
+        assert revived.fetch(job_id)[1:] == [None, None]
+
     def test_namespaced_key_partitions_without_changing_shape(self):
         key = "a" * 64
         assert namespaced_key("", key) == key  # primary token: identity
@@ -541,9 +602,9 @@ class TestTenantNamespaces:
             server.close()
 
     def test_tenant_token_cannot_drive_the_transport(self, tmp_path):
-        """The worker/supervisor surface is primary-token only: a tenant
-        token must not claim another tenant's queued points (leaking its
-        source), forge a completion, or steal in-flight results."""
+        """The worker surface is primary-token only: a tenant token must
+        not claim another tenant's queued points (leaking its source),
+        forge a completion, or keep a lease alive."""
         server = start_service_broker(
             "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
             tmp_path / "service", poll_seconds=0.01,
@@ -560,13 +621,8 @@ class TestTenantNamespaces:
                     for blocked in (
                         lambda: mallory.claim_job(),
                         lambda: mallory.complete(pid, {"forged": True}),
-                        lambda: mallory.take_result(pid),
-                        lambda: mallory.expired_leases(0.0),
-                        lambda: mallory.release(pid),
-                        lambda: mallory.cancel_pending({pid}),
-                        lambda: mallory.mark_batch_done(job.job_id),
-                        lambda: mallory.batch_done(pid),
-                        lambda: mallory.alive_workers(60.0),
+                        lambda: mallory.heartbeat_job(pid),
+                        lambda: mallory.heartbeat_worker("w-mallory"),
                     ):
                         with pytest.raises(
                             SystemGenerationError,
@@ -582,12 +638,58 @@ class TestTenantNamespaces:
                     message = primary.claim_job()
                     assert message is not None and message["id"] == pid
                     assert message["namespace"] == "alice"
-                    primary.release(message["id"])
                 finally:
                     primary.close()
                 alice.cancel(job.job_id)
         finally:
             server.close()
+
+    def test_tenant_distributed_sweep_runs_in_its_namespace(
+        self, tmp_path, serial_results
+    ):
+        """A tenant token drives `--executor distributed --broker`: the
+        sweep goes through the tenant surface (submit/status/fetch), so
+        it returns the serial result, and the entries the primary-token
+        worker computed for it land in the tenant's cache namespace."""
+        cache_dir = tmp_path / "cache"
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(cache_dir),
+            tmp_path / "service", poll_seconds=0.01,
+            tenants={"alice": "alice-secret"},
+        )
+        worker = threading.Thread(
+            target=run_tcp_worker,
+            args=(server.address, TOKEN, tmp_path / "worker"),
+            kwargs={"poll_seconds": 0.005},
+        )
+        worker.start()
+        try:
+            results = compile_many(
+                GRID[:1],
+                executor=DistributedExecutor(
+                    broker=server.address, token="alice-secret",
+                    spawn_workers=False, poll_seconds=0.02,
+                ),
+            )
+        finally:
+            server.close()
+            worker.join(timeout=30.0)
+        assert result_signature(results) == result_signature(
+            serial_results[:1]
+        )
+
+        def front_end_cached(cache):
+            trace = FlowTrace()
+            compile_many(GRID[:1], executor="serial", cache=cache,
+                         trace=trace)
+            return not any(
+                trace.executed_counts().get(s) for s in FRONT_END_STAGES
+            )
+
+        assert front_end_cached(
+            NamespacedStageCache(DiskStageCache(cache_dir), "alice")
+        )
+        assert not front_end_cached(DiskStageCache(cache_dir))
 
     def test_worker_hello_with_tenant_token_is_rejected(self, tmp_path):
         server = start_service_broker(
@@ -645,6 +747,9 @@ class TestServiceExecutor:
                 ),
             )
             assert isinstance(job, SweepJob)  # not outcomes: a handle
+            # the handle owns a live connection: no reattach needed to poll
+            assert job.status()["state"] == "queued"
+            job.client.close()
             run_tcp_worker(
                 server.address, TOKEN, tmp_path / "worker",
                 max_jobs=1, poll_seconds=0.005,
@@ -656,6 +761,43 @@ class TestServiceExecutor:
                 serial_results[:1]
             )
             revived.client.close()
+        finally:
+            server.close()
+
+    def test_blocking_sweep_without_workers_stalls_and_stays_fetchable(
+        self, tmp_path, serial_results
+    ):
+        """A blocking service sweep on a broker with no live worker must
+        raise instead of waiting forever; the error names the job, which
+        stays queued on the broker and is fetched once a worker shows
+        up."""
+        import re
+
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, DiskStageCache(tmp_path / "cache"),
+            tmp_path / "service", poll_seconds=0.01,
+        )
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(SystemGenerationError,
+                               match="no worker") as err:
+                compile_many(
+                    GRID[:1],
+                    executor=ServiceExecutor(
+                        broker=server.address, token=TOKEN,
+                        worker_grace_seconds=0.5, poll_seconds=0.02,
+                    ),
+                )
+            assert time.monotonic() - t0 < 10.0
+            (job_id,) = re.findall(r"job (j[0-9a-f]+)", str(err.value))
+            run_tcp_worker(server.address, TOKEN, tmp_path / "worker",
+                           max_jobs=1, poll_seconds=0.005)
+            job = attach_job(server.address, TOKEN, job_id)
+            job.wait(timeout=300.0, poll_seconds=0.05)
+            assert result_signature(job.fetch()) == result_signature(
+                serial_results[:1]
+            )
+            job.client.close()
         finally:
             server.close()
 
@@ -814,7 +956,9 @@ class TestWorkerTempTierCleanup:
         it — the long-lived fleet would otherwise leak a directory per
         broker restart."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        server = BrokerServer("127.0.0.1", 0, TOKEN)
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, None, tmp_path / "service"
+        )
         threading.Timer(0.5, server.close).start()
         handled = run_tcp_worker(server.address, TOKEN, None,
                                  poll_seconds=0.02)
