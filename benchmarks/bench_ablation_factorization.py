@@ -7,7 +7,7 @@ more MACs at p = 11.
 
 from benchmarks.conftest import emit
 from repro.apps.helmholtz import HELMHOLTZ_DSL
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.teil import function_macs
 from repro.utils import ascii_table
 
@@ -17,7 +17,7 @@ NE = 50_000
 def build_rows():
     rows = []
     for factorize in (True, False):
-        res = compile_flow(HELMHOLTZ_DSL, FlowOptions(factorize=factorize))
+        res = compile_any(HELMHOLTZ_DSL, FlowOptions(factorize=factorize))
         sim = res.simulate(NE, 1, 1)
         rows.append(
             (
@@ -46,8 +46,8 @@ def test_factorization_ablation(benchmark, out_dir):
 
 
 def test_factorization_macs_exact(out_dir):
-    res_f = compile_flow(HELMHOLTZ_DSL, FlowOptions(factorize=True))
-    res_n = compile_flow(HELMHOLTZ_DSL, FlowOptions(factorize=False))
+    res_f = compile_any(HELMHOLTZ_DSL, FlowOptions(factorize=True))
+    res_n = compile_any(HELMHOLTZ_DSL, FlowOptions(factorize=False))
     n = 11
     assert function_macs(res_f.function) == 6 * n**4 + n**3
     assert function_macs(res_n.function) == 2 * n**6 + n**3

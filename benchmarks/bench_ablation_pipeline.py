@@ -8,14 +8,14 @@ pipelining.
 from benchmarks.conftest import emit
 from repro.apps.helmholtz import HELMHOLTZ_DSL
 from repro.codegen.hlsdirectives import HlsDirectives
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.utils import ascii_table
 
 
 def build_rows():
     rows = []
     for mode in ("flatten", "inner", "none"):
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL, FlowOptions(directives=HlsDirectives(pipeline=mode))
         )
         max_ii = res.hls.max_ii
@@ -55,7 +55,7 @@ def test_unroll_needs_partitioning(benchmark, out_dir):
         ("U=2, no partition", HlsDirectives(unroll_factor=2)),
         ("U=2, cyclic(2)", HlsDirectives(unroll_factor=2, array_partition={a: 2 for a in arrays})),
     ):
-        res = compile_flow(HELMHOLTZ_DSL, FlowOptions(directives=directives))
+        res = compile_any(HELMHOLTZ_DSL, FlowOptions(directives=directives))
         rows.append((label, res.hls.max_ii, res.hls.latency_cycles, res.hls.resources.dsp))
     text = ascii_table(
         ["directives", "max II", "kernel cycles", "DSP"],

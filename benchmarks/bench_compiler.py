@@ -10,7 +10,7 @@ import pytest
 from repro.apps.helmholtz import HELMHOLTZ_DSL, inverse_helmholtz_program
 from repro.cfdlang import analyze, parse_program
 from repro.codegen import generate_kernel
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.memory import build_compatibility_graph
 from repro.poly.reschedule import RescheduleOptions, reschedule
 from repro.poly.schedule import reference_schedule
@@ -67,5 +67,5 @@ def test_bench_codegen(benchmark, scheduled):
 
 
 def test_bench_full_flow(benchmark):
-    res = benchmark(compile_flow, HELMHOLTZ_DSL)
+    res = benchmark(compile_any, HELMHOLTZ_DSL)
     assert res.memory.brams == 18

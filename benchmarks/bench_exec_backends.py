@@ -16,7 +16,7 @@ import numpy as np
 from benchmarks.conftest import QUICK, emit
 from repro.apps.helmholtz import inverse_helmholtz_source
 from repro.exec import get_backend
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.utils import ascii_table
 
 #: the full-size paper kernel (n=11) takes minutes per loops round; a
@@ -30,7 +30,7 @@ _RES = None
 def _flow():
     global _RES
     if _RES is None:
-        _RES = compile_flow(inverse_helmholtz_source(DEGREE))
+        _RES = compile_any(inverse_helmholtz_source(DEGREE))
     return _RES
 
 

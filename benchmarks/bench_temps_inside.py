@@ -8,12 +8,12 @@ control over their implementation does allow for better optimization"
 
 from benchmarks.conftest import emit
 from repro.apps.helmholtz import HELMHOLTZ_DSL
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.utils import ascii_table
 
 
 def build_rows(flow_sharing, flow_no_sharing):
-    inside = compile_flow(HELMHOLTZ_DSL, FlowOptions(temporaries_internal=True))
+    inside = compile_any(HELMHOLTZ_DSL, FlowOptions(temporaries_internal=True))
     return {
         "temporaries inside HLS": (
             inside.memory.brams,

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.mnemosyne import SharingMode
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -35,12 +35,12 @@ BENCH_JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 
 @pytest.fixture(scope="session")
 def flow_sharing():
-    return compile_flow(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.MATCHING))
+    return compile_any(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.MATCHING))
 
 
 @pytest.fixture(scope="session")
 def flow_no_sharing():
-    return compile_flow(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.NONE))
+    return compile_any(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.NONE))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ kernel, Mnemosyne config, system HDL, host code) to ``build/helmholtz``.
 """
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL
-from repro.flow import FlowOptions, compile_flow, write_artifacts
+from repro.flow import FlowOptions, compile_any, write_artifacts
 from repro.mnemosyne import SharingMode
 from repro.sim import simulate_software
 from repro.utils import ascii_table
@@ -18,8 +18,8 @@ NE = 50_000
 
 
 def main() -> None:
-    sharing = compile_flow(HELMHOLTZ_DSL)
-    no_sharing = compile_flow(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.NONE))
+    sharing = compile_any(HELMHOLTZ_DSL)
+    no_sharing = compile_any(HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.NONE))
 
     print("== compatibility graph (Fig. 5) ==")
     print(sharing.compat.render())

@@ -16,7 +16,7 @@ from repro.apps.helmholtz import (
     reference_inverse_helmholtz,
 )
 from repro.codegen import run_python_kernel
-from repro.flow import compile_flow
+from repro.flow import compile_any
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
     # one call runs: frontend -> IR -> factorization -> polyhedral
     # scheduling -> C code generation -> liveness/compat -> Mnemosyne ->
     # HLS synthesis model -> system assembly -> performance simulation
-    result = compile_flow(HELMHOLTZ_DSL)
+    result = compile_any(HELMHOLTZ_DSL)
 
     print("generated C kernel (first 25 lines):")
     print("\n".join(result.kernel.source.splitlines()[:25]))

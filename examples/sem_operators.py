@@ -32,12 +32,12 @@ from repro.apps.interpolation import (
     reference_interpolation,
 )
 from repro.codegen import run_python_kernel
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.utils import ascii_table
 
 
 def run_interpolation(n: int = 8, q: int = 12):
-    res = compile_flow(interpolation_program(n, q))
+    res = compile_any(interpolation_program(n, q))
     rng = np.random.default_rng(42)
     I = lagrange_interpolation_matrix(n, q)
     u = rng.standard_normal((n, n, n))
@@ -47,7 +47,7 @@ def run_interpolation(n: int = 8, q: int = 12):
 
 
 def run_gradient(n: int = 8):
-    res = compile_flow(gradient_program(n))
+    res = compile_any(gradient_program(n))
     Dm = chebyshev_diff_matrix(n)
     # a polynomial field: derivative is analytic
     x = np.cos(np.pi * np.arange(n) / (n - 1))
@@ -115,7 +115,7 @@ def run_solver_loop(n: int = 8, steps: int = 4, ne: int = 6):
 def main() -> None:
     interp, interp_err = run_interpolation()
     grad, grad_err, grad_analytic = run_gradient()
-    helm = compile_flow(
+    helm = compile_any(
         __import__("repro.apps.helmholtz", fromlist=["x"]).inverse_helmholtz_program(11)
     )
 

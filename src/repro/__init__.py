@@ -10,19 +10,19 @@ subsystem generator, an HLS performance/resource model, system replication
 
 Quickstart::
 
-    from repro import compile_flow
+    from repro import compile_any
     from repro.apps.helmholtz import HELMHOLTZ_DSL
 
-    result = compile_flow(HELMHOLTZ_DSL)
+    result = compile_any(HELMHOLTZ_DSL)
     print(result.hls.summary())          # 2,314 LUT / 2,999 FF / 15 DSP
     print(result.memory.summary())       # 18 BRAM36 with sharing
     design = result.build_system()       # k = m = 16 on the ZCU106
     print(result.simulate(50_000))       # the paper's CFD run
 
-The flow is built from named, cacheable stages; for partial runs,
-intermediate inspection, and cached design-space sweeps use the session
-API (:class:`repro.Flow`, :func:`repro.compile_many`) — see
-:mod:`repro.flow`.
+:func:`compile_any` also compiles multi-kernel programs.  The flow is
+built from named, cacheable stages; for partial runs, intermediate
+inspection, and cached design-space sweeps use the session API
+(:class:`repro.Flow`, :func:`repro.compile_many`) — see :mod:`repro.flow`.
 """
 
 from repro.flow import (
@@ -33,7 +33,7 @@ from repro.flow import (
     FlowTrace,
     StageCache,
     SystemOptions,
-    compile_flow,
+    compile_any,
     compile_many,
     stage_names,
     write_artifacts,
@@ -53,7 +53,7 @@ __all__ = [
     "FlowTrace",
     "StageCache",
     "DiskStageCache",
-    "compile_flow",
+    "compile_any",
     "compile_many",
     "stage_names",
     "write_artifacts",

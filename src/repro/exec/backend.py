@@ -22,8 +22,8 @@ they differ in fidelity and throughput:
     unavailable (and auto-skipped) when no compiler is installed.
 
 Backends register here by name; :func:`get_backend` resolves them for
-:func:`repro.sim.simulator.run_functional`, the ``simulate`` flow stage,
-and the ``--exec-backend`` CLI flag.
+the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
+``require_backend(name).run_batch(...)`` runs a batch directly.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ k x m system assembly on a board -> end-to-end performance simulation.
 The last two stages are parameterized by :class:`SystemOptions`, so k/m/
 board/workload sweeps re-run only them.
 
-:func:`compile_flow` runs everything in one shot.  :class:`Flow` is the
-session API: ``run_until``/``override``/``resume`` for partial runs and
+:func:`compile_any` runs everything in one shot, for one kernel or a
+multi-kernel :class:`Program` (:func:`compile_program`).  :class:`Flow` is
+the session API: ``run_until``/``override``/``resume`` for partial runs and
 intermediate inspection, with a content-keyed :class:`StageCache` so
 design-space sweeps reuse the shared front end, and a :class:`FlowTrace`
 recording per-stage timing and cache behavior.  :func:`compile_many`
@@ -24,7 +25,7 @@ across hosts — the latter as one job on a compile-service broker
 """
 
 from repro.flow.options import FlowOptions, SystemOptions
-from repro.flow.pipeline import FlowResult, compile_flow
+from repro.flow.pipeline import FlowResult
 from repro.flow.program import (
     FusionPlan,
     Program,
@@ -91,7 +92,6 @@ __all__ = [
     "FlowOptions",
     "SystemOptions",
     "FlowResult",
-    "compile_flow",
     "Program",
     "ProgramKernel",
     "ProgramFlow",

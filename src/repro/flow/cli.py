@@ -26,30 +26,104 @@
     cfdlang-flow program --suite fem-cfd -n 8 --trace
     cfdlang-flow program program.cfdp --cache-dir .flowcache
     cfdlang-flow solve --suite smoother -n 8 --steps 4 --exec-backend numpy
+
+A failing command prints one ``error:`` line on stderr and exits 2; a
+broker refusing a submit prints ``busy:`` and exits 3.  :func:`main` is
+the only place that turns exceptions into these lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import tempfile
 
 from repro.codegen.hlsdirectives import HlsDirectives
-from repro.errors import SystemGenerationError
+from repro.errors import ReproError, SystemGenerationError
+from repro.exec import get_backend
 from repro.flow.artifacts import write_artifacts
 from repro.flow.executors import DEFAULT_EXECUTOR, executor_names
 from repro.flow.options import FlowOptions, SystemOptions
+from repro.flow.service import BrokerBusyError
 from repro.flow.session import Flow, FlowTrace, compile_many
 from repro.flow.stages import (
     FRONT_END_STAGES,
     FUSED_GROUP_STAGES,
     registered_stages,
-    stage_names,
+    source_fingerprint,
 )
 from repro.flow.store import DiskStageCache, StageCache
 from repro.mnemosyne.sharing import SharingMode
 from repro.system.board import boards, get_board
+
+# -- flag groups shared by several verbs --------------------------------------
+
+
+def _add_source_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("source", nargs="?", help="CFDlang source file (.cfd)")
+    p.add_argument("--app", choices=["helmholtz", "interpolation", "gradient"],
+                   help="use a built-in operator instead of a source file")
+    p.add_argument("-n", "--degree", type=int, default=11,
+                   help="tensor extent for built-in operators (default 11)")
+
+
+def _add_system_flags(p: argparse.ArgumentParser, ne=50_000,
+                      exec_backend=None, board=True, functional=True) -> None:
+    """--ne (unless ``ne`` is None), --board and --memory-model (if
+    ``board``), --exec-backend, and --functional-ne (if ``functional``)."""
+    if ne is not None:
+        p.add_argument("--ne", type=int, default=ne,
+                       help=f"number of CFD elements (default {ne})")
+    if board:
+        p.add_argument("--board", default=None, metavar="NAME",
+                       help="target board (see --list-boards; default "
+                            "ZCU106)")
+        p.add_argument("--memory-model", choices=["bram", "hbm"],
+                       default="bram",
+                       help="off-chip memory architecture: 'bram' is the "
+                            "paper's flat single-AXI-port model (default); "
+                            "'hbm' runs the bank-assign stage, mapping every "
+                            "streamed tensor to HBM pseudo-channels on an "
+                            "HBM board (e.g. --board u280) and timing "
+                            "transfers against the banked bandwidth")
+    p.add_argument("--exec-backend", default=exec_backend, metavar="NAME",
+                   help="run the kernels functionally on this execution "
+                        "backend and report throughput (see "
+                        "--list-backends; default %(default)s)")
+    if functional:
+        p.add_argument("--functional-ne", type=int, default=8, metavar="N",
+                       help="element batch size of the --exec-backend run "
+                            "(default 8)")
+
+
+def _add_session_flags(p: argparse.ArgumentParser, cache_dir=True) -> None:
+    if cache_dir:
+        p.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="persist the stage cache to DIR, reusing "
+                            "artifacts across runs and verbs "
+                            "(content-addressed pickle store)")
+    p.add_argument("--trace", action="store_true",
+                   help="print per-stage timing and cache behavior")
+    p.add_argument("--expect-front-end-cached", action="store_true",
+                   help="exit non-zero unless every front-end stage (for "
+                        "solve: of every warm step) was served from the "
+                        "cache (CI guard for cross-run reuse)")
+
+
+def _add_fuse_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fuse", action="store_true",
+                   help="compile multi-kernel programs under fusion='auto': "
+                        "contiguous streamed-compatible kernels merge into "
+                        "one composite kernel with on-device intermediates")
+
+
+def _add_token_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--token", default=None, metavar="SECRET",
+                   help="shared-secret token of the broker (or set "
+                        "CFDLANG_FLOW_TOKEN); a tenant token sees only its "
+                        "own jobs and cache namespace")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,27 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfdlang-flow",
         description="CFDlang-to-FPGA flow (CLUSTER'21 reproduction)",
     )
-    p.add_argument("source", nargs="?", help="CFDlang source file (.cfd)")
-    p.add_argument("--app", choices=["helmholtz", "interpolation", "gradient"],
-                   help="use a built-in operator instead of a source file")
-    p.add_argument("-n", "--degree", type=int, default=11,
-                   help="tensor extent for built-in operators (default 11)")
+    _add_source_flags(p)
+    _add_system_flags(p)
+    _add_session_flags(p)
     p.add_argument("-o", "--output", default="build",
                    help="artifact output directory")
     p.add_argument("-k", type=int, default=None, help="accelerator replicas")
     p.add_argument("-m", type=int, default=None, help="PLM set replicas")
-    p.add_argument("--ne", type=int, default=50_000,
-                   help="number of CFD elements to simulate")
-    p.add_argument("--board", default=None, metavar="NAME",
-                   help="target board (see --list-boards; default ZCU106)")
-    p.add_argument("--memory-model", choices=["bram", "hbm"],
-                   default="bram",
-                   help="off-chip memory architecture: 'bram' is the "
-                        "paper's flat single-AXI-port model (default); "
-                        "'hbm' runs the bank-assign stage, mapping every "
-                        "streamed tensor to HBM pseudo-channels on an "
-                        "HBM board (e.g. --board u280) and timing "
-                        "transfers against the banked bandwidth")
     p.add_argument("--no-sharing", action="store_true",
                    help="disable memory sharing")
     p.add_argument("--clique-sharing", action="store_true",
@@ -90,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="flatten")
     p.add_argument("--simulate", action="store_true",
                    help="print the performance simulation for the system")
-    p.add_argument("--exec-backend", default=None, metavar="NAME",
-                   help="also run a functional batch with this execution "
-                        "backend and report its throughput (see "
-                        "--list-backends; e.g. loops, numpy, cnative)")
-    p.add_argument("--functional-ne", type=int, default=8, metavar="N",
-                   help="batch size of the --exec-backend functional run "
-                        "(default 8)")
     p.add_argument("--list-backends", action="store_true",
                    help="list the kernel execution backends and exit")
     p.add_argument("--sweep", metavar="K1xM1,K2xM2,...", default=None,
@@ -126,25 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "sweep against the standing 'cfdlang-flow broker' "
                         "at this address instead of starting a broker for "
                         "the sweep (requires --token)")
-    p.add_argument("--token", default=None, metavar="SECRET",
-                   help="shared-secret token for --listen/--broker "
-                        "(or set CFDLANG_FLOW_TOKEN)")
+    _add_token_flag(p)
     p.add_argument("--external-workers", action="store_true",
                    help="with --executor distributed: do not spawn local "
                         "workers; rely entirely on workers attached to the "
                         "--listen / --broker address")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist the stage cache to DIR, reusing artifacts "
-                        "across runs (content-addressed pickle store)")
-    p.add_argument("--expect-front-end-cached", action="store_true",
-                   help="exit non-zero unless every front-end stage was "
-                        "served from the cache (CI guard for cross-process "
-                        "cache reuse)")
     p.add_argument("--stop-after", metavar="STAGE", default=None,
                    help="run the flow only through the named stage and "
                         "report the artifacts produced (see --list-stages)")
-    p.add_argument("--trace", action="store_true",
-                   help="print per-stage timing and cache behavior")
     p.add_argument("--list-stages", action="store_true",
                    help="list the registered compiler stages and exit")
     p.add_argument("--list-boards", action="store_true",
@@ -175,7 +217,7 @@ def _print_stages() -> None:
 
 
 def _print_backends() -> None:
-    from repro.exec import backend_names, get_backend
+    from repro.exec import backend_names
     from repro.utils import ascii_table
 
     rows = []
@@ -296,9 +338,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="pull jobs from the 'cfdlang-flow broker' (or sweep "
                         "--listen) at this address; needs --token")
-    p.add_argument("--token", default=None, metavar="SECRET",
-                   help="shared-secret token for --connect "
-                        "(or set CFDLANG_FLOW_TOKEN)")
+    _add_token_flag(p)
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="worker-local stage cache tier in front of the "
                         "broker's (default: a temporary directory)")
@@ -332,25 +372,16 @@ def _worker_main(argv) -> int:
         signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     except (ValueError, OSError):  # pragma: no cover — exotic hosts
         pass
-    try:
-        handled = run_tcp_worker(
-            args.connect,
-            args.token,
-            args.cache_dir,
-            poll_seconds=args.poll,
-            heartbeat_seconds=args.heartbeat,
-            idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs,
-            worker_id=args.worker_id,
-        )
-    except SystemGenerationError as exc:
-        # unreachable/rejecting broker, bad address …
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot use the given directories: {exc}",
-              file=sys.stderr)
-        return 2
+    handled = run_tcp_worker(
+        args.connect,
+        args.token,
+        args.cache_dir,
+        poll_seconds=args.poll,
+        heartbeat_seconds=args.heartbeat,
+        idle_timeout=args.idle_timeout,
+        max_jobs=args.max_jobs,
+        worker_id=args.worker_id,
+    )
     print(f"worker exiting after {handled} job{'s' if handled != 1 else ''}")
     return 0
 
@@ -366,9 +397,7 @@ def build_broker_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True, metavar="HOST:PORT",
                    help="address to bind (':0' or port 0 picks an ephemeral "
                         "port; the bound address is printed on stdout)")
-    p.add_argument("--token", default=None, metavar="SECRET",
-                   help="shared-secret token clients must present "
-                        "(or set CFDLANG_FLOW_TOKEN)")
+    _add_token_flag(p)
     p.add_argument("--cache-dir", required=True, metavar="DIR",
                    help="the broker-side stage cache served to workers")
     p.add_argument("--service-dir", default=None, metavar="DIR",
@@ -453,44 +482,30 @@ def _listen_security_warning(host, port, tenants) -> "Optional[str]":
 def _broker_main(argv) -> int:
     import time
 
+    from repro.flow.nettransport import parse_hostport, resolve_token
+    from repro.flow.service import ServiceClient, start_service_broker
+
     args = build_broker_parser().parse_args(argv)
     if args.status:
-        from repro.flow.service import ServiceClient
-
-        try:
-            with ServiceClient(args.listen, args.token,
-                               connect_retries=1) as client:
-                stats = client.stats()
-        except SystemGenerationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with ServiceClient(args.listen, args.token,
+                           connect_retries=1) as client:
+            stats = client.stats()
         print(f"broker at {args.listen}:")
         _print_service_stats(stats)
         return 0
-    try:
-        from repro.flow.nettransport import parse_hostport, resolve_token
-        from repro.flow.service import start_service_broker
-
-        host, port = parse_hostport(args.listen, listening=True)
-        caution = _listen_security_warning(host, port, args.tenant)
-        if caution:
-            print(caution, file=sys.stderr)
-        server = start_service_broker(
-            host, port, resolve_token(args.token) or "",
-            DiskStageCache(args.cache_dir),
-            args.service_dir,
-            tenants=_parse_tenants(args.tenant),
-            max_jobs=args.max_jobs,
-            max_tenant_jobs=args.max_tenant_jobs,
-            terminal_ttl_seconds=args.retention_hours * 3600.0,
-        )
-    except SystemGenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot serve on {args.listen!r}: {exc}",
-              file=sys.stderr)
-        return 2
+    host, port = parse_hostport(args.listen, listening=True)
+    caution = _listen_security_warning(host, port, args.tenant)
+    if caution:
+        print(caution, file=sys.stderr)
+    server = start_service_broker(
+        host, port, resolve_token(args.token) or "",
+        DiskStageCache(args.cache_dir),
+        args.service_dir,
+        tenants=_parse_tenants(args.tenant),
+        max_jobs=args.max_jobs,
+        max_tenant_jobs=args.max_tenant_jobs,
+        terminal_ttl_seconds=args.retention_hours * 3600.0,
+    )
     bound_host, bound_port = server.address
     # scripts and tests parse this line to learn the ephemeral port
     print(f"broker listening on {bound_host}:{bound_port} "
@@ -522,57 +537,24 @@ def build_service_parser(verb: str) -> argparse.ArgumentParser:
     )
     p.add_argument("--broker", required=True, metavar="HOST:PORT",
                    help="the standing 'cfdlang-flow broker' to talk to")
-    p.add_argument("--token", default=None, metavar="SECRET",
-                   help="shared-secret token (or set CFDLANG_FLOW_TOKEN); "
-                        "tenant tokens see only their own jobs")
+    _add_token_flag(p)
     if verb == "submit":
-        p.add_argument("source", nargs="?",
-                       help="CFDlang source file (.cfd)")
-        p.add_argument("--app",
-                       choices=["helmholtz", "interpolation", "gradient"],
-                       help="use a built-in operator instead of a source "
-                            "file")
-        p.add_argument("-n", "--degree", type=int, default=11,
-                       help="tensor extent for built-in operators "
-                            "(default 11)")
+        _add_source_flags(p)
+        _add_system_flags(p)
+        _add_fuse_flag(p)
         p.add_argument("--sweep", required=True, metavar="K1xM1,K2xM2,...",
                        help="the k x m design points to compile")
-        p.add_argument("--ne", type=int, default=50_000,
-                       help="number of CFD elements to simulate")
-        p.add_argument("--exec-backend", default=None, metavar="NAME",
-                       help="run a functional batch on the workers with "
-                            "this execution backend (loops, numpy, "
-                            "cnative)")
-        p.add_argument("--functional-ne", type=int, default=8, metavar="N",
-                       help="batch size of that functional run (default 8)")
-        p.add_argument("--board", default=None, metavar="NAME",
-                       help="target board for the sweep points "
-                            "(see --list-boards; default ZCU106)")
-        p.add_argument("--memory-model", choices=["bram", "hbm"],
-                       default="bram",
-                       help="off-chip memory architecture on the workers "
-                            "('hbm' needs an HBM board, e.g. --board "
-                            "u280; default bram)")
-        p.add_argument("--fuse", action="store_true",
-                       help="compile submitted multi-kernel program text "
-                            "under fusion='auto' on the workers (the plan "
-                            "rides the job spec; single kernels ignore it)")
     else:
         p.add_argument("job", metavar="JOB_ID",
                        help="the id 'cfdlang-flow submit' printed")
     if verb == "fetch":
+        _add_session_flags(p, cache_dir=False)
         p.add_argument("--wait", action="store_true",
                        help="poll until the job is terminal instead of "
                             "failing on a still-running job")
         p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
                        help="status polling interval for --wait "
                             "(default 0.5)")
-        p.add_argument("--trace", action="store_true",
-                       help="print the merged per-stage trace the workers "
-                            "recorded")
-        p.add_argument("--expect-front-end-cached", action="store_true",
-                       help="exit non-zero unless every front-end stage "
-                            "was served from the cache (CI guard)")
     return p
 
 
@@ -593,26 +575,9 @@ def build_program_parser() -> argparse.ArgumentParser:
                    help="use a built-in workload suite instead of a file")
     p.add_argument("-n", "--degree", type=int, default=8,
                    help="tensor extent for --suite programs (default 8)")
-    p.add_argument("--exec-backend", default=None, metavar="NAME",
-                   help="also run the compiled kernel chain functionally "
-                        "over the suite's element batch with this backend "
-                        "and report throughput (--suite only)")
-    p.add_argument("--functional-ne", type=int, default=8, metavar="N",
-                   help="element batch size of that functional run "
-                        "(default 8)")
-    p.add_argument("--fuse", action="store_true",
-                   help="compile under fusion='auto': contiguous "
-                        "streamed-compatible kernels merge into one "
-                        "composite system with on-device intermediates")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist the stage cache to DIR (content-addressed "
-                        "pickle store shared with every other verb)")
-    p.add_argument("--trace", action="store_true",
-                   help="print per-stage timing and cache behavior")
-    p.add_argument("--expect-front-end-cached", action="store_true",
-                   help="exit non-zero unless every front-end stage was "
-                        "served from the cache (CI guard for per-kernel "
-                        "reuse across runs and programs)")
+    _add_system_flags(p, ne=None, board=False)
+    _add_fuse_flag(p)
+    _add_session_flags(p)
     return p
 
 
@@ -623,38 +588,27 @@ def _program_main(argv) -> int:
 
     args = build_program_parser().parse_args(argv)
     workload = None
-    try:
-        if args.suite:
-            workload = make_workload(
-                args.suite, n=args.degree, n_elements=args.functional_ne
-            )
-            program = workload.program
-        elif args.source:
-            with open(args.source) as f:
-                program = Program.from_text(f.read())
-        else:
-            print("error: provide a program text file or --suite",
-                  file=sys.stderr)
-            return 2
-    except (OSError, SystemGenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cache = (
-        DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
-    )
+    if args.suite:
+        workload = make_workload(
+            args.suite, n=args.degree, n_elements=args.functional_ne
+        )
+        program = workload.program
+    elif args.source:
+        with open(args.source) as f:
+            program = Program.from_text(f.read())
+    else:
+        raise SystemGenerationError("provide a program text file or --suite")
+    cache = DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
     trace = FlowTrace()
     options = FlowOptions(fusion="auto") if args.fuse else None
-    try:
-        result = compile_program(program, options, cache=cache, trace=trace)
-    except SystemGenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = compile_program(program, options, cache=cache, trace=trace)
     print(result.summary())
     if args.exec_backend:
         if workload is None:
-            print("error: --exec-backend needs --suite: a program file "
-                  "carries no element data to run on", file=sys.stderr)
-            return 2
+            raise SystemGenerationError(
+                "--exec-backend needs --suite: a program file carries no "
+                "element data to run on"
+            )
         import time as _time
 
         t0 = _time.perf_counter()
@@ -694,25 +648,12 @@ def build_solve_parser() -> argparse.ArgumentParser:
                    help="tensor extent (default 8)")
     p.add_argument("--steps", type=int, default=4,
                    help="solver time steps (default 4)")
-    p.add_argument("--ne", type=int, default=8, metavar="N",
-                   help="elements in the batch (default 8)")
-    p.add_argument("--exec-backend", default="numpy", metavar="NAME",
-                   help="execution backend for the numeric inner loop "
-                        "(default numpy)")
+    _add_system_flags(p, ne=8, exec_backend="numpy", board=False,
+                      functional=False)
     p.add_argument("--seed", type=int, default=2021,
                    help="synthetic element data seed (default 2021)")
-    p.add_argument("--fuse", action="store_true",
-                   help="compile each step under fusion='auto' (one "
-                        "backend call per fused kernel group; carried "
-                        "outputs stay on the fused interface)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist the stage cache to DIR")
-    p.add_argument("--trace", action="store_true",
-                   help="print per-stage timing and cache behavior")
-    p.add_argument("--expect-front-end-cached", action="store_true",
-                   help="exit non-zero unless every warm step (2+) served "
-                        "all front-end stages from the cache (CI guard "
-                        "for cross-step reuse)")
+    _add_fuse_flag(p)
+    _add_session_flags(p)
     return p
 
 
@@ -721,134 +662,110 @@ def _solve_main(argv) -> int:
     from repro.flow.solver import SolverLoop
 
     args = build_solve_parser().parse_args(argv)
-    cache = (
-        DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
-    )
+    if args.expect_front_end_cached and args.steps < 2:
+        raise SystemGenerationError(
+            "--expect-front-end-cached needs --steps >= 2: only warm steps "
+            "can be cache-served"
+        )
+    cache = DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
     trace = FlowTrace()
-    try:
-        workload = make_workload(
-            args.suite, n=args.degree, n_elements=args.ne, seed=args.seed
-        )
-        loop = SolverLoop(
-            workload.program,
-            carry=workload.carry,
-            backend=args.exec_backend,
-            cache=cache,
-            trace=trace,
-            fusion="auto" if args.fuse else None,
-        )
-        result = loop.run(workload.elements, workload.static,
-                          steps=args.steps)
-    except SystemGenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload = make_workload(
+        args.suite, n=args.degree, n_elements=args.ne, seed=args.seed
+    )
+    loop = SolverLoop(
+        workload.program,
+        carry=workload.carry,
+        backend=args.exec_backend,
+        cache=cache,
+        trace=trace,
+        fusion="auto" if args.fuse else None,
+    )
+    result = loop.run(workload.elements, workload.static, steps=args.steps)
     print(result.summary())
     if args.trace:
         print(trace.summary())
     if args.cache_dir:
         print(_cache_stats_line(cache))
-    if args.expect_front_end_cached:
-        if args.steps < 2:
-            print("error: --expect-front-end-cached needs --steps >= 2: "
-                  "only warm steps can be cache-served", file=sys.stderr)
-            return 2
-        if result.cross_step_hit_rate() < 1.0:
-            warm = result.warm_steps()
-            ran = sum(s.front_end_executed for s in warm)
-            print(f"error: --expect-front-end-cached: {ran} front-end "
-                  "stage executions in warm solver steps (expected 0)",
-                  file=sys.stderr)
-            return 1
+    if args.expect_front_end_cached and result.cross_step_hit_rate() < 1.0:
+        ran = sum(s.front_end_executed for s in result.warm_steps())
+        print(f"error: --expect-front-end-cached: {ran} front-end stage "
+              "executions in warm solver steps (expected 0)", file=sys.stderr)
+        return 1
     return 0
 
 
-def _load_source(app, source_path, degree: int):
+def _load_source(args):
     """One flow input from --app or a source file (shared by the main
     command and the submit verb)."""
-    if app:
+    if args.app:
         from repro.apps import (
             gradient_program,
             interpolation_program,
             inverse_helmholtz_program,
         )
 
-        builders = {
-            "helmholtz": lambda: inverse_helmholtz_program(degree),
-            "interpolation": lambda: interpolation_program(degree),
-            "gradient": lambda: gradient_program(degree),
-        }
-        return builders[app]()
-    if source_path:
-        with open(source_path) as f:
-            return f.read()
-    return None
+        return {
+            "helmholtz": inverse_helmholtz_program,
+            "interpolation": interpolation_program,
+            "gradient": gradient_program,
+        }[args.app](args.degree)
+    if not args.source:
+        raise SystemGenerationError("provide a source file or --app")
+    with open(args.source) as f:
+        return f.read()
+
+
+def _flow_options(args, k=None, m=None, **flow):
+    """The main verb's and submit's options: ``FlowOptions(**flow)`` with
+    the system flags (--board and --exec-backend resolved, so a bad name
+    fails here rather than in a stage or on a worker), plus one copy per
+    --sweep k x m point."""
+    if args.exec_backend is not None:
+        get_backend(args.exec_backend)
+    options = FlowOptions(**flow, system=SystemOptions(
+        k=k, m=m, board=get_board(args.board) if args.board else None,
+        n_elements=args.ne, exec_backend=args.exec_backend,
+        functional_elements=args.functional_ne,
+        memory_model=args.memory_model,
+    ))
+    points = [
+        dataclasses.replace(
+            options, system=dataclasses.replace(options.system, k=pk, m=pm)
+        )
+        for pk, pm in (_parse_sweep(args.sweep) if args.sweep else [])
+    ]
+    return options, points
 
 
 def _service_main(verb: str, argv) -> int:
-    from repro.flow.service import BrokerBusyError, ServiceClient, SweepJob
+    from repro.flow.service import ServiceClient, SweepJob
 
     args = build_service_parser(verb).parse_args(argv)
-    try:
-        with ServiceClient(args.broker, args.token) as client:
-            if verb == "submit":
-                return _submit_main(args, client)
-            job = SweepJob(client, args.job)
-            if verb == "status":
-                status = job.status()
-                print(f"job {status['job']}: {status['state']}, "
-                      f"{status['done_points']}/{status['total']} points "
-                      f"done, {status['failed_points']} failed, "
-                      f"{status['retries']} retries")
-                return 0
-            if verb == "cancel":
-                outcome = job.cancel()
-                print(f"job {outcome['job']}: "
-                      + ("purged" if outcome.get("purged")
-                         else outcome["state"]))
-                return 0
-            return _fetch_main(args, job)
-    except BrokerBusyError as exc:
-        print(f"busy: {exc}", file=sys.stderr)
-        return 3
-    except SystemGenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _submit_main(args, client) -> int:
-    from repro.flow.stages import source_fingerprint
-
-    source = _load_source(args.app, args.source, args.degree)
-    if source is None:
-        print("error: provide a source file or --app", file=sys.stderr)
-        return 2
-    text = source_fingerprint(source)
-    board = get_board(args.board) if args.board else None
-    options = FlowOptions(
-        fusion="auto" if args.fuse else None,
-        system=SystemOptions(
-            board=board,
-            n_elements=args.ne,
-            exec_backend=args.exec_backend,
-            functional_elements=args.functional_ne,
-            memory_model=args.memory_model,
-        ),
-    )
-    points = [
-        (
-            text,
-            dataclasses.replace(
-                options,
-                system=dataclasses.replace(options.system, k=k, m=m),
-            ).to_spec(),
-        )
-        for k, m in _parse_sweep(args.sweep)
-    ]
-    job = client.submit(points)
-    print(f"submitted job {job.job_id} ({len(points)} points) "
-          f"to {args.broker}")
-    print(job.job_id)
-    return 0
+    if verb == "submit":  # check every flag before connecting
+        text = source_fingerprint(_load_source(args))
+        _, points = _flow_options(args, fusion="auto" if args.fuse else None)
+        specs = [(text, point.to_spec()) for point in points]
+    with ServiceClient(args.broker, args.token) as client:
+        if verb == "submit":
+            job = client.submit(specs)
+            print(f"submitted job {job.job_id} ({len(specs)} points) "
+                  f"to {args.broker}")
+            print(job.job_id)
+            return 0
+        job = SweepJob(client, args.job)
+        if verb == "status":
+            status = job.status()
+            print(f"job {status['job']}: {status['state']}, "
+                  f"{status['done_points']}/{status['total']} points "
+                  f"done, {status['failed_points']} failed, "
+                  f"{status['retries']} retries")
+            return 0
+        if verb == "cancel":
+            outcome = job.cancel()
+            print(f"job {outcome['job']}: "
+                  + ("purged" if outcome.get("purged") else outcome["state"]))
+            return 0
+        return _fetch_main(args, job)
 
 
 def _fetch_main(args, job) -> int:
@@ -907,9 +824,9 @@ def _cache_main(argv) -> int:
     if not os.path.isdir(args.cache_dir):
         # constructing the cache would silently mkdir a mistyped path and
         # report an empty-but-healthy store
-        print(f"error: no cache directory at {args.cache_dir!r}",
-              file=sys.stderr)
-        return 2
+        raise SystemGenerationError(
+            f"no cache directory at {args.cache_dir!r}"
+        )
     cache = DiskStageCache(args.cache_dir)
     if args.action == "stats":
         s = cache.stats()
@@ -919,9 +836,9 @@ def _cache_main(argv) -> int:
         return 0
     if args.action == "gc":
         if args.max_bytes is None and args.max_age is None:
-            print("error: cache gc needs --max-bytes and/or --max-age",
-                  file=sys.stderr)
-            return 2
+            raise SystemGenerationError(
+                "cache gc needs --max-bytes and/or --max-age"
+            )
         locks = cache.sweep_stale_locks()
         removed = cache.gc(args.max_bytes, max_age_seconds=args.max_age)
         s = cache.stats()
@@ -977,71 +894,67 @@ def _parse_sweep(spec: str):
     return grid
 
 
-def _run_sweep(source, options: FlowOptions, args, cache, trace) -> int:
+def _sweep_executor(args, cache):
+    """The --executor for a sweep, with its remote flags checked."""
+    if (args.executor in ("process", "distributed")
+            and args.expect_front_end_cached
+            and not isinstance(cache, DiskStageCache)):
+        raise SystemGenerationError(
+            f"--expect-front-end-cached with --executor {args.executor} "
+            "needs --cache-dir: a temporary cache starts cold, so the "
+            "check could never pass"
+        )
+    if args.executor != "distributed" and (args.listen or args.external_workers):
+        raise SystemGenerationError(
+            "--listen/--external-workers need --executor distributed"
+        )
+    if args.broker and args.executor not in ("distributed", "service"):
+        raise SystemGenerationError(
+            "--broker needs --executor distributed (drive the sweep "
+            "yourself) or --executor service (submit it as a durable job)"
+        )
+    if args.executor == "service" and not args.broker:
+        raise SystemGenerationError(
+            "--executor service needs --broker HOST:PORT: a service sweep "
+            "runs on a standing 'cfdlang-flow broker'"
+        )
+    if args.external_workers and not (args.listen or args.broker):
+        raise SystemGenerationError(
+            "--external-workers needs --listen or --broker: external "
+            "workers must have an address to attach to"
+        )
+    if not (args.listen or args.broker):
+        return args.executor
+    from repro.flow.distributed import DistributedExecutor
+    from repro.flow.nettransport import parse_hostport, resolve_token
+    from repro.flow.service import ServiceExecutor
+
+    if not resolve_token(args.token):
+        raise SystemGenerationError(
+            "--listen/--broker need a shared-secret token: pass --token or "
+            "set CFDLANG_FLOW_TOKEN"
+        )
+    broker = parse_hostport(args.broker) if args.broker else None
+    if args.executor == "service":
+        return ServiceExecutor(broker=broker, token=args.token)
+    return DistributedExecutor(
+        listen=(
+            parse_hostport(args.listen, listening=True)
+            if args.listen else None
+        ),
+        broker=broker,
+        token=args.token,
+        spawn_workers=not args.external_workers,
+    )
+
+
+def _run_sweep(source, options, points, args, cache, trace) -> int:
     from repro.utils import ascii_table
 
-    grid = _parse_sweep(args.sweep)
-    jobs = [
-        (
-            source,
-            dataclasses.replace(
-                options,
-                system=dataclasses.replace(options.system, k=k, m=m),
-            ),
-        )
-        for k, m in grid
-    ]
+    executor = _sweep_executor(args, cache)
     tmp_cache_dir = None
-    multi_process = args.executor in ("process", "distributed")
-    if (multi_process and args.expect_front_end_cached
+    if (args.executor in ("process", "distributed")
             and not isinstance(cache, DiskStageCache)):
-        print(f"error: --expect-front-end-cached with --executor "
-              f"{args.executor} needs --cache-dir: a temporary cache starts "
-              "cold, so the check could never pass", file=sys.stderr)
-        return 2
-    executor = args.executor
-    if args.executor != "distributed" and (args.listen or args.external_workers):
-        print("error: --listen/--external-workers need --executor "
-              "distributed", file=sys.stderr)
-        return 2
-    if args.broker and args.executor not in ("distributed", "service"):
-        print("error: --broker needs --executor distributed (drive the "
-              "sweep yourself) or --executor service (submit it as a "
-              "durable job)", file=sys.stderr)
-        return 2
-    if args.executor == "service" and not args.broker:
-        print("error: --executor service needs --broker HOST:PORT: a "
-              "service sweep runs on a standing 'cfdlang-flow broker'",
-              file=sys.stderr)
-        return 2
-    if args.external_workers and not (args.listen or args.broker):
-        print("error: --external-workers needs --listen or --broker: "
-              "external workers must have an address to attach to",
-              file=sys.stderr)
-        return 2
-    if args.listen or args.broker:
-        from repro.flow.distributed import DistributedExecutor
-        from repro.flow.nettransport import parse_hostport, resolve_token
-        from repro.flow.service import ServiceExecutor
-
-        if not resolve_token(args.token):
-            print("error: --listen/--broker need a shared-secret token: "
-                  "pass --token or set CFDLANG_FLOW_TOKEN", file=sys.stderr)
-            return 2
-        broker = parse_hostport(args.broker) if args.broker else None
-        if args.executor == "service":
-            executor = ServiceExecutor(broker=broker, token=args.token)
-        else:
-            executor = DistributedExecutor(
-                listen=(
-                    parse_hostport(args.listen, listening=True)
-                    if args.listen else None
-                ),
-                broker=broker,
-                token=args.token,
-                spawn_workers=not args.external_workers,
-            )
-    if multi_process and not isinstance(cache, DiskStageCache):
         # workers share artifacts through disk; without --cache-dir, use a
         # throwaway directory so the stats line still reflects the sweep
         tmp_cache_dir = tempfile.TemporaryDirectory(prefix="cfdlang-flow-cache-")
@@ -1050,37 +963,34 @@ def _run_sweep(source, options: FlowOptions, args, cache, trace) -> int:
               "(pass --cache-dir to persist artifacts across runs)")
     try:
         results = compile_many(
-            jobs, jobs=args.jobs, cache=cache, trace=trace,
-            return_exceptions=True, executor=executor,
+            [(source, point) for point in points], jobs=args.jobs,
+            cache=cache, trace=trace, return_exceptions=True,
+            executor=executor,
         )
         rows = []
-        for (k, m), res in zip(grid, results):
+        for point, res in zip(points, results):
+            k, m = point.system.k, point.system.m
             if isinstance(res, Exception):
                 rows.append((k, m, "-", "-", f"error: {res}"))
             else:
                 util = res.system.utilization()
-                rows.append(
-                    (
-                        k,
-                        m,
-                        res.system.resources.bram,
-                        f"{util['bram'] * 100:.0f}%",
-                        f"{res.sim.total_seconds:.3f}s",
-                    )
-                )
-        print(
-            ascii_table(
-                ["k", "m", "BRAM", "BRAM util", f"{args.ne} elements"],
-                rows,
-                title=f"k x m sweep on the {options.resolved_board().name} "
-                      f"({args.jobs} {args.executor} "
-                      f"worker{'s' if args.jobs != 1 else ''})",
-            )
-        )
-        if trace is not None:
-            print(trace.summary())
+                rows.append((
+                    k,
+                    m,
+                    res.system.resources.bram,
+                    f"{util['bram'] * 100:.0f}%",
+                    f"{res.sim.total_seconds:.3f}s",
+                ))
+        print(ascii_table(
+            ["k", "m", "BRAM", "BRAM util", f"{args.ne} elements"],
+            rows,
+            title=f"k x m sweep on the {options.resolved_board().name} "
+                  f"({args.jobs} {args.executor} "
+                  f"worker{'s' if args.jobs != 1 else ''})",
+        ))
+        print(trace.summary())
         print(_cache_stats_line(cache))
-        if args.expect_front_end_cached and trace is not None:
+        if args.expect_front_end_cached:
             rc = _check_front_end_cached(trace)
             if rc:
                 return rc
@@ -1090,20 +1000,7 @@ def _run_sweep(source, options: FlowOptions, args, cache, trace) -> int:
             tmp_cache_dir.cleanup()
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return _worker_main(argv[1:])
-    if argv and argv[0] == "broker":
-        return _broker_main(argv[1:])
-    if argv and argv[0] == "program":
-        return _program_main(argv[1:])
-    if argv and argv[0] == "solve":
-        return _solve_main(argv[1:])
-    if argv and argv[0] in ("submit", "status", "fetch", "cancel"):
-        return _service_main(argv[0], argv[1:])
+def _compile_main(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.list_stages:
         _print_stages()
@@ -1114,50 +1011,20 @@ def main(argv=None) -> int:
     if args.list_backends:
         _print_backends()
         return 0
-    if args.exec_backend is not None:
-        from repro.exec import backend_names
-
-        if args.exec_backend not in backend_names():
-            print(f"error: unknown execution backend "
-                  f"{args.exec_backend!r}; backends are: "
-                  f"{', '.join(backend_names())}", file=sys.stderr)
-            return 2
-    if args.stop_after is not None and args.stop_after not in stage_names():
-        print(f"error: unknown stage {args.stop_after!r}; "
-              f"stages are: {', '.join(stage_names())}", file=sys.stderr)
-        return 2
-    board = None
-    if args.board is not None:
-        try:
-            board = get_board(args.board)
-        except SystemGenerationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    source = _load_source(args.app, args.source, args.degree)
-    if source is None:
-        print("error: provide a source file or --app", file=sys.stderr)
-        return 2
-
     sharing = SharingMode.MATCHING
     if args.no_sharing:
         sharing = SharingMode.NONE
     if args.clique_sharing:
         sharing = SharingMode.CLIQUE
-    options = FlowOptions(
+    options, points = _flow_options(
+        args, args.k, args.m,
         factorize=not args.no_factorize,
         directives=HlsDirectives(pipeline=args.pipeline),
         sharing=sharing,
         temporaries_internal=args.temporaries_internal,
-        system=SystemOptions(
-            k=args.k, m=args.m, board=board, n_elements=args.ne,
-            exec_backend=args.exec_backend,
-            functional_elements=args.functional_ne,
-            memory_model=args.memory_model,
-        ),
     )
-    cache = (
-        DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
-    )
+    source = _load_source(args)
+    cache = DiskStageCache(args.cache_dir) if args.cache_dir else StageCache()
     trace = (
         FlowTrace()
         if (args.trace or args.stop_after or args.sweep
@@ -1165,30 +1032,15 @@ def main(argv=None) -> int:
         else None
     )
     if args.sweep:
-        try:
-            return _run_sweep(source, options, args, cache, trace)
-        except SystemGenerationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _run_sweep(source, options, points, args, cache, trace)
     flow = Flow(source, options, cache=cache, trace=trace)
-    try:
-        return _flow_main(flow, args, options, cache, trace)
-    except SystemGenerationError as exc:
-        # e.g. --memory-model hbm on a board without HBM, an HBM spill,
-        # or an explicit k x m that does not fit the board
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _flow_main(flow, args, options, cache, trace) -> int:
     if args.stop_after:
         flow.run_until(args.stop_after)
         print(f"stopped after stage {args.stop_after!r}; "
               f"completed: {', '.join(flow.completed_stages())}")
         print("available artifacts: "
               + ", ".join(k for k in flow.state if k != "source"))
-        if trace is not None:
-            print(trace.summary())
+        print(trace.summary())
         if args.cache_dir:
             print(_cache_stats_line(cache))
         return 0
@@ -1217,6 +1069,32 @@ def _flow_main(flow, args, options, cache, trace) -> int:
     if args.expect_front_end_cached:
         return _check_front_end_cached(trace)
     return 0
+
+
+_VERBS = {
+    "cache": _cache_main,
+    "worker": _worker_main,
+    "broker": _broker_main,
+    "program": _program_main,
+    "solve": _solve_main,
+    **{verb: functools.partial(_service_main, verb)
+       for verb in ("submit", "status", "fetch", "cancel")},
+}
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    verb = _VERBS.get(argv[0]) if argv else None
+    try:
+        return verb(argv[1:]) if verb else _compile_main(argv)
+    except BrokerBusyError as exc:
+        print(f"busy: {exc}", file=sys.stderr)
+        return 3
+    except (ReproError, OSError) as exc:
+        # a flow failure (bad source, HBM spill, k x m over the board,
+        # missing compiler ...), an unreachable broker or a bad path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -868,10 +868,6 @@ class RemoteStageCache:
     def peek(self, key: str):
         return self._load(key, count=False)
 
-    def get(self, key: str) -> Optional[Entry]:
-        hit = self.fetch(key)
-        return None if hit is None else hit[0]
-
     def put(self, key: str, outputs: Entry) -> None:
         self.local.put(key, outputs)
         data = self.local.export_entry(key)

@@ -1,16 +1,16 @@
-"""The flow driver: CFDlang source/AST in, full design out.
+"""What one flow run produces: CFDlang source/AST in, full design out.
 
 The heavy lifting lives in :mod:`repro.flow.stages` (the stage registry)
 and :mod:`repro.flow.session` (the :class:`~repro.flow.session.Flow`
-session with caching and tracing); :func:`compile_flow` is the one-shot
-convenience wrapper that runs every stage and returns a
+session with caching and tracing); a finished session, or
+:func:`repro.flow.program.compile_any` on one kernel, returns a
 :class:`FlowResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.cfdlang import Program
 from repro.codegen import KernelCode
@@ -141,34 +141,3 @@ class FlowResult:
             banking=self.banking if k is None else None,
         )
 
-
-def compile_flow(
-    source: Union[str, Program], options: Optional[FlowOptions] = None
-) -> FlowResult:
-    """Run the complete compiler flow on one CFDlang kernel.
-
-    Deprecated in favor of :func:`repro.flow.program.compile_program`,
-    the primary compile entry point since multi-kernel programs landed;
-    this remains as a thin shim that wraps the source in a single-kernel
-    :class:`~repro.flow.program.Program` (named after
-    ``options.kernel_name``) and unwraps its one
-    :class:`FlowResult`.  Cache keys are per-kernel and content-
-    addressed, so the shim hits exactly the same cache entries as the
-    program API — existing callers keep identical results and reuse.
-    """
-    import warnings
-
-    from repro.flow.program import Program as KernelProgram, compile_program
-
-    warnings.warn(
-        "compile_flow is deprecated; use repro.flow.program.compile_program "
-        "(or compile_any) — it accepts single kernels and multi-kernel "
-        "programs and hits the same per-kernel cache entries",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    opts = options or FlowOptions()
-    program = KernelProgram(opts.kernel_name).add_kernel(
-        opts.kernel_name, source
-    )
-    return compile_program(program, opts)[opts.kernel_name]

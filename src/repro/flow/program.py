@@ -603,9 +603,8 @@ def compile_program(
 ) -> ProgramResult:
     """Compile every kernel of a program through the staged flow.
 
-    This is the primary compile entry point; ``compile_flow`` is a
-    single-kernel shim over it.  Accepts a :class:`Program` or its
-    :meth:`~Program.to_text` serialization.
+    Accepts a :class:`Program` or its :meth:`~Program.to_text`
+    serialization; :func:`compile_any` also takes a single kernel.
     """
     if isinstance(program, str):
         program = Program.from_text(program)

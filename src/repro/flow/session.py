@@ -356,11 +356,7 @@ class Flow:
         ``count=False`` uses the backend's stat-free ``peek`` so that
         race-closing re-checks don't inflate the hit/miss counters.
         """
-        accessor = getattr(self.cache, "fetch" if count else "peek", None)
-        if accessor is not None:
-            return accessor(key)
-        outputs = self.cache.get(key)
-        return None if outputs is None else (outputs, "memory")
+        return self.cache.fetch(key) if count else self.cache.peek(key)
 
     def _compute_or_fetch(self, stage: Stage, key: str):
         """Run the stage or serve it from the shared cache.

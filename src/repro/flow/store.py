@@ -160,10 +160,6 @@ class StageCache:
             entry = self._entries.get(key)
             return None if entry is None else (entry, "memory")
 
-    def get(self, key: str) -> Optional[Entry]:
-        hit = self.fetch(key)
-        return None if hit is None else hit[0]
-
     def put(self, key: str, outputs: Entry) -> None:
         with self._lock:
             self._entries[key] = outputs
@@ -306,10 +302,6 @@ class DiskStageCache:
         """Like :meth:`fetch` but without touching the hit/miss stats —
         for race-closing re-checks that are not real lookups."""
         return self._load(key, count=False)
-
-    def get(self, key: str) -> Optional[Entry]:
-        hit = self.fetch(key)
-        return None if hit is None else hit[0]
 
     def put(self, key: str, outputs: Entry) -> None:
         with self._lock:
@@ -664,10 +656,6 @@ class NamespacedStageCache:
 
     def peek(self, key: str) -> Optional[Hit]:
         return self.backend.peek(self._key(key))
-
-    def get(self, key: str) -> Optional[Entry]:
-        hit = self.fetch(key)
-        return None if hit is None else hit[0]
 
     def put(self, key: str, outputs: Entry) -> None:
         self.backend.put(self._key(key), outputs)

@@ -68,8 +68,9 @@ def _merge_saving(config: MnemosyneConfig, a: str, b: str) -> int:
 def _share_matching(config: MnemosyneConfig) -> List[Tuple[str, ...]]:
     g = nx.Graph()
     g.add_nodes_from(config.arrays)
-    for e in config.address_space_edges:
-        a, b = sorted(e)
+    # sorted: among equal-weight optima networkx follows edge insertion
+    # order, so set order would tie the PLM layout to the hash seed
+    for a, b in sorted(sorted(e) for e in config.address_space_edges):
         w = _merge_saving(config, a, b)
         if w > 0:
             g.add_edge(a, b, weight=w)

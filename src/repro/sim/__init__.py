@@ -16,7 +16,6 @@ from repro.sim.simulator import (
     SimulationResult,
     simulate_system,
     simulate_system_events,
-    run_functional,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "SimulationResult",
     "simulate_system",
     "simulate_system_events",
-    "run_functional",
 ]

@@ -8,17 +8,15 @@ The host main loop (Sec. V-B) per iteration over ``m`` elements:
 
 :func:`simulate_system` computes this analytically; the independent
 :func:`simulate_system_events` walks every transfer/round/interrupt as an
-explicit timeline event (used to cross-validate the analytic model), and
-:func:`run_functional` executes the data path with NumPy for end-to-end
-functional checks of multi-element batches.
+explicit timeline event (used to cross-validate the analytic model).  The
+data path itself runs on the :mod:`repro.exec` backends:
+``require_backend(name).run_batch(...)`` executes a multi-element batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.sim.cpu import CpuModel, simulate_software
 from repro.system.host import HostModel
@@ -208,33 +206,6 @@ def simulate_system_events(design: SystemDesign, n_elements: int) -> SimulationR
         compute,
         transfer,
         control,
-    )
-
-
-def run_functional(
-    fn: Function,
-    elements: Dict[str, np.ndarray],
-    static_inputs: Dict[str, np.ndarray],
-    element_inputs: List[str],
-    *,
-    backend: str = "numpy",
-    prog=None,
-) -> Dict[str, np.ndarray]:
-    """Execute the kernel functionally over a batch of elements.
-
-    ``elements[name]`` has shape ``(Ne, *tensor_shape)`` for each streamed
-    input; static operands are shared.  Returns stacked outputs.
-
-    ``backend`` selects the execution strategy (see :mod:`repro.exec`):
-    ``"numpy"`` (default) vectorizes the whole batch, ``"loops"`` runs
-    the generated-Python reference per element, ``"cnative"`` drives the
-    compiled C kernel.  ``prog`` optionally supplies the scheduled,
-    laid-out program for the generated-kernel backends.
-    """
-    from repro.exec import require_backend  # deferred: exec imports sim types
-
-    return require_backend(backend).run_batch(
-        fn, elements, static_inputs, element_inputs, prog=prog
     )
 
 

@@ -10,14 +10,14 @@ from repro.apps.preconditioner import (
     preconditioner_program,
 )
 from repro.errors import SimulationError
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.sim.cosim import cosimulate
 from repro.system.host import emit_cpp_binding, emit_fortran_binding
 
 
 @pytest.fixture(scope="module")
 def res():
-    return compile_flow(HELMHOLTZ_DSL)
+    return compile_any(HELMHOLTZ_DSL)
 
 
 def element_data(ne, n=11, seed=4):
@@ -87,7 +87,7 @@ class TestBindings:
 
 class TestPreconditionerApp:
     def test_flow_compiles_division(self):
-        res = compile_flow(preconditioner_program(6))
+        res = compile_any(preconditioner_program(6))
         assert any("ewise:/" in s.kind for s in res.poly.statements)
         # the fp64 divider is expensive in LUTs, uses no DSPs in this model
         assert res.hls.resources.lut > 4000
@@ -95,7 +95,7 @@ class TestPreconditionerApp:
     def test_functional_correctness(self):
         from repro.codegen import run_python_kernel
 
-        res = compile_flow(preconditioner_program(5))
+        res = compile_any(preconditioner_program(5))
         data, ref = make_preconditioner_data(5, seed=3)
         got = run_python_kernel(res.poly, data)["w"]
         np.testing.assert_allclose(got, ref, rtol=1e-12)
@@ -103,13 +103,13 @@ class TestPreconditionerApp:
     def test_sharing_safe_with_ewise_chain(self):
         from repro.sim.sharedmem import run_python_kernel_shared
 
-        res = compile_flow(preconditioner_program(5))
+        res = compile_any(preconditioner_program(5))
         data, ref = make_preconditioner_data(5, seed=6)
         got = run_python_kernel_shared(res.poly, res.memory, data)["w"]
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_latency_dominated_by_divider(self):
-        res = compile_flow(preconditioner_program(8))
+        res = compile_any(preconditioner_program(8))
         # ddiv pipeline depth is ~3.6x the mul+add depth; with II=1 the
         # stage latency is still ~trip-count bound
         assert res.hls.latency_cycles < 4 * 8**3

@@ -8,7 +8,7 @@ from repro.apps.gradient import gradient_program
 from repro.apps.interpolation import interpolation_program
 from repro.cfdlang import parse_program
 from repro.errors import HLSError, PolyhedralError
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.poly.codegen_ast import build_loop_ast, scheduled_loop_dims
 from repro.poly.dataflow import statement_raw_deps, statement_rar_pairs
 from repro.poly.reschedule import RescheduleOptions, reschedule
@@ -44,7 +44,7 @@ class TestGradientDataflow:
         check_schedule_legal(with_statement_order(prog, list(reversed(names))))
 
     def test_no_sharing_possible_between_outputs(self):
-        res = compile_flow(gradient_program(4))
+        res = compile_any(gradient_program(4))
         g = res.compat
         assert not g.address_space_compatible("gx", "gy")
         assert not g.address_space_compatible("gy", "gz")
@@ -52,21 +52,21 @@ class TestGradientDataflow:
 
 class TestRectangularShapes:
     def test_interpolation_rectangular_layouts(self):
-        res = compile_flow(interpolation_program(5, 9))
+        res = compile_any(interpolation_program(5, 9))
         assert res.poly.layouts["I"].size == 45
         assert res.poly.layouts["w"].size == 729
         assert res.kernel.array_sizes["w"] == 729
 
     def test_interpolation_transfer_footprint(self):
-        res = compile_flow(interpolation_program(5, 9))
+        res = compile_any(interpolation_program(5, 9))
         # I is a static operand (read 3x); u streams in, w streams out
         assert res.static_arrays() == ["I"]
         assert res.bytes_in_per_element() == 125 * 8
         assert res.bytes_out_per_element() == 729 * 8
 
     def test_growing_output_brams(self):
-        small = compile_flow(interpolation_program(5, 6))
-        big = compile_flow(interpolation_program(5, 12))
+        small = compile_any(interpolation_program(5, 6))
+        big = compile_any(interpolation_program(5, 12))
         assert big.memory.brams > small.memory.brams
 
 
@@ -75,7 +75,7 @@ class TestSchedulingEdges:
         prog = parse_program(
             "var input a : [4 4]\nvar output b : [4 4]\nb = a"
         )
-        res = compile_flow(prog)
+        res = compile_any(prog)
         assert len(res.poly.statements) == 1
         ast = build_loop_ast(res.poly)
         assert ast.n_stages == 1
@@ -92,7 +92,7 @@ class TestSchedulingEdges:
         from repro.errors import CFDlangSemanticError
 
         with pytest.raises(CFDlangSemanticError):
-            compile_flow(prog)
+            compile_any(prog)
 
     def test_rank1_reduction(self):
         prog = parse_program(
@@ -103,13 +103,13 @@ class TestSchedulingEdges:
         from repro.errors import CFDlangSemanticError
 
         with pytest.raises(CFDlangSemanticError):
-            compile_flow(prog)
+            compile_any(prog)
 
     def test_partial_reduction_valid(self):
         prog = parse_program(
             "var input a : [4 4 4]\nvar output c : [4]\nc = a . [[0 2]]"
         )
-        res = compile_flow(prog)
+        res = compile_any(prog)
         got = res.poly.statements[0]
         assert got.is_reduction
         from repro.codegen import run_python_kernel
@@ -165,13 +165,13 @@ class TestHlsEdges:
         reduction outside the innermost loop."""
         from repro.apps.helmholtz import inverse_helmholtz_program
 
-        res = compile_flow(inverse_helmholtz_program(5))
+        res = compile_any(inverse_helmholtz_program(5))
         assert res.hls.max_ii == 2  # ceil(8 / 5)
 
     def test_clock_mhz_override(self):
         from repro.apps.helmholtz import HELMHOLTZ_DSL
 
-        res = compile_flow(HELMHOLTZ_DSL, FlowOptions(clock_mhz=100.0))
+        res = compile_any(HELMHOLTZ_DSL, FlowOptions(clock_mhz=100.0))
         assert res.hls.clock_mhz == 100.0
         assert res.hls.latency_seconds == pytest.approx(
             res.hls.latency_cycles / 100e6
@@ -181,9 +181,9 @@ class TestHlsEdges:
 class TestArtifactsExtra:
     def test_bindings_in_artifact_bundle(self, tmp_path):
         from repro.apps.helmholtz import HELMHOLTZ_DSL
-        from repro.flow import compile_flow, write_artifacts
+        from repro.flow import compile_any, write_artifacts
 
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         paths = write_artifacts(res, str(tmp_path), k=2, m=2)
         assert "cfdlang_binding.hpp" in paths
         assert "cfdlang_binding.f90" in paths

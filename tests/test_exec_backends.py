@@ -22,10 +22,9 @@ from repro.exec import (
     get_backend,
     require_backend,
 )
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.flow.options import FlowOptions, SystemOptions
 from repro.flow.session import Flow, FlowTrace
-from repro.sim.simulator import run_functional
 
 NE = 3
 
@@ -59,7 +58,7 @@ def app(request):
 
 @pytest.fixture(scope="module", params=sorted(VARIANTS))
 def variant_result(request, app):
-    return compile_flow(APPS[app](), VARIANTS[request.param])
+    return compile_any(APPS[app](), VARIANTS[request.param])
 
 
 class TestConformance:
@@ -83,7 +82,7 @@ class TestConformance:
 
     def test_default_schedule_fallback(self):
         """Backends work without a laid-out program (prog=None)."""
-        res = compile_flow(APPS["helmholtz"]())
+        res = compile_any(APPS["helmholtz"]())
         elements, streamed = _batch(res)
         ref = get_backend("loops").run_batch(
             res.function, elements, {}, streamed
@@ -126,10 +125,10 @@ class TestBatchValidation:
             consistent_batch_size(elements, ["u", "D"])
 
     def test_run_functional_names_offenders(self):
-        res = compile_flow(APPS["helmholtz"]())
+        res = compile_any(APPS["helmholtz"]())
         shape = (5, 5, 5)
         with pytest.raises(SimulationError, match=r"D=3, u=2"):
-            run_functional(
+            require_backend("numpy").run_batch(
                 res.function,
                 {"u": np.zeros((2,) + shape), "D": np.zeros((3,) + shape)},
                 {"S": np.zeros((5, 5))},
@@ -147,11 +146,11 @@ class TestBatchValidation:
 
 class TestRunFunctionalBackends:
     def test_backend_selection(self):
-        res = compile_flow(APPS["preconditioner"]())
+        res = compile_any(APPS["preconditioner"]())
         elements, streamed = _batch(res)
         outs = {
-            name: run_functional(
-                res.function, elements, {}, streamed, backend=name
+            name: require_backend(name).run_batch(
+                res.function, elements, {}, streamed
             )
             for name in available_backend_names()
         }
@@ -163,10 +162,10 @@ class TestRunFunctionalBackends:
                 )
 
     def test_unknown_backend_raises(self):
-        res = compile_flow(APPS["preconditioner"]())
+        res = compile_any(APPS["preconditioner"]())
         elements, streamed = _batch(res)
         with pytest.raises(ExecBackendError):
-            run_functional(res.function, elements, {}, streamed, backend="x")
+            require_backend("x").run_batch(res.function, elements, {}, streamed)
 
 
 class TestFlowIntegration:
@@ -186,7 +185,7 @@ class TestFlowIntegration:
         assert "elements/sec" in str(res.functional)
 
     def test_no_backend_no_record(self):
-        res = compile_flow(APPS["helmholtz"]())
+        res = compile_any(APPS["helmholtz"]())
         assert res.functional is None
 
     def test_spec_round_trip(self):

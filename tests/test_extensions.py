@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL
 from repro.errors import SimulationError
-from repro.flow import compile_flow
+from repro.flow import compile_any
 from repro.sim.simulator import simulate_system
 from repro.system.cluster import (
     NetworkModel,
@@ -17,7 +17,7 @@ NE = 50_000
 
 @pytest.fixture(scope="module")
 def res():
-    return compile_flow(HELMHOLTZ_DSL)
+    return compile_any(HELMHOLTZ_DSL)
 
 
 class TestOverlapTransfers:

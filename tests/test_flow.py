@@ -1,4 +1,4 @@
-"""End-to-end flow tests: compile_flow, artifacts, CLI."""
+"""End-to-end flow tests: compile_any, artifacts, CLI."""
 
 import json
 import pathlib
@@ -11,13 +11,13 @@ from repro.apps.helmholtz import (
     make_element_data,
     reference_inverse_helmholtz,
 )
-from repro.flow import FlowOptions, compile_flow, write_artifacts
+from repro.flow import FlowOptions, compile_any, write_artifacts
 from repro.flow.cli import main as cli_main
 
 
 class TestCompileFlow:
     def test_defaults_reproduce_paper_headline(self):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         assert res.hls.resources.lut == 2314
         assert res.memory.brams == 18
         d = res.build_system()
@@ -26,11 +26,11 @@ class TestCompileFlow:
     def test_flow_accepts_built_program(self):
         from repro.apps.helmholtz import inverse_helmholtz_program
 
-        res = compile_flow(inverse_helmholtz_program(11))
+        res = compile_any(inverse_helmholtz_program(11))
         assert res.memory.brams == 18
 
     def test_streamed_vs_static_split(self):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         assert res.streamed_arrays() == ["D", "u", "v"]
         assert res.static_arrays() == ["S"]
         assert res.bytes_in_per_element() == 2 * 1331 * 8
@@ -38,23 +38,23 @@ class TestCompileFlow:
         assert res.static_bytes() == 121 * 8
 
     def test_temporaries_internal_flow(self):
-        res = compile_flow(HELMHOLTZ_DSL, FlowOptions(temporaries_internal=True))
+        res = compile_any(HELMHOLTZ_DSL, FlowOptions(temporaries_internal=True))
         assert res.memory.brams == 9       # paper: memory system used 9
         assert res.hls.resources.bram == 24  # paper: accelerator used 24
         total = res.memory.brams + res.hls.resources.bram
         assert total == 33                  # paper: total of 33
         # exporting temporaries is better: 18 < 33
-        assert compile_flow(HELMHOLTZ_DSL).memory.brams < total
+        assert compile_any(HELMHOLTZ_DSL).memory.brams < total
 
     def test_no_factorize_flow(self):
-        res = compile_flow(HELMHOLTZ_DSL, FlowOptions(factorize=False))
+        res = compile_any(HELMHOLTZ_DSL, FlowOptions(factorize=False))
         # unfactorized: 3 statements, huge latency (O(p^6) MACs)
         assert len(res.function.statements) == 3
-        fast = compile_flow(HELMHOLTZ_DSL)
+        fast = compile_any(HELMHOLTZ_DSL)
         assert res.hls.latency_cycles > 10 * fast.hls.latency_cycles
 
     def test_layout_override(self):
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL, FlowOptions(layout_overrides={"u": "column_major"})
         )
         assert res.poly.layouts["u"].strides == (1, 11, 121)
@@ -63,24 +63,24 @@ class TestCompileFlow:
         from repro.errors import SystemGenerationError
 
         with pytest.raises(SystemGenerationError):
-            compile_flow(HELMHOLTZ_DSL, FlowOptions(layout_overrides={"u": "zigzag"}))
+            compile_any(HELMHOLTZ_DSL, FlowOptions(layout_overrides={"u": "zigzag"}))
 
     def test_simulate_shortcut(self):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         s = res.simulate(1_000, 2, 2)
         assert s.k == 2 and s.total_seconds > 0
 
     def test_mismatched_km_args(self):
         from repro.errors import SystemGenerationError
 
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         with pytest.raises(SystemGenerationError):
             res.build_system(k=2)
 
 
 class TestArtifacts:
     def test_write_artifacts(self, tmp_path):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         paths = write_artifacts(res, str(tmp_path), k=4, m=4)
         for name in (
             "kernel.c",
@@ -99,7 +99,7 @@ class TestArtifacts:
         assert "void kernel_body(" in (tmp_path / "kernel.c").read_text()
 
     def test_mirror_artifact_is_runnable(self, tmp_path):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         write_artifacts(res, str(tmp_path), k=1, m=1)
         src = (tmp_path / "kernel_mirror.py").read_text()
         ns: dict = {}
@@ -144,7 +144,7 @@ class TestFunctionalEndToEnd:
         """Generated kernel (Python mirror) vs the Eq. 1a-1c reference."""
         from repro.codegen import run_python_kernel
 
-        res = compile_flow(
+        res = compile_any(
             __import__("repro.apps.helmholtz", fromlist=["x"]).inverse_helmholtz_source(4)
         )
         data = make_element_data(4, seed=12)

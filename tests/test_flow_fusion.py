@@ -368,12 +368,3 @@ class TestCliFusion:
         caution = _listen_security_warning("0.0.0.0", 9000, [])
         assert caution and "Securing a broker" in caution
         assert "--tenant" in caution and "ssh -L" in caution
-
-
-class TestDeprecatedShim:
-    def test_compile_flow_warns(self):
-        from repro.apps.helmholtz import inverse_helmholtz_source
-        from repro.flow import compile_flow
-
-        with pytest.warns(DeprecationWarning, match="compile_program"):
-            compile_flow(inverse_helmholtz_source(N))

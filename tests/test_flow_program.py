@@ -20,7 +20,6 @@ from repro.flow import (
     SolverLoop,
     StageCache,
     compile_any,
-    compile_flow,
     compile_many,
     compile_program,
     is_program_text,
@@ -146,19 +145,18 @@ class TestCompileProgram:
         assert res.kernel_names() == ["helmholtz", "update"]
 
     def test_compile_flow_is_a_single_kernel_shim(self):
-        shim = compile_flow(inverse_helmholtz_source(N))
+        single = compile_any(inverse_helmholtz_source(N))
         direct = compile_program(
             Program("kernel_body").add_kernel(
                 "kernel_body", inverse_helmholtz_source(N)
             )
         )["kernel_body"]
-        assert shim.function.fingerprint() == direct.function.fingerprint()
-        assert shim.sim.total_cycles == direct.sim.total_cycles
-        assert shim.memory.brams == direct.memory.brams
+        assert single.function.fingerprint() == direct.function.fingerprint()
+        assert single.sim.total_cycles == direct.sim.total_cycles
+        assert single.memory.brams == direct.memory.brams
 
     def test_compile_flow_and_program_share_cache_keys(self):
         cache, trace = StageCache(), FlowTrace()
-        compile_flow_result = None
         from repro.flow.session import Flow
 
         Flow(inverse_helmholtz_source(N), cache=cache, trace=trace).run()

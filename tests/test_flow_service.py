@@ -474,7 +474,7 @@ class TestJobServiceUnit:
         alice = NamespacedStageCache(backend, "alice")
         bob = NamespacedStageCache(backend, "bob")
         alice.put("k", {"v": 1})
-        assert alice.get("k") == {"v": 1}
+        assert alice.fetch("k") == ({"v": 1}, "memory")
         assert bob.fetch("k") is None  # partitioned
         assert namespaced_key("alice", "k") in backend  # shared store
 

@@ -10,7 +10,7 @@ from repro.flow import (
     FlowTrace,
     StageCache,
     SystemOptions,
-    compile_flow,
+    compile_any,
     compile_many,
     registered_stages,
     stage_names,
@@ -46,7 +46,7 @@ class TestRegistry:
 
 class TestRunUntilResume:
     def test_resume_matches_compile_flow(self):
-        base = compile_flow(HELMHOLTZ_DSL)
+        base = compile_any(HELMHOLTZ_DSL)
         flow = Flow(HELMHOLTZ_DSL)
         flow.run_until("schedule")
         assert flow.completed_stages() == [
@@ -74,7 +74,7 @@ class TestRunUntilResume:
         res_none = flow.run()
         # swap in the config the MATCHING run would see: nothing upstream
         # changes, so only memory and hls-synth downstream state is rebuilt
-        flow.override(memory=compile_flow(
+        flow.override(memory=compile_any(
             HELMHOLTZ_DSL, FlowOptions(sharing=SharingMode.MATCHING)
         ).memory)
         res2 = flow.resume()
@@ -103,7 +103,7 @@ class TestRunUntilResume:
         assert len(cache) == n_entries
 
     def test_multi_key_override_is_order_independent(self):
-        base = compile_flow(HELMHOLTZ_DSL)
+        base = compile_any(HELMHOLTZ_DSL)
         for kwargs in (
             {"poly": base.poly, "function": base.function},
             {"function": base.function, "poly": base.poly},
@@ -118,7 +118,7 @@ class TestRunUntilResume:
     def test_override_before_producer_runs(self):
         flow = Flow(HELMHOLTZ_DSL)
         flow.run_until("layouts")
-        poly = compile_flow(HELMHOLTZ_DSL).poly
+        poly = compile_any(HELMHOLTZ_DSL).poly
         flow.override(poly=poly)
         res = flow.resume()
         assert res.poly is poly
@@ -221,7 +221,7 @@ class TestCompileMany:
         assert trace.executed_counts()["parse"] == 1
 
     def test_matches_compile_flow(self):
-        base = compile_flow(HELMHOLTZ_DSL)
+        base = compile_any(HELMHOLTZ_DSL)
         (res,) = compile_many([HELMHOLTZ_DSL])
         assert res.hls.summary() == base.hls.summary()
         assert res.kernel.source == base.kernel.source
@@ -253,13 +253,13 @@ class TestCompileMany:
 
 class TestSystemStages:
     def test_run_produces_system_and_sim(self):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         assert (res.system.k, res.system.m) == (16, 16)
         assert res.sim.n_elements == 50_000
         assert res.sim.total_seconds > 0
 
     def test_system_options_select_km(self):
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL,
             FlowOptions(system=SystemOptions(k=2, m=4, n_elements=1_000)),
         )
@@ -268,7 +268,7 @@ class TestSystemStages:
         assert res.sim.total_cycles == res.simulate(1_000, 2, 4).total_cycles
 
     def test_build_system_reuses_stage_artifact(self):
-        res = compile_flow(HELMHOLTZ_DSL)
+        res = compile_any(HELMHOLTZ_DSL)
         assert res.build_system() is res.system
         assert res.build_system(16, 16) is res.system
         assert res.build_system(2, 2) is not res.system
@@ -277,24 +277,24 @@ class TestSystemStages:
     def test_simulate_honors_overlap_option(self):
         """The legacy simulate() API and the simulate stage must agree
         when SystemOptions enables overlapped transfers."""
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL,
             FlowOptions(system=SystemOptions(k=2, m=8, overlap_transfers=True)),
         )
         # same point recomputed explicitly: identical to the stage artifact
         assert res.simulate(50_000, 2, 8).total_cycles == res.sim.total_cycles
-        plain = compile_flow(
+        plain = compile_any(
             HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=2, m=8))
         )
         assert res.sim.total_cycles < plain.sim.total_cycles
 
     def test_mismatched_system_options(self):
         with pytest.raises(SystemGenerationError, match="both k and m"):
-            compile_flow(HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=2)))
+            compile_any(HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=2)))
 
     def test_explicit_infeasible_km_raises(self):
         with pytest.raises(SystemGenerationError, match="does not fit"):
-            compile_flow(
+            compile_any(
                 HELMHOLTZ_DSL,
                 FlowOptions(sharing=SharingMode.NONE,
                             system=SystemOptions(k=16, m=16)),
@@ -305,7 +305,7 @@ class TestSystemStages:
         from repro.system import Board
 
         tiny = Board(name="tiny", part="none", lut=100, ff=100, dsp=1, bram36=1)
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(board=tiny))
         )
         assert res.system is None and res.sim is None
@@ -315,7 +315,7 @@ class TestSystemStages:
     def test_board_in_system_options(self):
         from repro.system import ALVEO_U280
 
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(board=ALVEO_U280))
         )
         assert res.system.board is ALVEO_U280
@@ -360,11 +360,11 @@ class TestSystemStages:
 class TestOptionValidation:
     def test_layout_override_unknown_tensor(self):
         with pytest.raises(SystemGenerationError, match="undeclared tensor 'zz'"):
-            compile_flow(HELMHOLTZ_DSL, FlowOptions(layout_overrides={"zz": "row_major"}))
+            compile_any(HELMHOLTZ_DSL, FlowOptions(layout_overrides={"zz": "row_major"}))
 
     def test_partition_merge_unknown_tensor(self):
         with pytest.raises(SystemGenerationError, match="undeclared tensor 'ghost'"):
-            compile_flow(
+            compile_any(
                 HELMHOLTZ_DSL,
                 FlowOptions(partition_merges={"buf": ("u", "ghost")}),
             )

@@ -4,8 +4,14 @@ The headline numbers (Sec. VI): 31 BRAMs per kernel without sharing, 18
 with sharing enabled, and 9 + 24 = 33 when temporaries stay inside HLS.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.apps.helmholtz import inverse_helmholtz_program
 from repro.errors import MemoryArchitectureError
 from repro.mnemosyne import (
@@ -151,3 +157,34 @@ class TestSharing:
         )
         assert mem_brams == 9
         assert acc_brams + mem_brams == 33  # paper Sec. VI
+
+
+MATCHING_GROUPS_SCRIPT = """
+from repro.apps.helmholtz import inverse_helmholtz_program
+from repro.mnemosyne import SharingMode, build_memory_subsystem
+from repro.mnemosyne.config import build_config
+from repro.poly.reschedule import reschedule
+from repro.poly.schedule import reference_schedule
+from repro.teil import canonicalize, lower_program
+fn = canonicalize(lower_program(inverse_helmholtz_program(6)))
+config = build_config(reschedule(reference_schedule(fn)))
+mem = build_memory_subsystem(config, SharingMode.MATCHING)
+print([u.members for u in mem.units])
+"""
+
+
+def test_matching_groups_do_not_depend_on_the_hash_seed():
+    """Equal-weight matchings are common (n=6 has several); the chosen
+    one must not follow set iteration order, or processes running under
+    different hash seeds (process/distributed workers) and the disk
+    cache disagree about the PLM layout."""
+    pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    groups = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pkg_root)
+        proc = subprocess.run(
+            [sys.executable, "-c", MATCHING_GROUPS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        groups.append(proc.stdout)
+    assert groups[0] == groups[1]

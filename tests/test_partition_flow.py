@@ -12,13 +12,13 @@ from repro.apps.helmholtz import (
     inverse_helmholtz_program,
 )
 from repro.errors import SystemGenerationError
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.sim.sharedmem import run_python_kernel_shared
 
 
 class TestExplicitPartitionMerges:
     def test_legal_merge_applied(self):
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL,
             FlowOptions(partition_merges={"uv_buf": ("u", "v")}),
         )
@@ -30,13 +30,13 @@ class TestExplicitPartitionMerges:
 
     def test_illegal_merge_rejected(self):
         with pytest.raises(SystemGenerationError, match="lifetimes overlap"):
-            compile_flow(
+            compile_any(
                 HELMHOLTZ_DSL,
                 FlowOptions(partition_merges={"bad": ("u", "t0")}),
             )
 
     def test_multi_group_merge(self):
-        res = compile_flow(
+        res = compile_any(
             HELMHOLTZ_DSL,
             FlowOptions(
                 partition_merges={
@@ -50,7 +50,7 @@ class TestExplicitPartitionMerges:
 
     def test_explicit_merge_functionally_safe(self):
         n = 5
-        res = compile_flow(
+        res = compile_any(
             inverse_helmholtz_program(n),
             FlowOptions(partition_merges={"uv_buf": ("u", "v"), "tt": ("t0", "t2")}),
         )
@@ -63,7 +63,7 @@ class TestExplicitPartitionMerges:
         from repro.errors import LayoutError
 
         with pytest.raises(LayoutError, match="no fixpoint"):
-            compile_flow(
+            compile_any(
                 HELMHOLTZ_DSL,
                 FlowOptions(partition_merges={"u": ("v",), "w": ("u",)}),
             )

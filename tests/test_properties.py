@@ -178,13 +178,13 @@ class TestCompilerInvariants:
     @settings(max_examples=20, deadline=None)
     def test_sharing_is_safe_on_random_programs(self, progn):
         """Liveness-driven overlays never corrupt results."""
-        from repro.flow import FlowOptions, compile_flow
+        from repro.flow import FlowOptions, compile_any
         from repro.mnemosyne import SharingMode
         from repro.sim.sharedmem import run_python_kernel_shared
         from repro.teil import interpret
 
         prog, n = progn
-        res = compile_flow(prog, FlowOptions(sharing=SharingMode.CLIQUE))
+        res = compile_any(prog, FlowOptions(sharing=SharingMode.CLIQUE))
         rng = np.random.default_rng(0)
         inputs = {
             "S": rng.standard_normal((n, n)),
@@ -220,7 +220,7 @@ class TestSimulatorInvariants:
     @settings(max_examples=25, deadline=None)
     def test_event_sim_equals_analytic(self, k, batch_log2, blocks):
         from repro.apps.helmholtz import HELMHOLTZ_DSL
-        from repro.flow import compile_flow
+        from repro.flow import compile_any
         from repro.sim import simulate_system, simulate_system_events
 
         m = k * (2**batch_log2)
@@ -239,7 +239,7 @@ _FLOW_CACHE = {}
 def _cached_flow():
     if "f" not in _FLOW_CACHE:
         from repro.apps.helmholtz import HELMHOLTZ_DSL
-        from repro.flow import compile_flow
+        from repro.flow import compile_any
 
-        _FLOW_CACHE["f"] = compile_flow(HELMHOLTZ_DSL)
+        _FLOW_CACHE["f"] = compile_any(HELMHOLTZ_DSL)
     return _FLOW_CACHE["f"]

@@ -16,7 +16,7 @@ from repro.apps.helmholtz import (
     reference_inverse_helmholtz,
 )
 from repro.errors import MemoryArchitectureError
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.mnemosyne import SharingMode
 from repro.sim.sharedmem import run_python_kernel_shared
 from repro.teil import interpret
@@ -25,7 +25,7 @@ from repro.teil import interpret
 @pytest.mark.parametrize("mode", [SharingMode.NONE, SharingMode.MATCHING, SharingMode.CLIQUE])
 def test_helmholtz_sharing_is_functionally_safe(mode):
     n = 5
-    res = compile_flow(inverse_helmholtz_program(n), FlowOptions(sharing=mode))
+    res = compile_any(inverse_helmholtz_program(n), FlowOptions(sharing=mode))
     data = make_element_data(n, seed=21)
     got = run_python_kernel_shared(res.poly, res.memory, data)["v"]
     ref = reference_inverse_helmholtz(data["S"], data["D"], data["u"])
@@ -35,7 +35,7 @@ def test_helmholtz_sharing_is_functionally_safe(mode):
 @pytest.mark.parametrize("mode", [SharingMode.MATCHING, SharingMode.CLIQUE])
 def test_gradient_sharing_is_functionally_safe(mode):
     n = 6
-    res = compile_flow(gradient_program(n), FlowOptions(sharing=mode))
+    res = compile_any(gradient_program(n), FlowOptions(sharing=mode))
     rng = np.random.default_rng(8)
     inputs = {"Dm": chebyshev_diff_matrix(n), "u": rng.standard_normal((n, n, n))}
     got = run_python_kernel_shared(res.poly, res.memory, inputs)
@@ -49,7 +49,7 @@ def test_illegal_overlay_corrupts_results():
     the aliased-buffer harness really does detect bad sharing.  (u and t0
     overlap: stage 0 keeps reading u elements while writing t0.)"""
     n = 5
-    res = compile_flow(inverse_helmholtz_program(n))
+    res = compile_any(inverse_helmholtz_program(n))
     cfg = res.mnemosyne_config
     # craft an illegal grouping bypassing the legality check
     from repro.mnemosyne.plm import MemorySubsystem, PLMUnit
@@ -69,7 +69,7 @@ def test_illegal_overlay_corrupts_results():
 
 def test_undersized_unit_rejected():
     n = 4
-    res = compile_flow(inverse_helmholtz_program(n))
+    res = compile_any(inverse_helmholtz_program(n))
     from repro.mnemosyne.plm import MemorySubsystem, PLMUnit
     from repro.mnemosyne.bram import PortClass
 

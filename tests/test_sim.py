@@ -8,7 +8,8 @@ from repro.apps.helmholtz import (
     make_element_data,
     reference_inverse_helmholtz,
 )
-from repro.flow import compile_flow
+from repro.exec import require_backend
+from repro.flow import compile_any
 from repro.sim import (
     simulate_software,
     simulate_system,
@@ -17,14 +18,13 @@ from repro.sim import (
     sw_ref_cycles_per_element,
 )
 from repro.sim.cpu import CpuModel
-from repro.sim.simulator import run_functional
 
 NE = 50_000
 
 
 @pytest.fixture(scope="module")
 def res():
-    return compile_flow(HELMHOLTZ_DSL)
+    return compile_any(HELMHOLTZ_DSL)
 
 
 class TestFig9:
@@ -142,7 +142,9 @@ class TestFunctionalBatch:
             "u": data["u"],
             "D": np.stack([data["D"]] * ne),
         }
-        out = run_functional(res.function, elements, static, ["u", "D"])
+        out = require_backend("numpy").run_batch(
+            res.function, elements, static, ["u", "D"]
+        )
         assert out["v"].shape == (ne, 11, 11, 11)
         for e in range(ne):
             ref = reference_inverse_helmholtz(data["S"], elements["D"][e], data["u"][e])
@@ -152,7 +154,7 @@ class TestFunctionalBatch:
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            run_functional(
+            require_backend("numpy").run_batch(
                 res.function,
                 {"u": np.zeros((2, 11, 11, 11)), "D": np.zeros((3, 11, 11, 11))},
                 {"S": np.zeros((11, 11))},

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL
 from repro.errors import SystemGenerationError
-from repro.flow import FlowOptions, compile_flow
+from repro.flow import FlowOptions, compile_any
 from repro.mnemosyne import SharingMode
 from repro.system import ZCU106, emit_system_hdl, emit_host_code
 from repro.system.host import HostModel
@@ -16,7 +16,7 @@ from repro.system.replicate import (
 
 
 def flow(sharing=SharingMode.MATCHING, **kw):
-    return compile_flow(HELMHOLTZ_DSL, FlowOptions(sharing=sharing, **kw))
+    return compile_any(HELMHOLTZ_DSL, FlowOptions(sharing=sharing, **kw))
 
 
 class TestReplication:

@@ -105,11 +105,11 @@ class TestMultiBank:
     def test_banks_increase_kernel_brams(self):
         from repro.apps.helmholtz import HELMHOLTZ_DSL
         from repro.codegen.hlsdirectives import HlsDirectives
-        from repro.flow import FlowOptions, compile_flow
+        from repro.flow import FlowOptions, compile_any
 
         arrays = ["S", "D", "u", "v", "t", "r", "t0", "t1", "t2", "t3"]
-        plain = compile_flow(HELMHOLTZ_DSL)
-        banked = compile_flow(
+        plain = compile_any(HELMHOLTZ_DSL)
+        banked = compile_any(
             HELMHOLTZ_DSL,
             FlowOptions(
                 directives=HlsDirectives(
