@@ -65,7 +65,8 @@ class ProgramKernel:
 
     ``source`` is what the flow compiles (the object handed to
     :meth:`Program.add_kernel` — DSL text or a CFDlang AST); ``text`` is
-    its canonical rendering, used for serialization and shape checking.
+    its canonical rendering, used for serialization, and ``ast`` its
+    analyzed AST, parsed once at construction for shape checking.
     The kernel's name becomes :attr:`~repro.flow.options.FlowOptions.
     kernel_name` for its compilation, i.e. the generated C function name.
     """
@@ -73,11 +74,11 @@ class ProgramKernel:
     name: str
     source: object
     text: str = field(compare=False)
+    ast: CfdlangAst = field(compare=False, repr=False)
 
     def shapes(self) -> Dict[str, Tuple[int, ...]]:
         """Declared tensor shapes of this kernel (name -> dims)."""
-        ast = analyze(parse_program(self.text))
-        return {d.name: tuple(d.shape) for d in ast.decls}
+        return {d.name: tuple(d.shape) for d in self.ast.decls}
 
 
 class Program:
@@ -128,21 +129,24 @@ class Program:
                 f"program {self.name!r} already has a kernel named {name!r}"
             )
         if isinstance(source, CfdlangAst):
-            text = print_program(source)
+            ast = source
         elif isinstance(source, str):
             if is_program_text(source):
                 raise SystemGenerationError(
                     f"kernel {name!r}: source is a serialized Program, "
                     "not a single CFDlang kernel; use Program.from_text"
                 )
-            # canonicalize (and fail fast on bad input)
-            text = print_program(parse_program(source))
+            ast = parse_program(source)
         else:
             raise SystemGenerationError(
                 f"kernel {name!r}: source must be CFDlang text or a "
                 f"Program AST, got {type(source).__name__}"
             )
-        self.kernels.append(ProgramKernel(name=name, source=source, text=text))
+        # canonicalize (and fail fast on bad input)
+        text = print_program(ast)
+        self.kernels.append(
+            ProgramKernel(name=name, source=source, text=text, ast=analyze(ast))
+        )
         return self
 
     # -- validation ----------------------------------------------------------

@@ -157,8 +157,8 @@ class SolverLoop:
         outputs: set = set()
         inputs: set = set()
         for kernel in program.kernels:
-            outputs.update(self._kernel_names(kernel, "outputs"))
-            inputs.update(self._kernel_names(kernel, "inputs"))
+            outputs.update(d.name for d in kernel.ast.outputs())
+            inputs.update(d.name for d in kernel.ast.inputs())
         for out_name, in_name in self.carry.items():
             if out_name not in outputs:
                 raise SystemGenerationError(
@@ -170,14 +170,6 @@ class SolverLoop:
                     f"carry target {in_name!r} is not an input of any "
                     f"kernel in program {program.name!r}"
                 )
-
-    @staticmethod
-    def _kernel_names(kernel, view: str) -> List[str]:
-        from repro.cfdlang import parse_program
-        from repro.cfdlang.sema import analyze
-
-        ast = analyze(parse_program(kernel.text))
-        return [d.name for d in getattr(ast, view)()]
 
     def run(
         self,

@@ -15,6 +15,7 @@ parameter fingerprint, so a sweep that varies only late parameters (e.g.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -33,7 +34,9 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (5: HBM memory architectures — the ``bank-assign`` stage between
+#: (6: the ``memory`` stage's CLIQUE cover is exact above 14 arrays,
+#: where it was greedy;
+#: 5: HBM memory architectures — the ``bank-assign`` stage between
 #: build-system and simulate, Board grew a MemorySystem (its repr feeds
 #: the build-system key), and simulate consults the banking report;
 #: 4: chain fusion — port-class assignment honors streamed-input hints
@@ -41,7 +44,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 5
+STAGE_API_VERSION = 6
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]
@@ -636,13 +639,19 @@ def kernel_fingerprint(source) -> str:
     its raw identity; the ``parse`` stage will raise the real error.
     """
     if isinstance(source, str):
-        try:
-            from repro.cfdlang.printer import print_program
-
-            return print_program(parse_program(source))
-        except ReproError:
-            return source
+        return _canonical_text(source)
     return source_fingerprint(source)
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_text(source: str) -> str:
+    # pure text -> text, so every Flow over the same text parses it once
+    from repro.cfdlang.printer import print_program
+
+    try:
+        return print_program(parse_program(source))
+    except ReproError:
+        return source
 
 
 #: state keys whose cache identity is the *content* of the artifact, not

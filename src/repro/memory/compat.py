@@ -15,7 +15,7 @@ figure, because the system integration logic also accesses them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 import networkx as nx
 
@@ -50,26 +50,6 @@ class CompatibilityGraph:
             a, b = tuple(e)
             g.add_edge(a, b)
         return g
-
-    def clique_groups(self) -> List[Tuple[str, ...]]:
-        """Deterministic greedy clique cover of the address-space graph."""
-        g = self.as_networkx("address")
-        remaining = sorted(self.arrays, key=lambda a: (-self.sizes[a], a))
-        groups: List[Tuple[str, ...]] = []
-        used: Set[str] = set()
-        for a in remaining:
-            if a in used:
-                continue
-            group = [a]
-            used.add(a)
-            for b in remaining:
-                if b in used:
-                    continue
-                if all(g.has_edge(b, m) for m in group):
-                    group.append(b)
-                    used.add(b)
-            groups.append(tuple(group))
-        return groups
 
     def to_dict(self) -> dict:
         """Serializable form (part of the Mnemosyne configuration artifact)."""

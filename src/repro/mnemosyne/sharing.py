@@ -8,9 +8,9 @@ Three modes:
   address-space compatibility graph, weights = BRAM savings.  This mirrors
   the pairwise-merge behaviour of the Mnemosyne release used in the paper
   and reproduces its 18 BRAMs per kernel.
-* ``CLIQUE``   — greedy clique cover: any number of mutually compatible
-  arrays overlay one unit.  More aggressive than the paper's tool (13
-  BRAMs for the Helmholtz kernel); reported as an ablation.
+* ``CLIQUE``   — exact minimum-BRAM clique cover: any number of mutually
+  compatible arrays overlay one unit.  More aggressive than the paper's
+  tool (12 BRAMs for the Helmholtz kernel); reported as an ablation.
 
 Merged units take the strongest port class of their members and the
 capacity of the largest member (all members overlay at offset 0; liveness
@@ -94,18 +94,38 @@ def _share_matching(config: MnemosyneConfig) -> List[Tuple[str, ...]]:
     return groups
 
 
-_EXACT_CLIQUE_LIMIT = 14  # subset-DP beyond this is too slow; greedy fallback
+#: the cover is exponential in the worst case; the suites top out at 18 arrays
+_MAX_CLIQUE_ARRAYS = 30
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _share_clique(config: MnemosyneConfig) -> List[Tuple[str, ...]]:
-    """Minimum-BRAM clique cover.
+    """Minimum-BRAM clique cover, exact.
 
-    Exact for up to ``_EXACT_CLIQUE_LIMIT`` arrays via subset dynamic
-    programming (``best[mask] = min over clique submasks containing the
-    lowest bit``); greedy first-fit (largest arrays first) beyond that.
+    The best cover of a set (bitmask) of arrays branches on the cliques
+    holding its lowest array, grown through that array's compatible
+    neighbours in the set, and is memoized on the mask.  Ties go to the
+    numerically largest clique.  A clique is skipped when a single-bank
+    array of the set, compatible with all of it, could join it without
+    raising its BRAMs: the grown clique is a larger mask that costs no
+    more, and dropping a single-bank array from another group never
+    raises that group's BRAMs.  (Not so for multi-bank arrays:
+    ``brams_for_unit`` is not monotone in the bank count.)
     """
     arrays = sorted(config.arrays)
     n = len(arrays)
+    if n > _MAX_CLIQUE_ARRAYS:
+        raise MemoryArchitectureError(
+            f"CLIQUE sharing covers at most {_MAX_CLIQUE_ARRAYS} arrays, "
+            f"got {n}"
+        )
     idx = {a: i for i, a in enumerate(arrays)}
     adj = [0] * n
     for e in config.address_space_edges:
@@ -113,61 +133,41 @@ def _share_clique(config: MnemosyneConfig) -> List[Tuple[str, ...]]:
         if a in idx and b in idx:
             adj[idx[a]] |= 1 << idx[b]
             adj[idx[b]] |= 1 << idx[a]
+    single = sum(1 << i for i, a in enumerate(arrays) if config.banks_of(a) == 1)
+    costs: Dict[int, int] = {}
 
-    def group_cost(mask: int) -> int:
-        members = tuple(arrays[i] for i in range(n) if mask & (1 << i))
-        words = max(config.sizes[m] for m in members)
-        banks = max(config.banks_of(m) for m in members)
-        return brams_for_unit(words, _merged_port_class(config, members), banks)
+    def cost(clique: int) -> int:
+        if clique not in costs:
+            members = tuple(arrays[i] for i in _bits(clique))
+            costs[clique] = _unit_for(config, members, 0).brams
+        return costs[clique]
 
-    def is_clique_simple(mask: int) -> bool:
-        bits = [i for i in range(n) if mask & (1 << i)]
-        for x in range(len(bits)):
-            for y in range(x + 1, len(bits)):
-                if not (adj[bits[x]] >> bits[y]) & 1:
-                    return False
-        return True
+    best: Dict[int, Tuple[int, int]] = {0: (0, 0)}  # mask -> (BRAMs, -clique)
 
-    if n <= _EXACT_CLIQUE_LIMIT:
-        full = (1 << n) - 1
-        INF = float("inf")
-        best = [INF] * (full + 1)
-        choice = [0] * (full + 1)
-        best[0] = 0
-        for mask in range(1, full + 1):
-            low = mask & -mask
-            sub = mask
-            while sub:
-                if sub & low and is_clique_simple(sub):
-                    c = group_cost(sub) + best[mask ^ sub]
-                    if c < best[mask]:
-                        best[mask] = c
-                        choice[mask] = sub
-                sub = (sub - 1) & mask
-        groups: List[Tuple[str, ...]] = []
-        mask = full
-        while mask:
-            sub = choice[mask]
-            groups.append(tuple(arrays[i] for i in range(n) if sub & (1 << i)))
-            mask ^= sub
-        return sorted(groups)
+    def solve(mask: int) -> int:
+        if mask not in best:
+            low = (mask & -mask).bit_length() - 1
+            stack = [(1 << low, adj[low] & mask)]
+            options = []
+            while stack:
+                # ``common``: arrays of the mask compatible with all of clique
+                clique, common = stack.pop()
+                brams = cost(clique)
+                if all(cost(clique | 1 << j) > brams for j in _bits(common & single)):
+                    options.append((brams + solve(mask ^ clique), -clique))
+                # grow by higher arrays only, so each clique comes up once
+                for j in _bits(common & -(1 << clique.bit_length())):
+                    stack.append((clique | 1 << j, common & adj[j]))
+            best[mask] = min(options)
+        return best[mask][0]
 
-    # greedy fallback: largest arrays first, extend to a maximal clique
-    order = sorted(config.arrays, key=lambda a: (-config.sizes[a], a))
-    groups = []
-    used: set = set()
-    for a in order:
-        if a in used:
-            continue
-        group = [a]
-        used.add(a)
-        for b in order:
-            if b in used:
-                continue
-            if all((adj[idx[b]] >> idx[m]) & 1 for m in group):
-                group.append(b)
-                used.add(b)
-        groups.append(tuple(sorted(group)))
+    mask = (1 << n) - 1
+    solve(mask)
+    groups: List[Tuple[str, ...]] = []
+    while mask:
+        clique = -best[mask][1]
+        groups.append(tuple(arrays[i] for i in _bits(clique)))
+        mask ^= clique
     return sorted(groups)
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
+from repro.poly.aff import AffExpr
 from repro.poly.dataflow import (
     statement_rar_pairs,
     statement_raw_deps,
@@ -106,29 +107,31 @@ def _choose_statement_order(prog: PolyProgram, options: RescheduleOptions) -> Po
     return best[1]
 
 
+def _access_addresses(prog: PolyProgram, stmt: PolyStatement) -> List[AffExpr]:
+    """Flat address of each access (write first) over the loop dims."""
+    addresses = []
+    for acc in (stmt.write, *stmt.reads):
+        layout = prog.layouts[acc.tensor]
+        dim_names = tuple(f"x{i}" for i in range(len(layout.shape)))
+        addresses.append(layout.aff(dim_names).compose(acc.fn).exprs[0])
+    return addresses
+
+
 def innermost_stride(prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int]) -> List[int]:
     """Stride of each access w.r.t. the innermost loop under ``perm``.
 
     Stride 0 means loop-invariant (fine: a register); 1 means consecutive.
     """
     inner_dim = stmt.loop_dims[perm[-1]]
-    strides: List[int] = []
-    for acc in (stmt.write, *stmt.reads):
-        layout = prog.layouts[acc.tensor]
-        dim_names = tuple(f"x{i}" for i in range(len(layout.shape)))
-        addr = layout.aff(dim_names).compose(acc.fn)  # loop dims -> address
-        strides.append(addr.exprs[0].coeff(inner_dim))
-    return strides
+    return [addr.coeff(inner_dim) for addr in _access_addresses(prog, stmt)]
 
 
-def _consecutivity_cost(
-    prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int], placement: str
-) -> Tuple[int, int]:
-    strides = innermost_stride(prog, stmt, perm)
-    bad = sum(1 for s in strides if s not in (0, 1))
+def _misplaced_reduction(
+    stmt: PolyStatement, perm: Sequence[int], placement: str
+) -> int:
     nd = len(stmt.loop_dims)
     if not stmt.is_reduction or placement == "free":
-        return (bad, 0)
+        return 0
     red_indices = set(range(stmt.out_rank, nd))
     if placement == "innermost":
         # reduction dims must form the innermost contiguous suffix
@@ -136,7 +139,7 @@ def _consecutivity_cost(
         ok = all(p >= nd - len(red_positions) for p in red_positions)
     else:  # "outside": the innermost loop must not be a reduction dim
         ok = perm[-1] not in red_indices
-    return (bad, 0 if ok else 1)
+    return 0 if ok else 1
 
 
 def _choose_loop_orders(prog: PolyProgram, options: RescheduleOptions) -> PolyProgram:
@@ -145,14 +148,21 @@ def _choose_loop_orders(prog: PolyProgram, options: RescheduleOptions) -> PolyPr
         nd = len(s.loop_dims)
         if nd <= 1 or nd > 6:
             continue
+        # strides depend on the innermost loop alone: count the accesses
+        # that are neither invariant nor consecutive once per loop dim
+        addresses = _access_addresses(out, s)
+        bad = [
+            sum(1 for a in addresses if a.coeff(d) not in (0, 1))
+            for d in s.loop_dims
+        ]
         best = None
         for perm in permutations(range(nd)):
-            bad, red = _consecutivity_cost(out, s, perm, options.reduction_placement)
+            red = _misplaced_reduction(s, perm, options.reduction_placement)
             # Reduction placement dominates: PLMs are BRAMs with single-cycle
             # random access, so stride only breaks ties, but a misplaced
             # reduction limits the achievable II (or forbids the register
             # accumulator, depending on the placement policy).
-            key = (red, bad, perm)
+            key = (red, bad[perm[-1]], perm)
             if best is None or key < best:
                 best = key
         assert best is not None

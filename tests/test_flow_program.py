@@ -83,6 +83,31 @@ class TestProgramConstruction:
         with pytest.raises(SystemGenerationError, match="tensor 'v'"):
             p.validate()
 
+    def test_kernel_texts_are_parsed_once(self, monkeypatch):
+        import repro.flow.program as program_module
+        import repro.flow.stages as stages_module
+        from repro.flow.session import Flow
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        real_parse = stages_module.parse_program
+        for module in (program_module, stages_module):
+            monkeypatch.setattr(module, "parse_program", counting_parse)
+        wl = make_workload("smoother", n=N)
+        built = len(parsed)
+        wl.program.validate()
+        SolverLoop(wl.program, carry=wl.carry)
+        assert len(parsed) == built
+        # a text no other test canonicalizes
+        text = inverse_helmholtz_source(N) + "// two flows, one parse\n"
+        Flow(text)
+        Flow(text)
+        assert parsed[built:] == [text]
+
     def test_output_of_one_kernel_can_feed_the_next(self):
         # same name, same shape, different kinds: a legal chain link
         wl = make_workload("helmholtz-gradient", n=N)

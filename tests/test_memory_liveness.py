@@ -8,6 +8,8 @@ from repro.memory import (
     stage_liveness,
 )
 from repro.memory.liveness import arrays_conflict_elementwise
+from repro.mnemosyne import SharingMode, build_memory_subsystem
+from repro.mnemosyne.config import config_from_compat, port_class_assignment
 from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
@@ -126,6 +128,7 @@ class TestCompatibilityGraph:
     def test_clique_groups_cover_all(self):
         prog = helmholtz_poly()
         g = build_compatibility_graph(prog)
-        groups = g.clique_groups()
-        flat = [a for grp in groups for a in grp]
+        config = config_from_compat(g, port_class_assignment(prog))
+        mem = build_memory_subsystem(config, SharingMode.CLIQUE)
+        flat = [a for unit in mem.units for a in unit.members]
         assert sorted(flat) == sorted(g.arrays)

@@ -10,10 +10,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.apps.helmholtz import inverse_helmholtz_program
+from repro.apps.workloads import make_workload
 from repro.errors import MemoryArchitectureError
+from repro.flow import FlowOptions, compile_program
 from repro.mnemosyne import (
     MnemosyneConfig,
     PortClass,
@@ -90,7 +94,7 @@ class TestSharing:
 
     def test_clique_beats_matching(self):
         """Ablation: clique-cover sharing is strictly better than the
-        pairwise tool (13 vs 18 BRAMs for the Helmholtz kernel)."""
+        pairwise tool (12 vs 18 BRAMs for the Helmholtz kernel)."""
         config, _ = helmholtz_config()
         clique = build_memory_subsystem(config, SharingMode.CLIQUE)
         matching = build_memory_subsystem(config, SharingMode.MATCHING)
@@ -188,3 +192,123 @@ def test_matching_groups_do_not_depend_on_the_hash_seed():
         )
         groups.append(proc.stdout)
     assert groups[0] == groups[1]
+
+
+def subset_dp_cover(config):
+    """Oracle: minimum-BRAM clique cover by DP over every submask, taking
+    the numerically largest clique among the cheapest at each mask."""
+    arrays = sorted(config.arrays)
+    n = len(arrays)
+
+    def members(mask):
+        return [arrays[i] for i in range(n) if mask >> i & 1]
+
+    def is_clique(mask):
+        group = members(mask)
+        return all(
+            config.compatible(a, b) for i, a in enumerate(group) for b in group[i + 1:]
+        )
+
+    def cost(mask):
+        group = members(mask)
+        dual = any(
+            config.port_classes[m] is PortClass.ACCELERATOR_AND_SYSTEM for m in group
+        )
+        return brams_for_unit(
+            max(config.sizes[m] for m in group),
+            PortClass.ACCELERATOR_AND_SYSTEM if dual else PortClass.ACCELERATOR_ONLY,
+            max(config.banks_of(m) for m in group),
+        )
+
+    full = (1 << n) - 1
+    best = [0] + [float("inf")] * full
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if sub & low and is_clique(sub):
+                c = cost(sub) + best[mask ^ sub]
+                if c < best[mask]:
+                    best[mask], choice[mask] = c, sub
+            sub = (sub - 1) & mask
+    groups, mask = [], full
+    while mask:
+        groups.append(tuple(members(choice[mask])))
+        mask ^= choice[mask]
+    return sorted(groups)
+
+
+def interval_config(lifetimes, sizes, ports, banks):
+    """Arrays a0, a1, ... compatible when their [first, last] stage
+    lifetimes are disjoint."""
+    arrays = [f"a{i}" for i in range(len(lifetimes))]
+    edges = {
+        frozenset((arrays[i], arrays[j]))
+        for i, (lo_i, hi_i) in enumerate(lifetimes)
+        for j, (lo_j, hi_j) in enumerate(lifetimes)
+        if i < j and (hi_i < lo_j or hi_j < lo_i)
+    }
+    return MnemosyneConfig(
+        arrays=arrays,
+        sizes=dict(zip(arrays, sizes)),
+        word_bits=64,
+        port_classes=dict(zip(arrays, ports)),
+        address_space_edges=edges,
+        banks=dict(zip(arrays, banks)),
+    )
+
+
+@st.composite
+def interval_configs(draw):
+    n = draw(st.integers(1, 10))
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    starts = column(st.integers(0, 8))
+    lengths = column(st.integers(0, 3))
+    return interval_config(
+        [(a, a + d) for a, d in zip(starts, lengths)],
+        column(st.integers(1, 4096)),
+        column(st.sampled_from(list(PortClass))),
+        column(st.sampled_from([1, 2, 3, 4, 6])),
+    )
+
+
+class TestExactCliqueCover:
+    @settings(max_examples=60, deadline=None)
+    @given(interval_configs())
+    # a1 could join a0 for free, but a2 without a1 falls from 4 banks to
+    # 3 and from 4 BRAM to 6: a multi-bank array must not prune a clique
+    @example(interval_config(
+        [(4, 5), (1, 1), (4, 5)],
+        [512, 512, 2048],
+        [PortClass.ACCELERATOR_ONLY] * 3,
+        [4, 4, 3],
+    ))
+    def test_matches_the_subset_dp(self, config):
+        mem = build_memory_subsystem(config, SharingMode.CLIQUE)
+        assert [u.members for u in mem.units] == subset_dp_cover(config)
+
+    @pytest.mark.parametrize("n, brams", [(7, 14), (11, 30)])
+    def test_fused_fem_cfd_gets_the_minimum(self, n, brams):
+        """18 arrays: beyond what a subset DP over every submask affords."""
+        res = compile_program(
+            make_workload("fem-cfd", n=n).program,
+            FlowOptions(sharing=SharingMode.CLIQUE, fusion="auto"),
+        )
+        (result,) = res.results.values()
+        assert len(result.mnemosyne_config.arrays) == 18
+        assert result.memory.brams == brams
+
+    def test_too_many_arrays_is_an_error(self):
+        n = 31  # the exact cover's limit is 30 arrays
+        config = interval_config(
+            [(i, i) for i in range(n)],
+            [512] * n,
+            [PortClass.ACCELERATOR_ONLY] * n,
+            [1] * n,
+        )
+        with pytest.raises(MemoryArchitectureError, match="got 31"):
+            build_memory_subsystem(config, SharingMode.CLIQUE)
