@@ -12,11 +12,12 @@ def make_bench_cache(executor: str):
     """A stage cache matched to the benchmark's executor.
 
     The thread/serial backends share one in-memory cache across rounds;
-    the process backend needs a disk cache as the cross-address-space
-    medium, so it gets a temporary directory that lives for the whole
-    benchmark session (removed at interpreter exit).
+    the out-of-process backends (process/distributed) need a disk cache
+    as the cross-address-space medium, so they get a temporary directory
+    that lives for the whole benchmark session (removed at interpreter
+    exit).
     """
-    if executor != "process":
+    if executor not in ("process", "distributed"):
         return StageCache()
     tmp = tempfile.TemporaryDirectory(prefix="cfdlang-bench-cache-")
     atexit.register(tmp.cleanup)

@@ -27,7 +27,7 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
 #: BENCH_EXECUTOR/BENCH_JOBS point the sweep benches at a specific
-#: compile_many backend (serial/thread/process), e.g. to compare
+#: compile_many backend (serial/thread/process/distributed), e.g. to compare
 #: core-count scaling; the default matches the library default.
 BENCH_EXECUTOR = os.environ.get("BENCH_EXECUTOR", "thread")
 BENCH_JOBS = int(os.environ.get("BENCH_JOBS", "1"))

@@ -14,15 +14,15 @@ maximum-parallelism system and a 50,000-element simulation.
 Pass a directory as the first argument to persist the stage cache there
 (:class:`repro.DiskStageCache`): a second run of this script then reuses
 every artifact across processes — the trace reports the disk hits.
-``--executor process`` runs the CPU-bound front ends on a process pool
+``--executor process`` (a second name for ``distributed``) submits the
+grid's job specs as one job to a broker the sweep starts on loopback and
+runs the CPU-bound front ends on ``--jobs`` spawned worker processes
 (one per degree, deduplicated across workers by lock-file single
 flight), which is where a cold multi-program sweep actually scales with
-cores.  ``--executor distributed`` submits the same job specs as one job
-to a broker the sweep starts: it spawns ``--jobs`` local worker
-processes by default, and with ``--listen HOST:PORT`` the broker binds a
-reachable address so ``cfdlang-flow worker --connect`` processes join
-from anywhere on the network — any fleet of workers drains the grid,
-which is how the sweep scales past one machine.
+cores.  With ``--executor distributed --listen HOST:PORT`` the broker
+binds a reachable address so ``cfdlang-flow worker --connect`` processes
+join from anywhere on the network — any fleet of workers drains the
+grid, which is how the sweep scales past one machine.
 
 With a standing ``cfdlang-flow broker`` running the job service,
 ``--submit`` sends the whole grid off as one durable job and exits

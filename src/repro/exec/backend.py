@@ -45,12 +45,14 @@ class FunctionalRecord:
     Produced by the ``simulate`` stage when an execution backend is
     selected (:attr:`~repro.flow.options.SystemOptions.exec_backend`)
     and surfaced through :class:`~repro.flow.pipeline.FlowResult.
-    functional` and the flow trace metrics.
+    functional` and the flow trace metrics.  ``replayed`` marks a record
+    served from a cache tier: its timing is the run that computed it.
     """
 
     backend: str
     n_elements: int
     seconds: float
+    replayed: bool = False
 
     @property
     def elements_per_sec(self) -> float:
@@ -61,6 +63,7 @@ class FunctionalRecord:
             f"functional[{self.backend}]: {self.n_elements} elements in "
             f"{self.seconds * 1e3:.2f} ms "
             f"({self.elements_per_sec:,.0f} elements/sec)"
+            + (", replayed from cache" if self.replayed else "")
         )
 
 

@@ -17,11 +17,11 @@ recording per-stage timing and cache behavior.  :func:`compile_many`
 batches a whole DSE grid against one shared cache, optionally on a
 thread pool (``jobs=N``) with single-flight deduplication;
 :class:`DiskStageCache` persists the cache across processes.  The
-``process`` and ``distributed`` executors (:mod:`repro.flow.executors`,
-:mod:`repro.flow.distributed`) scale the same batch across cores and
-across hosts — the latter as one job on a compile-service broker
+``process`` executor — a second name for ``distributed``
+(:mod:`repro.flow.distributed`) — scales the same batch across cores
+and across hosts as one job on a compile-service broker
 (:mod:`repro.flow.service`) whose workers connect over TCP
-(:mod:`repro.flow.nettransport`) with no shared mount at all.
+(:mod:`repro.flow.nettransport`), with no shared mount needed.
 """
 
 from repro.flow.options import FlowOptions, SystemOptions
@@ -55,7 +55,6 @@ from repro.flow.store import (
 )
 from repro.flow.executors import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_names,
@@ -115,7 +114,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "DistributedExecutor",
     "Transport",
     "MemoryTransport",

@@ -161,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executor", choices=executor_names(),
                    default=DEFAULT_EXECUTOR,
                    help="execution backend for --sweep: 'thread' shares one "
-                        "in-process cache (default); 'process' scales "
-                        "CPU-bound sweeps across cores through a disk cache; "
-                        "'distributed' runs the sweep as a job on a broker "
-                        "whose worker processes (see the 'worker' "
-                        "subcommand) scale it across hosts; "
+                        "in-process cache (default); 'process' and "
+                        "'distributed' (two names for one backend) run the "
+                        "sweep as a job on a broker whose worker processes "
+                        "(see the 'worker' subcommand) scale it across "
+                        "cores and hosts; "
                         "'service' submits the sweep as a durable job on a "
                         "standing broker (--broker; see also the 'submit' "
                         "verb); 'serial' is the in-order reference")

@@ -1,9 +1,9 @@
-"""Distributed sweep execution: the worker loop and the sweep client.
+"""Out-of-process sweep execution: the worker loop and the sweep client.
 
-The process-pool backend tops out at one host's cores.  This module
-turns ``compile_many`` into a fleet workload on top of the compile
-service (:mod:`repro.flow.service`).  :class:`DistributedExecutor`
-submits the whole batch as one job to a
+Every sweep that leaves the calling process runs here, on top of the
+compile service (:mod:`repro.flow.service`): the ``process`` and
+``distributed`` executors are one backend, :class:`DistributedExecutor`.
+It submits the whole batch as one job to a
 :class:`~repro.flow.service.JobService` — on a broker it starts for the
 sweep, or on a standing ``cfdlang-flow broker`` — and any number of
 worker processes pull design points from that broker over TCP
@@ -16,10 +16,11 @@ caller's cache directory instead).  Results are bit-identical to the
 serial backend.
 
 The job service is the one scheduler.  It leases each point to one
-worker, requeues a point whose lease stops heartbeating (a killed
-worker) with bounded retries — a point that reproducibly kills its
-worker ends as a :class:`WorkerCrashError` in its own slot instead of
-looping forever — applies the ``fail_fast`` rule, and records results.
+worker and requeues a point whose worker died — at once when the
+worker's connection drops, else when its lease stops heartbeating —
+with bounded retries: a point that reproducibly kills its worker ends
+as a :class:`WorkerCrashError` in its own slot instead of looping
+forever.  It also applies the ``fail_fast`` rule and records results.
 This module holds what runs outside it: the worker loop
 (:func:`run_worker`, which heartbeats the running point's lease from a
 background :class:`WorkerPulse`) and the executor, which spawns and
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import pickle
 import secrets
 import shutil
 import socket
@@ -44,6 +46,9 @@ import time
 from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import SystemGenerationError
+from repro.flow.options import FlowOptions
+from repro.flow.program import compile_any
+from repro.flow.session import FlowTrace
 from repro.flow.stages import source_fingerprint
 from repro.flow.store import (
     DEFAULT_LOCK_STALE_SECONDS,
@@ -54,11 +59,23 @@ from repro.flow.store import (
     StageCache,
 )
 
+#: test-only fault injection: when this environment variable holds a
+#: non-empty marker that occurs in a job's source text, the worker about
+#: to run that job hard-exits instead — how the test suite simulates a
+#: worker killed mid-task (OOM, SIGKILL) without racing real signals.
+#: Unset in production; never set it outside a test.
+FAULT_MARKER_ENV = "CFDLANG_FLOW_TEST_FAULT"
+
+#: cache counters whose per-point deltas are merged back into the caller
+_COUNTER_KEYS = (
+    "hits", "memory_hits", "disk_hits", "remote_hits", "misses", "put_errors"
+)
+
 
 class WorkerCrashError(SystemGenerationError):
-    """A job's workers died (lease expired) more times than the retry
-    budget allows; the job's outcome slot holds this instead of a
-    result."""
+    """A point's workers died (connection dropped or lease expired) more
+    times than the retry budget allows; the point's outcome slot holds
+    this instead of a result."""
 
 
 class TransportClosedError(SystemGenerationError):
@@ -83,8 +100,9 @@ def batch_of(job_id: str) -> str:
 class Transport(Protocol):
     """What the worker loop requires of a work queue.
 
-    Messages are primitives-only dicts (JSON-safe); result payloads are
-    opaque dicts the transport ships by pickle.  ``claim_job`` must hand
+    Job messages are primitives-only dicts (JSON-safe); results travel
+    as :func:`encode_result` dicts, which the transport ships by pickle
+    without looking inside.  ``claim_job`` must hand
     each pending job to exactly one concurrent claimer and start its
     lease; ``heartbeat_job`` keeps a claimed job's lease alive;
     ``complete`` posts the result and drops the lease.
@@ -111,6 +129,57 @@ class Transport(Protocol):
 # -- worker ------------------------------------------------------------------
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-pid{os.getpid()}"
+
+
+def maybe_crash_for_test(source_text: str, attempt: int = 0) -> None:
+    """Hard-exit the current process if the fault marker matches — on a
+    job's first attempt only (a crash-once fault), so a requeued job
+    succeeds and a test can assert recovery, not mere error capture."""
+    marker = os.environ.get(FAULT_MARKER_ENV)
+    if marker and attempt == 0 and marker in source_text:
+        os._exit(3)
+
+
+def run_job_spec(spec, cache, flight, worker_tag: str):
+    """Run one design point from its picklable spec against shared state.
+
+    Returns ``(outcome, trace events, cache counter deltas)``; the
+    outcome is the FlowResult (ProgramResult for program text) or the
+    exception the point raised.  Trace events carry ``worker_tag`` after
+    an ``@`` in their origin, so a merged sweep trace records which
+    worker served each stage (:func:`repro.flow.session.origin_kind`
+    strips the tag for aggregation).
+    """
+    source_text, options_spec = spec
+    options = (
+        None if options_spec is None else FlowOptions.from_spec(options_spec)
+    )
+    before = cache.counters()
+    trace = FlowTrace()
+    try:
+        outcome = compile_any(
+            source_text, options, cache=cache, trace=trace, flight=flight
+        )
+    except Exception as exc:  # noqa: BLE001 — captured per job
+        outcome = exc
+    after = cache.counters()
+    deltas = {k: after[k] - before[k] for k in _COUNTER_KEYS}
+    events = [
+        (e.stage, e.seconds, e.cached, f"{e.origin}@{worker_tag}")
+        for e in trace.events
+    ]
+    return outcome, events, deltas
+
+
+def encode_result(payload: Dict[str, object]) -> Dict[str, object]:
+    """The message a point's result travels in: the payload dict pickled
+    once, which the broker stores as the result file unread, plus the
+    ``failed`` flag (fail_fast) and ``deltas`` (cache counters) it reads."""
+    return {
+        "failed": isinstance(payload.get("outcome"), BaseException),
+        "deltas": payload.get("deltas") or {},
+        "result": pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+    }
 
 
 class WorkerPulse:
@@ -183,8 +252,9 @@ def run_worker(
     cache's lock directory, so co-hosted workers never duplicate stage
     work), post the result, repeat.  A background :class:`WorkerPulse`
     keeps the worker's liveness and the running job's lease fresh — if
-    this process dies mid-job, the lease goes stale and the broker
-    requeues the job elsewhere.
+    this process dies mid-job, its broker connection drops (or a hung
+    worker's lease goes stale) and the broker requeues the job
+    elsewhere.
 
     :func:`repro.flow.nettransport.run_tcp_worker` builds the TCP
     transport and broker-backed cache; tests drive a
@@ -199,8 +269,6 @@ def run_worker(
     drain-then-recycle deployments).  Returns the number of jobs
     handled.
     """
-    from repro.flow.executors import maybe_crash_for_test, run_job_spec
-
     worker = worker_id or default_worker_id()
     flight = FileSingleFlight(cache.lock_dir)
     pulse = WorkerPulse(transport, worker, heartbeat_seconds).start()
@@ -243,18 +311,15 @@ def run_worker(
             finally:
                 pulse.job = None
             try:
-                transport.complete(
-                    job_id,
-                    {
-                        "id": job_id,
-                        "index": message.get("index"),
-                        "attempt": message.get("attempt", 0),
-                        "worker": worker,
-                        "outcome": outcome,
-                        "events": events,
-                        "deltas": deltas,
-                    },
-                )
+                transport.complete(job_id, encode_result({
+                    "id": job_id,
+                    "index": message.get("index"),
+                    "attempt": message.get("attempt", 0),
+                    "worker": worker,
+                    "outcome": outcome,
+                    "events": events,
+                    "deltas": deltas,
+                }))
             except TransportClosedError:
                 break  # broker gone mid-post: its lease machinery mops up
             handled += 1
@@ -273,11 +338,12 @@ def run_worker(
 class DistributedExecutor:
     """Broker-and-workers backend: sweep throughput bounded by fleet size.
 
-    ``compile_many(..., executor="distributed", jobs=N)`` submits every
-    design point as one job to a compile service and spawns N local
-    ``cfdlang-flow worker --connect`` processes that drain it, plus any
-    number of external workers attached to the same broker.  Two broker
-    modes:
+    ``compile_many(..., executor="distributed", jobs=N)`` — or
+    ``executor="process"``, a second name for the default mode — submits
+    every design point as one job to a compile service and spawns N
+    local ``cfdlang-flow worker --connect`` processes that drain it, plus
+    any number of external workers attached to the same broker.  Two
+    broker modes:
 
     * default, or ``listen=(host, port)`` — this process starts a broker
       (:func:`~repro.flow.service.start_service_broker`) for the sweep.
@@ -380,8 +446,8 @@ class DistributedExecutor:
             return DiskStageCache(self._scratch("cache"))
         if not isinstance(cache, DiskStageCache):
             raise TypeError(
-                f"executor {self.name!r} serves its stage cache to workers "
-                "from the sweep's broker, which needs a DiskStageCache; pass "
+                "the process/distributed executor serves its stage cache to "
+                "workers from the sweep's broker, which needs a DiskStageCache; pass "
                 "cache=DiskStageCache(dir) or cache=None for a temporary "
                 f"one, not {type(cache).__name__}"
             )

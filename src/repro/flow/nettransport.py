@@ -18,9 +18,10 @@ Three pieces:
   request is a framed message; the first must be a JSON ``hello``
   carrying the shared-secret token (compared constant-time), and only
   authenticated connections may send or receive pickle frames.  A
-  worker's requests double as its heartbeat; a dropped connection
-  unregisters the worker immediately, and its leases expire on the
-  normal clock.
+  worker's requests double as its heartbeat.  A dropped connection
+  unregisters the worker and expires the leases it held at once: a
+  :class:`TcpTransport` never reconnects, so nothing it claimed can
+  still be completed.
 * :class:`TcpTransport` — the client proxy: the worker side of the
   :class:`~repro.flow.distributed.Transport` protocol by RPC (what
   ``cfdlang-flow worker --connect HOST:PORT`` drives), plus the
@@ -73,7 +74,7 @@ from repro.flow.store import DiskStageCache, Entry, namespaced_key
 
 #: bump when the message schema changes incompatibly; hello replies
 #: carry it so mismatched peers fail with a clear error, not a hang
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: refuse frames bigger than this (a corrupt length prefix must not
 #: trigger a multi-gigabyte allocation)
@@ -281,6 +282,16 @@ class MemoryTransport:
         with self._lock:
             self._leases.pop(job_id, None)
 
+    def expire_leases(self, claims: Dict[str, object]) -> None:
+        """Expire at once the leases of ``claims`` (job id -> the attempt
+        claimed), whose holder is gone for good; a lease since re-claimed
+        under a later attempt is left alone."""
+        with self._lock:
+            for job_id, attempt in claims.items():
+                lease = self._leases.get(job_id)
+                if lease is not None and lease[0].get("attempt") == attempt:
+                    lease[1] = float("-inf")
+
     def cancel_pending(self, job_ids: Set[str]) -> Set[str]:
         with self._lock:
             cancelled = set(job_ids) & set(self._queue)
@@ -466,6 +477,8 @@ class BrokerServer:
     def _serve(self, conn: socket.socket) -> None:
         worker_id: Optional[str] = None
         tenant: Optional[str] = None
+        # point id -> attempt, claimed on this connection, not completed
+        claimed: Dict[str, object] = {}
         try:
             hello = recv_frame(conn, allow_pickle=False)
             if isinstance(hello, dict) and hello.get("op") == "hello":
@@ -511,6 +524,10 @@ class BrokerServer:
                     send_frame(conn, {"ok": True})
                     return
                 reply, pickled = self._dispatch(request, worker_id, tenant)
+                if request.get("op") == "claim" and reply.get("job"):
+                    claimed[reply["job"]["id"]] = reply["job"].get("attempt")
+                elif request.get("op") == "complete":
+                    claimed.pop(str(request.get("id")), None)
                 send_frame(conn, reply, pickled=pickled)
         except TransportClosedError:
             pass
@@ -519,6 +536,9 @@ class BrokerServer:
         finally:
             if worker_id:
                 self.transport.unregister_worker(worker_id)
+            # no point this connection claimed can still be completed:
+            # the job service re-leases them on its next tick
+            self.transport.expire_leases(claimed)
             with self._conns_lock:
                 self._conns.discard(conn)
             try:
@@ -569,6 +589,9 @@ class BrokerServer:
             return {"ok": True}, False
         if op == "complete":
             t.complete(str(request["id"]), request["payload"])
+            # resolved before the reply: a fail_fast abort must land
+            # before this worker can claim its next point
+            self.service.collect(str(request["id"]))
             return {"ok": True}, False
         if op == "unregister_worker":
             worker = request.get("worker") or worker_id

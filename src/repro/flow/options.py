@@ -2,7 +2,7 @@
 
 Besides the dataclasses themselves, this module defines their *spec*
 form: a primitives-only dict representation (:meth:`FlowOptions.to_spec`
-/ :meth:`FlowOptions.from_spec`) used by the process-pool executor to
+/ :meth:`FlowOptions.from_spec`) used by the out-of-process executor to
 ship job specs across address spaces without pickling live option
 objects.  Round-tripping through a spec preserves dataclass equality, so
 stage cache keys (which hash option ``repr``\\ s) are identical on both
@@ -193,7 +193,7 @@ class FlowOptions:
         """Rebuild :class:`FlowOptions` from :meth:`to_spec` output.
 
         ``FlowOptions.from_spec(opts.to_spec()) == opts`` for any
-        options value, which is what makes process-pool stage cache keys
+        options value, which is what makes a worker's stage cache keys
         line up with the parent's.
         """
         system = spec["system"]

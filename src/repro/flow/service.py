@@ -18,7 +18,8 @@ Pieces, broker side:
 * :class:`JobService` — the job registry and the only scheduler.
   ``submit`` persists a spec and enqueues one message per design point
   on the broker's :class:`~repro.flow.nettransport.MemoryTransport`; a
-  background scheduler thread collects results, heals expired leases
+  background scheduler thread collects results (the broker resolves a
+  result posted over TCP before it replies), heals expired leases
   with bounded retries (a point whose workers keep dying resolves to
   :class:`~repro.flow.distributed.WorkerCrashError`), applies a
   ``fail_fast`` job's early exit, and finalizes the job when every
@@ -55,7 +56,7 @@ Service directory layout (all writes atomic)::
 
     service/
       jobs/     <job-id>.json        immutable spec: points, tenant, limits
-      results/  <job-id>/<idx>.pkl   per-point payloads as workers post them
+      results/  <job-id>/<idx>.pkl   per-point pickled payloads, as posted
       state/    <job-id>.json        terminal state marker
 
 A job id sorts by submit time (``j<hex-ms><nonce>``), so the transport's
@@ -73,7 +74,7 @@ import uuid
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SystemGenerationError
-from repro.flow.distributed import DistributedExecutor, WorkerCrashError
+from repro.flow.distributed import DistributedExecutor, WorkerCrashError, encode_result
 from repro.flow.store import DEFAULT_LOCK_STALE_SECONDS, atomic_write_bytes
 
 #: job lifecycle states; the last three are terminal
@@ -603,18 +604,31 @@ class JobService:
 
     def _collect(self, job: _JobRecord) -> None:
         for index in job.unresolved():
-            payload = self.transport.take_result(job.point_id(index))
-            if payload is not None:
-                self._resolve(job, index, payload)
+            message = self.transport.take_result(job.point_id(index))
+            if message is not None:
+                self._resolve(job, index, message)
 
-    def _resolve(self, job: _JobRecord, index: int, payload) -> None:
+    def collect(self, point_id: str) -> None:
+        """Resolve one just-posted result now instead of on the next
+        tick (the broker calls this before it acknowledges the post)."""
+        job_id, _, index = point_id.rpartition("-")
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if job is None or not index.isdigit():
+            return  # not a point of this service's jobs
+        message = self.transport.take_result(point_id)
+        if message is not None:
+            self._resolve(job, int(index), message)
+
+    def _resolve(self, job: _JobRecord, index: int, message) -> None:
+        """Record a point's :func:`~repro.flow.distributed.encode_result`
+        message: its pickled payload becomes the result file unread."""
         with self._lock:
             if index in job.resolved or job.state in TERMINAL_STATES:
                 return  # duplicate post, or a cancel/purge won the race
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         path = self._result_path(job.job_id, index)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, data)
+        atomic_write_bytes(path, message["result"])
         with self._lock:
             if index in job.resolved:
                 return  # duplicate post of a re-leased point
@@ -632,7 +646,7 @@ class JobService:
                     pass  # other results remain; purge removes them
                 return
             job.resolved.add(index)
-            if isinstance(payload.get("outcome"), BaseException):
+            if message.get("failed"):
                 job.failed_points += 1
                 if job.fail_fast:
                     # nothing unclaimed may start after a failure (the
@@ -643,7 +657,7 @@ class JobService:
                         job.abandoned.add(pending[pid])
             if job.state == "queued":
                 job.state = "running"
-            deltas = payload.get("deltas")
+            deltas = message.get("deltas")
         if deltas and self.cache is not None:
             self.cache.merge_stats(deltas)
 
@@ -676,17 +690,18 @@ class JobService:
         if index in job.abandoned:
             return
         if attempts >= self.max_attempts:
-            self._resolve(job, index, {
+            self._resolve(job, index, encode_result({
                 "id": job.point_id(index),
                 "index": index,
                 "outcome": WorkerCrashError(
                     f"point {index} of job {job.job_id} lost its worker "
-                    f"{self.max_attempts} times (lease expired after "
-                    f"{self.lease_seconds:.1f}s each); giving up"
+                    f"{self.max_attempts} times (each time its connection "
+                    f"dropped or its lease went {self.lease_seconds:.1f}s "
+                    "without a heartbeat); giving up"
                 ),
                 "events": [],
                 "deltas": {},
-            })
+            }))
         else:
             self._enqueue_point(job, index, attempt=attempts)
 

@@ -15,8 +15,8 @@ actually ran, for how long, and where cache hits came from.
 
 ``compile_many`` wraps this pattern for whole DSE grids: pass ``jobs=N``
 and an ``executor`` (:mod:`repro.flow.executors`) to run points on a
-thread or process pool (single-flight keying keeps concurrent points
-from duplicating stage work, in-process or via lock files) and a
+thread pool or worker processes (single-flight keying keeps concurrent
+points from duplicating stage work, in-process or via lock files) and a
 :class:`~repro.flow.store.DiskStageCache` to reuse artifacts across
 processes.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SystemGenerationError
@@ -51,8 +51,8 @@ class StageEvent:
     ``origin`` says where a hit came from: ``"memory"``, ``"disk"``, or
     ``"remote"`` — a TCP worker served by its broker's cache over the
     wire (empty for stages that actually ran).  Events merged back from
-    a process-pool or distributed worker carry the worker's identity
-    after an ``@`` (``"disk@pid1234"``); :func:`origin_kind` strips the
+    an out-of-process (broker) worker carry the worker's identity
+    after an ``@`` (``"disk@host-pid1234"``); :func:`origin_kind` strips the
     tag.
     """
 
@@ -409,6 +409,11 @@ class Flow:
         else:
             outputs, origin = self._compute_or_fetch(stage, key)
         cached = origin != ""
+        if cached and outputs.get("functional") is not None:
+            # the batch ran when the entry was computed, not now
+            outputs = dict(outputs, functional=replace(
+                outputs["functional"], replayed=True
+            ))
         seconds = time.perf_counter() - t0
         self.state.update(outputs)
         for out in stage.outputs:
@@ -452,9 +457,10 @@ class Flow:
         functional = self.state.get("functional")
         if functional is not None and self.trace is not None:
             self.trace.record_metric("exec-backend", functional.backend)
-            self.trace.record_metric(
-                "elements/sec", round(functional.elements_per_sec, 1)
-            )
+            if not functional.replayed:
+                self.trace.record_metric(
+                    "elements/sec", round(functional.elements_per_sec, 1)
+                )
         return FlowResult(
             options=self.options,
             program=self.state["program"],
@@ -524,14 +530,14 @@ def compile_many(
     ``executor`` picks the backend (:mod:`repro.flow.executors`):
     ``"thread"`` (the default) runs ``jobs > 1`` points on a thread pool
     against the lock-protected shared cache with single-flight keying;
-    ``"process"`` runs them on a process pool for CPU-bound sweeps,
-    sharing artifacts through a :class:`DiskStageCache` (a temporary one
-    if ``cache`` is None) with lock-file single flight; ``"distributed"``
-    (:mod:`repro.flow.distributed`) submits the batch as one job to a
-    compile-service broker — one it starts for the sweep, or a standing
-    ``cfdlang-flow broker`` (``broker=``) — drained by worker processes
-    it spawns plus any attached over TCP from other hosts; ``"serial"``
-    forces the in-order reference semantics.  Every backend computes
+    ``"process"`` and ``"distributed"`` (one backend,
+    :mod:`repro.flow.distributed`) submit the batch as one job to a
+    compile-service broker — one it starts for the sweep, whose workers
+    share a :class:`DiskStageCache` (a temporary one if ``cache`` is
+    None) with lock-file single flight, or a standing ``cfdlang-flow
+    broker`` (``broker=``) — drained by worker processes it spawns plus
+    any attached over TCP from other hosts; ``"serial"`` forces the
+    in-order reference semantics.  Every backend computes
     each needed stage exactly once and produces results identical to the
     sequential run.
 

@@ -18,7 +18,7 @@ Both are safe to share between the worker threads of a parallel
 "first caller computes, everyone else waits" coordination that keeps
 concurrent design points from duplicating stage work, and
 :class:`FileSingleFlight` extends the same protocol across *processes*
-(lock files next to the disk cache) for the process-pool executor.
+(lock files next to the disk cache) for a sweep's worker processes.
 :class:`DiskStageCache` also carries the cache lifecycle machinery
 behind ``cfdlang-flow cache``: ``gc`` by size and age, ``verify`` for
 corrupt-entry detection, and ``apply_gc_policy`` as the automatic
@@ -574,8 +574,8 @@ class DiskStageCache:
     def merge_stats(self, stats: Mapping[str, int]) -> None:
         """Fold another instance's counter deltas into this one.
 
-        The process-pool executor runs workers with their own
-        ``DiskStageCache`` over the same directory; their hit/miss
+        A sweep's worker processes run their own ``DiskStageCache``
+        over the same directory; their hit/miss
         deltas come back here so the parent's :meth:`stats` (and the CLI
         cache line) describe the whole sweep.
         """
@@ -741,7 +741,7 @@ class FileSingleFlight:
     leader per key, followers ``wait`` then re-check the cache — but the
     election medium is a lock file under ``lock_dir`` created with
     ``O_CREAT | O_EXCL`` (atomic on POSIX and NT), so it works between
-    the workers of a process-pool ``compile_many`` sharing one
+    the workers of an out-of-process ``compile_many`` sharing one
     :class:`DiskStageCache`.
 
     Crash safety: a leader that dies without ``finish`` leaves its lock

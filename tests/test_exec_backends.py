@@ -184,6 +184,25 @@ class TestFlowIntegration:
         assert "metrics:" in trace.summary()
         assert "elements/sec" in str(res.functional)
 
+    def test_cache_served_record_is_marked_replayed(self, tmp_path):
+        """A warm run must not present the cold run's timing as fresh."""
+        from repro.flow import DiskStageCache
+
+        opts = FlowOptions(system=SystemOptions(
+            exec_backend="numpy", functional_elements=4
+        ))
+        cache = DiskStageCache(tmp_path)
+        cold = compile_any(APPS["helmholtz"](), opts, cache=cache)
+        trace = FlowTrace()
+        warm = compile_any(APPS["helmholtz"](), opts, cache=cache, trace=trace)
+        assert not cold.functional.replayed
+        assert "replayed" not in str(cold.functional)
+        assert warm.functional.replayed
+        assert str(warm.functional).endswith(", replayed from cache")
+        # a replayed figure is no measurement of this run
+        assert trace.metrics["exec-backend"] == "numpy"
+        assert "elements/sec" not in trace.metrics
+
     def test_no_backend_no_record(self):
         res = compile_any(APPS["helmholtz"]())
         assert res.functional is None

@@ -4,6 +4,7 @@ service (worker death, retries, stall detection), external
 sweeps."""
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -86,8 +87,13 @@ class TestWorkerLoop:
         handled = run_worker(t, DiskStageCache(tmp_path / "cache"),
                              max_jobs=2, worker_id="w-test")
         assert handled == 2
-        r0 = t.take_result("j0")
-        r1 = t.take_result("j1")
+        posted = t.take_result("j0")
+        assert posted["failed"] is False
+        assert posted["deltas"]["misses"] > 0
+        # the payload is pickled once by the worker, for the broker to
+        # store unread
+        r0 = pickle.loads(posted["result"])
+        r1 = pickle.loads(t.take_result("j1")["result"])
         assert r0["worker"] == "w-test"
         assert r0["outcome"].system.k == 16  # default: maximize k
         assert r1["outcome"].system.k == 2
@@ -105,7 +111,9 @@ class TestWorkerLoop:
         t = MemoryTransport()
         t.put_job(message("j0", source="not CFDlang at all"))
         run_worker(t, DiskStageCache(tmp_path), max_jobs=1)
-        assert isinstance(t.take_result("j0")["outcome"], Exception)
+        posted = t.take_result("j0")
+        assert posted["failed"] is True
+        assert isinstance(pickle.loads(posted["result"])["outcome"], Exception)
 
 
 #: the DSE example's grid: degree x sharing strategy (the acceptance

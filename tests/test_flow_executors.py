@@ -64,10 +64,13 @@ class TestExecutorRegistry:
         assert isinstance(get_executor("distributed"), DistributedExecutor)
 
     def test_resolve_accepts_instance_and_none(self):
+        from repro.flow.distributed import DistributedExecutor
+
         backend = get_executor("serial")
         assert resolve_executor(backend) is backend
         assert resolve_executor(None).name == DEFAULT_EXECUTOR
-        assert resolve_executor("process").name == "process"
+        # 'process' is a second name for the broker path
+        assert isinstance(resolve_executor("process"), DistributedExecutor)
 
     def test_compile_many_rejects_unknown_executor(self):
         with pytest.raises(SystemGenerationError, match="unknown executor"):
@@ -305,33 +308,69 @@ INFEASIBLE = (
 
 
 class TestProcessWorkerCrash:
-    """A worker killed mid-task (OOM, signal) must cost its point an
-    exception slot, never the whole sweep (regression: future.result()
-    used to raise out of the drain loop)."""
+    """A worker killed mid-task (OOM, signal) must never cost the whole
+    sweep: its dropped connection re-leases its point at once (no lease
+    window to wait out), and only a point that keeps killing its
+    workers ends as a WorkerCrashError in its own slot."""
 
     def test_crash_does_not_abort_batch(self, monkeypatch):
         monkeypatch.setenv("CFDLANG_FLOW_TEST_FAULT", "CRASH_MARKER")
         crashing = "// CRASH_MARKER\n" + HELMHOLTZ_DSL
         jobs = [(crashing, None)] + SWEEP[:3]
         trace = FlowTrace()
+        t0 = time.monotonic()
         results = compile_many(jobs, jobs=2, executor="process",
                                trace=trace, return_exceptions=True)
-        # the crashed point's slot holds the pool-breakage exception...
-        assert isinstance(results[0], Exception)
-        # ...every other point still completes (re-run on a fresh pool if
-        # it was a casualty of the breakage)...
+        # the crash-once point was re-leased and completed...
+        assert results[0].system is not None
+        # ...every other point completed too...
         assert [r.system.k for r in results[1:]] == [1, 2, 4]
-        # ...and their traces/counters were still merged
-        assert trace.executed_counts()["build-system"] == 3
+        # ...and all four traces/counters were merged
+        assert trace.executed_counts()["build-system"] == 4
+        # the default 30 s lease was never waited out
+        assert time.monotonic() - t0 < 25.0
 
-    def test_crash_slot_is_pool_breakage_error(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
+    def test_crash_slot_is_worker_crash_error(self, monkeypatch):
+        from repro.flow.distributed import DistributedExecutor, WorkerCrashError
 
         monkeypatch.setenv("CFDLANG_FLOW_TEST_FAULT", "CRASH_MARKER")
         crashing = "// CRASH_MARKER\n" + HELMHOLTZ_DSL
         results = compile_many([(crashing, None)], jobs=1,
-                               executor="process", return_exceptions=True)
-        assert isinstance(results[0], BrokenProcessPool)
+                               executor=DistributedExecutor(max_attempts=1),
+                               return_exceptions=True)
+        assert isinstance(results[0], WorkerCrashError)
+        assert "connection dropped" in str(results[0])
+
+    def test_sweep_script_needs_no_main_guard(self, tmp_path):
+        """Workers are `cfdlang-flow worker` processes, not re-imports of
+        the caller's script, so a script without an
+        ``if __name__ == "__main__"`` guard still gets results."""
+        import subprocess
+        import sys
+
+        import repro
+
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "from repro.apps.helmholtz import HELMHOLTZ_DSL\n"
+            "from repro.flow import FlowOptions, SystemOptions, compile_many\n"
+            "jobs = [(HELMHOLTZ_DSL, FlowOptions(system=SystemOptions(k=k, m=k)))\n"
+            "        for k in (1, 2)]\n"
+            "results = compile_many(jobs, executor='process', jobs=2)\n"
+            "print('k =', [r.system.k for r in results])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(repro.__file__)),
+                        env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "k = [1, 2]" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterministicTraceMerge:
@@ -445,17 +484,16 @@ class TestFailFastContract:
             assert out is None or out.system.k in (1, 2, 4)
 
     def test_process_fail_fast_crash_records_single_failure(self, monkeypatch):
-        """A broken pool fails every pending future; under fail_fast only
-        the first failure is recorded — the collateral points keep None,
-        so the raised error points at the actual abort cause."""
+        """A worker's death is not a point failure: under fail_fast the
+        crash-once point is re-leased like any other, so no failure is
+        recorded and every point completes."""
         monkeypatch.setenv("CFDLANG_FLOW_TEST_FAULT", "CRASH_MARKER")
         crashing = "// CRASH_MARKER\n" + HELMHOLTZ_DSL
         jobs = [SWEEP[0], (crashing, None), SWEEP[1]]
         outcomes = self._run("process", jobs, workers=2)
-        assert sum(1 for o in outcomes if isinstance(o, Exception)) == 1
+        assert not any(isinstance(o, Exception) for o in outcomes)
         for out in outcomes:
-            assert (out is None or isinstance(out, Exception)
-                    or out.system is not None)
+            assert out.system is not None
 
     def test_distributed_stops_starting_points_after_failure(self):
         jobs = [(BAD_SOURCE, None)] + SWEEP[:4]

@@ -4,6 +4,7 @@ worker/executor end-to-end equivalence, and the worker CLI failure
 paths."""
 
 import os
+import pickle
 import socket
 import time
 
@@ -227,6 +228,24 @@ class TestBrokerServer:
                 time.sleep(0.01)
             assert server.transport.alive_workers(60.0) == []
 
+    def test_dropped_connection_expires_its_leases_at_once(self, tmp_path):
+        """A TcpTransport never reconnects, so a point its dropped
+        connection claimed can never be completed: the lease expires at
+        once instead of after the lease window."""
+        with serve(tmp_path) as server:
+            server.transport.put_job(message("b-00000"))
+            worker = TcpTransport(
+                server.address, TOKEN, role="worker", worker_id="w1"
+            ).connect()
+            assert worker.claim_job()["id"] == "b-00000"
+            assert server.transport.expired_leases(3600.0) == []
+            worker._sock.close()  # the worker dies: no goodbye
+            deadline = time.monotonic() + 5.0
+            while (not server.transport.expired_leases(3600.0)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert server.transport.expired_leases(3600.0) == ["b-00000"]
+
     def test_lost_connection_stays_lost(self, tmp_path):
         """Once connected, a dropped broker reads as TransportClosedError
         on every later call — never a reconnect-retry stall ending in
@@ -399,8 +418,8 @@ class TestTcpWorkerLoop:
                 max_jobs=2, worker_id="w-tcp",
             )
             assert handled == 2
-            r0 = server.transport.take_result("b-00000")
-            r1 = server.transport.take_result("b-00001")
+            r0 = pickle.loads(server.transport.take_result("b-00000")["result"])
+            r1 = pickle.loads(server.transport.take_result("b-00001")["result"])
         assert r0["worker"] == "w-tcp"
         assert r0["outcome"].system.k == 16  # default: maximize k
         assert r1["outcome"].system.k == 2
@@ -426,7 +445,7 @@ class TestTcpWorkerLoop:
                 server.address, TOKEN, tmp_path / "broker", max_jobs=1,
             )
             assert handled == 1
-            r0 = server.transport.take_result("b-00000")
+            r0 = pickle.loads(server.transport.take_result("b-00000")["result"])
         assert r0["outcome"].system.k == 16
         assert r0["deltas"]["misses"] > 0
         assert broker_cache.stats()["disk_entries"] > 0

@@ -340,7 +340,7 @@ class TestExecutorsAcceptPrograms:
         assert results[2].kernel_names() == ["helmholtz", "update"]
 
     def test_run_job_spec_handles_program_text(self, tmp_path):
-        from repro.flow.executors import run_job_spec
+        from repro.flow.distributed import run_job_spec
         from repro.flow.stages import source_fingerprint
         from repro.flow.store import DiskStageCache
 

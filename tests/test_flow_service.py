@@ -32,6 +32,7 @@ from repro.flow import (
 from repro.flow.distributed import (
     DistributedExecutor,
     WorkerCrashError,
+    encode_result,
     run_worker,
 )
 from repro.flow.nettransport import (
@@ -77,6 +78,11 @@ def result_signature(results):
 
 def payload_signature(payloads):
     return result_signature([p["outcome"] for p in payloads])
+
+
+def posted(outcome):
+    """The message a worker posts for a point that ended in ``outcome``."""
+    return encode_result({"outcome": outcome, "events": [], "deltas": {}})
 
 
 @pytest.fixture(scope="module")
@@ -398,10 +404,7 @@ class TestJobServiceUnit:
         job = service._jobs[job_id]
         service._enqueue_point(job, 0, attempt=1)  # a racing heal
         assert transport.claim_job() is None
-        service._resolve(job, 0, {  # a racing straggler collect
-            "id": job.point_id(0), "index": 0,
-            "outcome": None, "events": [], "deltas": {},
-        })
+        service._resolve(job, 0, posted(None))  # a racing straggler collect
         assert not (service.results_dir / job_id).exists()
 
     def test_fail_fast_job_drops_unclaimed_points(self, tmp_path):
@@ -414,12 +417,10 @@ class TestJobServiceUnit:
             [(HELMHOLTZ_DSL, None)] * 3, fail_fast=True
         )
         first, second = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], {"outcome": ValueError("boom"),
-                                         "events": [], "deltas": {}})
+        transport.complete(first["id"], posted(ValueError("boom")))
         service._tick()
         assert transport.claim_job() is None  # point 2 was dropped
-        transport.complete(second["id"], {"outcome": "ran",
-                                          "events": [], "deltas": {}})
+        transport.complete(second["id"], posted("ran"))
         service._tick()
         status = service.status(job_id)
         assert status["state"] == "failed" and status["failed_points"] == 1
@@ -434,8 +435,7 @@ class TestJobServiceUnit:
         service = JobService(tmp_path, transport, lease_seconds=30.0)
         job_id = service.submit([(HELMHOLTZ_DSL, None)] * 2, fail_fast=True)
         first, second = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], {"outcome": ValueError("boom"),
-                                         "events": [], "deltas": {}})
+        transport.complete(first["id"], posted(ValueError("boom")))
         transport._age_lease(second["id"], 3600.0)  # its worker died
         service._tick()
         service._tick()
@@ -450,8 +450,7 @@ class TestJobServiceUnit:
         service = JobService(tmp_path, transport)
         job_id = service.submit([(HELMHOLTZ_DSL, None)] * 3, fail_fast=True)
         first, _ = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], {"outcome": ValueError("boom"),
-                                         "events": [], "deltas": {}})
+        transport.complete(first["id"], posted(ValueError("boom")))
         service._tick()  # point 1 still running when the broker dies
 
         revived_transport = MemoryTransport()
@@ -477,6 +476,42 @@ class TestJobServiceUnit:
         assert alice.fetch("k") == ({"v": 1}, "memory")
         assert bob.fetch("k") is None  # partitioned
         assert namespaced_key("alice", "k") in backend  # shared store
+
+
+class TestBrokerResolvesPosts:
+    """The broker resolves a result posted over TCP before it replies,
+    with no scheduler tick in between (this service polls once a
+    minute)."""
+
+    @pytest.fixture
+    def rig(self, tmp_path):
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, None, tmp_path / "service",
+            poll_seconds=60.0,
+        )
+        worker = TcpTransport(
+            server.address, TOKEN, role="worker", worker_id="w1"
+        ).connect()
+        try:
+            yield server.service, worker
+        finally:
+            worker.close()
+            server.close()
+
+    def test_fail_fast_lands_before_the_next_claim(self, rig):
+        service, worker = rig
+        service.submit([(HELMHOLTZ_DSL, None)] * 3, fail_fast=True)
+        worker.complete(worker.claim_job()["id"], posted(ValueError("boom")))
+        assert worker.claim_job() is None  # the post itself aborted the job
+
+    def test_result_file_holds_the_posted_bytes(self, rig):
+        service, worker = rig
+        job_id = service.submit([(HELMHOLTZ_DSL, None)])
+        message = posted("ran")
+        worker.complete(worker.claim_job()["id"], message)
+        stored = service.results_dir / job_id / "00000.pkl"
+        assert stored.read_bytes() == message["result"]
+        assert service.status(job_id)["done_points"] == 1
 
 
 # -- restart durability (the tentpole's acceptance path) ----------------------

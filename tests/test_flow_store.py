@@ -6,7 +6,6 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -611,14 +610,14 @@ def _stress_reader(args):
 
 class TestConcurrentWriterStress:
     """Satellite: DiskStageCache gc/eviction and corrupt-entry recovery
-    must survive concurrent writer *processes* (the process-pool
-    executor's actual workload)."""
+    must survive concurrent writer *processes* (the workload of a
+    sweep's workers sharing one cache directory)."""
 
     def test_concurrent_writers_with_gc_churn(self, tmp_path):
-        with ProcessPoolExecutor(max_workers=4, mp_context=_SPAWN) as pool:
-            put_errors = list(pool.map(
+        with _SPAWN.Pool(4) as pool:
+            put_errors = pool.map(
                 _stress_writer, [(str(tmp_path), seed, 40) for seed in range(4)]
-            ))
+            )
         assert put_errors == [0, 0, 0, 0]
         # every surviving entry is readable: atomic writes mean gc races
         # can lose entries (recomputed later) but never corrupt them
@@ -630,15 +629,15 @@ class TestConcurrentWriterStress:
         jobs = [("corrupt", (str(tmp_path), 25)) for _ in range(2)] + [
             ("read", (str(tmp_path), 25)) for _ in range(2)
         ]
-        with ProcessPoolExecutor(max_workers=4, mp_context=_SPAWN) as pool:
-            futures = [
-                pool.submit(
+        with _SPAWN.Pool(4) as pool:
+            pending = [
+                pool.apply_async(
                     _stress_corruptor if kind == "corrupt" else _stress_reader,
-                    args,
+                    (args,),
                 )
                 for kind, args in jobs
             ]
-            results = [f.result() for f in futures]  # raises on any crash
+            results = [r.get(timeout=120) for r in pending]  # raises on any crash
         assert all(r >= 0 for r in results)
         # post-hoc lifecycle repair: verify --fix leaves a clean store
         cache = DiskStageCache(tmp_path)
