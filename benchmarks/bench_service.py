@@ -2,10 +2,10 @@
 round trip through a live TCP broker with an attached worker.
 
 The stage cache is warmed before timing starts, so the measured mean is
-pure service-path latency — RPC framing, job spec persistence, scheduler
-collection, result pickling — not compile time.  This is the number the
-CI gate watches: a regression here slows *every* job the compile farm
-serves, however cheap its points are.
+pure service-path latency — RPC framing, job spec persistence, result
+recording and pickling, scheduler finalization — not compile time.
+This is the number the CI gate watches: a regression here slows *every*
+job the compile farm serves, however cheap its points are.
 """
 
 import threading

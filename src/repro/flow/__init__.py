@@ -71,7 +71,6 @@ from repro.flow.distributed import (
 from repro.flow.nettransport import (
     BrokerAuthError,
     BrokerServer,
-    MemoryTransport,
     RemoteStageCache,
     TcpTransport,
     run_tcp_worker,
@@ -116,7 +115,6 @@ __all__ = [
     "ThreadExecutor",
     "DistributedExecutor",
     "Transport",
-    "MemoryTransport",
     "TcpTransport",
     "BrokerServer",
     "RemoteStageCache",

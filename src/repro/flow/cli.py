@@ -794,6 +794,13 @@ def _fetch_main(args, job) -> int:
                 index, "-", "-", "-",
                 f"program: {len(res)} kernel(s) compiled",
             ))
+        elif res.system is None:
+            rows.append((
+                index, "-", "-", "-",
+                "error: no feasible configuration: a single kernel + "
+                f"memory exceeds the {res.options.resolved_board().name}",
+            ))
+            errors += 1
         else:
             system = res.system
             rows.append((

@@ -89,13 +89,6 @@ class BrokerUnreachableError(SystemGenerationError):
     connect-retry budget."""
 
 
-def batch_of(job_id: str) -> str:
-    """The batch a broker-minted job id belongs to (ids are
-    ``<batch>-<index>``); ids without the separator are their own
-    batch."""
-    return job_id.rsplit("-", 1)[0]
-
-
 @runtime_checkable
 class Transport(Protocol):
     """What the worker loop requires of a work queue.
@@ -107,9 +100,10 @@ class Transport(Protocol):
     lease; ``heartbeat_job`` keeps a claimed job's lease alive;
     ``complete`` posts the result and drops the lease.
     ``heartbeat_worker`` / ``unregister_worker`` are the fleet-liveness
-    side: how a worker proves it exists.  The broker-side queue state is
-    :class:`~repro.flow.nettransport.MemoryTransport`;
-    :class:`~repro.flow.nettransport.TcpTransport` is its remote proxy.
+    side: how a worker proves it exists.  The broker's
+    :class:`~repro.flow.service.JobService` holds the queue and is the
+    in-process transport; :class:`~repro.flow.nettransport.TcpTransport`
+    is its remote proxy.
 
     The contract is pinned by the transport-conformance suite in
     ``tests/test_flow_nettransport.py``.
@@ -258,7 +252,7 @@ def run_worker(
 
     :func:`repro.flow.nettransport.run_tcp_worker` builds the TCP
     transport and broker-backed cache; tests drive a
-    :class:`~repro.flow.nettransport.MemoryTransport` directly.  A
+    :class:`~repro.flow.service.JobService` directly.  A
     transport that reports :class:`TransportClosedError` (its broker
     hung up) ends the loop cleanly rather than erroring: a vanished
     broker means the sweep is over.

@@ -5,23 +5,18 @@ serves both over a length-prefixed socket protocol, so a worker anywhere
 on the network joins the fleet with nothing but an address and a
 shared-secret token.
 
-Three pieces:
+Two pieces:
 
-* :class:`MemoryTransport` — the broker-local queue state: thread-safe
-  claim/lease/result bookkeeping whose leases and worker liveness are
-  monotonic timestamps.  On the broker side only its
-  :class:`~repro.flow.service.JobService` calls it: it enqueues points,
-  collects results, and heals expired leases.
 * :class:`BrokerServer` — a threaded TCP server in front of a
-  :class:`~repro.flow.service.JobService`, its :class:`MemoryTransport`,
-  and the broker's :class:`~repro.flow.store.DiskStageCache`.  Every
-  request is a framed message; the first must be a JSON ``hello``
-  carrying the shared-secret token (compared constant-time), and only
-  authenticated connections may send or receive pickle frames.  A
-  worker's requests double as its heartbeat.  A dropped connection
-  unregisters the worker and expires the leases it held at once: a
-  :class:`TcpTransport` never reconnects, so nothing it claimed can
-  still be completed.
+  :class:`~repro.flow.service.JobService`, which holds the queue, the
+  leases and every result, and the broker's
+  :class:`~repro.flow.store.DiskStageCache`.  Every request is a framed
+  message; the first must be a JSON ``hello`` carrying the
+  shared-secret token (compared constant-time), and only authenticated
+  connections may send or receive pickle frames.  A worker's requests
+  double as its heartbeat.  A dropped connection unregisters the worker
+  and expires the leases it held at once: a :class:`TcpTransport`
+  never reconnects, so nothing it claimed can still be completed.
 * :class:`TcpTransport` — the client proxy: the worker side of the
   :class:`~repro.flow.distributed.Transport` protocol by RPC (what
   ``cfdlang-flow worker --connect HOST:PORT`` drives), plus the
@@ -66,7 +61,6 @@ from repro.errors import SystemGenerationError
 from repro.flow.distributed import (
     BrokerUnreachableError,
     TransportClosedError,
-    batch_of,
     default_worker_id,
     run_worker,
 )
@@ -204,151 +198,10 @@ def recv_frame(sock: socket.socket, *, allow_pickle: bool):
     raise TransportClosedError(f"unknown frame tag {tag}")
 
 
-# -- broker-local state -------------------------------------------------------
-class MemoryTransport:
-    """The queue state a :class:`BrokerServer` owns: the worker side of
-    the :class:`~repro.flow.distributed.Transport` protocol plus the
-    broker side its :class:`~repro.flow.service.JobService` drives.
-
-    Claiming starts a lease clock (``time.monotonic``),
-    ``heartbeat_job`` advances it, ``expired_leases`` compares it
-    against the broker's lease window.  All methods are thread-safe (the
-    server handles each connection on its own thread).  Jobs claim in
-    sorted-id order, so time-sortable job ids drain first-come
-    first-served.
-    """
-
-    _TOMBSTONE_TTL_SECONDS = 86400.0
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._queue: Dict[str, Dict[str, object]] = {}
-        #: job id -> [message, last heartbeat (monotonic)]
-        self._leases: Dict[str, List[object]] = {}
-        self._results: Dict[str, Dict[str, object]] = {}
-        #: worker id -> last heartbeat (monotonic)
-        self._workers: Dict[str, float] = {}
-        #: batch id -> tombstone time (monotonic)
-        self._done: Dict[str, float] = {}
-
-    # -- job side ------------------------------------------------------------
-    def put_job(self, message: Dict[str, object]) -> None:
-        with self._lock:
-            self._queue[str(message["id"])] = dict(message)
-
-    def claim_job(self) -> Optional[Dict[str, object]]:
-        with self._lock:
-            if not self._queue:
-                return None
-            job_id = min(self._queue)
-            message = self._queue.pop(job_id)
-            self._leases[job_id] = [message, time.monotonic()]
-            return dict(message)
-
-    def heartbeat_job(self, job_id: str) -> None:
-        with self._lock:
-            lease = self._leases.get(job_id)
-            if lease is not None:
-                lease[1] = time.monotonic()
-
-    def complete(self, job_id: str, payload: Dict[str, object]) -> None:
-        with self._lock:
-            if batch_of(job_id) in self._done:
-                # the broker closed this batch: a straggler result would
-                # sit unconsumed forever
-                self._leases.pop(job_id, None)
-                return
-            self._results[job_id] = payload
-            self._leases.pop(job_id, None)
-
-    def take_result(self, job_id: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            return self._results.pop(job_id, None)
-
-    def expired_leases(self, lease_seconds: float) -> List[str]:
-        now = time.monotonic()
-        expired = []
-        with self._lock:
-            for job_id in sorted(self._leases):
-                if batch_of(job_id) in self._done or job_id in self._results:
-                    # closed batch, or completed with a dangling lease
-                    del self._leases[job_id]
-                    continue
-                if now - self._leases[job_id][1] >= lease_seconds:
-                    expired.append(job_id)
-        return expired
-
-    def release(self, job_id: str) -> None:
-        with self._lock:
-            self._leases.pop(job_id, None)
-
-    def expire_leases(self, claims: Dict[str, object]) -> None:
-        """Expire at once the leases of ``claims`` (job id -> the attempt
-        claimed), whose holder is gone for good; a lease since re-claimed
-        under a later attempt is left alone."""
-        with self._lock:
-            for job_id, attempt in claims.items():
-                lease = self._leases.get(job_id)
-                if lease is not None and lease[0].get("attempt") == attempt:
-                    lease[1] = float("-inf")
-
-    def cancel_pending(self, job_ids: Set[str]) -> Set[str]:
-        with self._lock:
-            cancelled = set(job_ids) & set(self._queue)
-            for job_id in cancelled:
-                del self._queue[job_id]
-            return cancelled
-
-    # -- batch tombstones ----------------------------------------------------
-    def mark_batch_done(self, batch_id: str) -> None:
-        """Close a batch: later results for it are dropped on arrival,
-        and strays already posted (a re-leased point completing twice)
-        are discarded now."""
-        now = time.monotonic()
-        with self._lock:
-            self._done[batch_id] = now
-            for job_id in [j for j in self._results if batch_of(j) == batch_id]:
-                del self._results[job_id]
-            for batch in list(self._done):
-                if now - self._done[batch] >= self._TOMBSTONE_TTL_SECONDS:
-                    del self._done[batch]
-
-    # -- worker liveness -----------------------------------------------------
-    def heartbeat_worker(self, worker_id: str) -> None:
-        with self._lock:
-            self._workers[worker_id] = time.monotonic()
-
-    def unregister_worker(self, worker_id: str) -> None:
-        with self._lock:
-            self._workers.pop(worker_id, None)
-
-    def alive_workers(self, stale_seconds: float) -> List[str]:
-        now = time.monotonic()
-        with self._lock:
-            return sorted(
-                w for w, ts in self._workers.items()
-                if now - ts < stale_seconds
-            )
-
-    # -- test hooks ----------------------------------------------------------
-    def _age_lease(self, job_id: str, seconds: float) -> None:
-        """Rewind a lease's heartbeat (conformance tests simulate a dead
-        worker without waiting out a real lease window)."""
-        with self._lock:
-            lease = self._leases.get(job_id)
-            if lease is not None:
-                lease[1] -= seconds
-
-    def _age_worker(self, worker_id: str, seconds: float) -> None:
-        with self._lock:
-            if worker_id in self._workers:
-                self._workers[worker_id] -= seconds
-
-
 # -- broker server ------------------------------------------------------------
 class BrokerServer:
-    """Threaded TCP front end over a job service, its
-    :class:`MemoryTransport`, and its cache.
+    """Threaded TCP front end over a job service and its cache: the
+    worker ops of each connection go straight to the service.
 
     One accept thread plus one thread per connection — fleets here are
     tens of workers, not thousands.  ``address`` is the bound (host,
@@ -374,10 +227,10 @@ class BrokerServer:
             )
         self.token = token
         #: the :class:`~repro.flow.service.JobService` (duck-typed: this
-        #: module never imports service, which imports it) — routes
-        #: submit/status/fetch/cancel RPCs and is stopped by close()
+        #: module never imports service, which imports it) — serves the
+        #: worker ops and the submit/status/fetch/cancel RPCs, and is
+        #: stopped by close()
         self.service = service
-        self.transport: MemoryTransport = service.transport
         self.cache: Optional[DiskStageCache] = service.cache
         #: extra shared secrets: tenant name -> token.  A tenant
         #: connection's cache RPCs and submitted jobs are confined to
@@ -410,7 +263,7 @@ class BrokerServer:
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         self._closing.set()
-        self.service.stop()  # scheduler first: no new puts mid-teardown
+        self.service.stop()  # scheduler first: no requeues mid-teardown
         try:
             # close() alone does not wake a thread blocked in accept();
             # shutdown() does, so the join below returns at once
@@ -509,7 +362,7 @@ class BrokerServer:
                     return
                 worker_id = str(hello.get("worker") or "")
                 if worker_id:
-                    self.transport.heartbeat_worker(worker_id)
+                    self.service.heartbeat_worker(worker_id)
             send_frame(conn, {
                 "ok": True,
                 "version": PROTOCOL_VERSION,
@@ -535,10 +388,10 @@ class BrokerServer:
             pass
         finally:
             if worker_id:
-                self.transport.unregister_worker(worker_id)
+                self.service.unregister_worker(worker_id)
             # no point this connection claimed can still be completed:
             # the job service re-leases them on its next tick
-            self.transport.expire_leases(claimed)
+            self.service.expire_leases(claimed)
             with self._conns_lock:
                 self._conns.discard(conn)
             try:
@@ -552,10 +405,10 @@ class BrokerServer:
         ``tenant`` is the connection's authenticated tenant: its cache
         RPCs are confined to that namespace of the shared store, and the
         service stamps its jobs so workers compute into it too."""
-        t = self.transport
+        service = self.service
         op = request.get("op")
         if worker_id:
-            t.heartbeat_worker(worker_id)
+            service.heartbeat_worker(worker_id)
         if tenant and op not in TENANT_OPS:
             # tenant isolation: the worker surface could pop another
             # tenant's queued point (leaking its source) or post a forged
@@ -567,36 +420,35 @@ class BrokerServer:
                          "cancel their own, and use their cache namespace",
             }, False
         if op in ("submit", "job_status", "job_fetch", "job_cancel"):
-            return self.service.handle_rpc(op, request, tenant)
+            return service.handle_rpc(op, request, tenant)
         if op == "service_stats":
             stats: Dict[str, object] = {
-                "workers": t.alive_workers(
+                "workers": service.alive_workers(
                     float(request.get("stale_seconds", 60.0))
                 ),
             }
             if self.cache is not None:
                 stats["cache"] = self.cache.counters()
-            stats.update(self.service.stats())
+            stats.update(service.stats())
             return {"ok": True, "stats": stats}, False
         if op == "claim":
-            return {"job": t.claim_job()}, False
+            return {"job": service.claim_job()}, False
         if op == "heartbeat":
             worker = request.get("worker") or worker_id
             if worker:
-                t.heartbeat_worker(str(worker))
+                service.heartbeat_worker(str(worker))
             if request.get("job"):
-                t.heartbeat_job(str(request["job"]))
+                service.heartbeat_job(str(request["job"]))
             return {"ok": True}, False
         if op == "complete":
-            t.complete(str(request["id"]), request["payload"])
-            # resolved before the reply: a fail_fast abort must land
+            # recorded before the reply: a fail_fast abort must land
             # before this worker can claim its next point
-            self.service.collect(str(request["id"]))
+            service.complete(str(request["id"]), request["payload"])
             return {"ok": True}, False
         if op == "unregister_worker":
             worker = request.get("worker") or worker_id
             if worker:
-                t.unregister_worker(str(worker))
+                service.unregister_worker(str(worker))
             return {"ok": True}, False
         if op == "cache_fetch":
             key = namespaced_key(tenant, str(request["key"]))

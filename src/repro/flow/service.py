@@ -15,15 +15,17 @@ standing one) and waits for its job like any other client.
 
 Pieces, broker side:
 
-* :class:`JobService` — the job registry and the only scheduler.
-  ``submit`` persists a spec and enqueues one message per design point
-  on the broker's :class:`~repro.flow.nettransport.MemoryTransport`; a
-  background scheduler thread collects results (the broker resolves a
-  result posted over TCP before it replies), heals expired leases
-  with bounded retries (a point whose workers keep dying resolves to
-  :class:`~repro.flow.distributed.WorkerCrashError`), applies a
-  ``fail_fast`` job's early exit, and finalizes the job when every
-  point is resolved.  Admission control bounds the queue: over
+* :class:`JobService` — the job registry, the queue workers drain, and
+  the only scheduler: one object under one lock owns each point from
+  submit to result.  ``submit`` persists a spec and queues one message
+  per design point; workers claim them (the worker side of the
+  :class:`~repro.flow.distributed.Transport` protocol, in process or
+  through the broker) and each posted result is recorded at once.  A
+  background scheduler thread heals expired leases with bounded
+  retries (a point whose workers keep dying resolves to
+  :class:`~repro.flow.distributed.WorkerCrashError`) and finalizes a
+  job when every point is resolved; a ``fail_fast`` job's first failed
+  point drops its queued points.  Admission control bounds the queue: over
   ``max_jobs`` unfinished jobs (or ``max_tenant_jobs`` for one token) a
   submit is refused with :class:`BrokerBusyError` instead of growing the
   backlog — clients degrade gracefully, they never stall.  Retention
@@ -59,7 +61,7 @@ Service directory layout (all writes atomic)::
       results/  <job-id>/<idx>.pkl   per-point pickled payloads, as posted
       state/    <job-id>.json        terminal state marker
 
-A job id sorts by submit time (``j<hex-ms><nonce>``), so the transport's
+A job id sorts by submit time (``j<hex-ms><nonce>``), so the service's
 sorted-id claim order drains jobs first-come-first-served.
 """
 
@@ -95,10 +97,9 @@ def mint_job_id() -> str:
     """A fresh job id that sorts by submit time.
 
     Milliseconds since the epoch in fixed-width hex, plus a nonce:
-    transports claim pending points in sorted-id order, so time-sortable
+    workers claim pending points in sorted-id order, so time-sortable
     ids make the whole service drain first-come-first-served.  No ``-``
-    may appear — point ids are ``<job>-<idx>`` and
-    :func:`~repro.flow.distributed.batch_of` splits on the last dash.
+    may appear — point ids are ``<job>-<idx>``, split on the last dash.
     """
     return f"j{int(time.time() * 1000):012x}{uuid.uuid4().hex[:8]}"
 
@@ -150,18 +151,22 @@ class _JobRecord:
 
 
 class JobService:
-    """Durable job lifecycle for a broker, and the only scheduler of
-    remote sweeps.
+    """Durable job lifecycle for a broker, the queue its workers drain,
+    and the only scheduler of remote sweeps.
 
-    Owns a service directory and the
-    :class:`~repro.flow.nettransport.MemoryTransport` the broker's
-    workers drain.  ``start()`` launches the scheduler thread (result
-    collection, lease healing, fail_fast aborts, finalization) and
-    ``stop()`` joins it; :class:`~repro.flow.nettransport.BrokerServer`
-    calls ``stop()`` from its own ``close()``.  Construction recovers
-    state from the service directory:
-    jobs already terminal stay terminal, everything else has its
-    unfinished points re-enqueued — the restart-durability contract.
+    Owns a service directory and, under one lock, every point's state:
+    queued (a worker message by point id), leased (the message and its
+    last heartbeat, ``time.monotonic``), resolved (a result file).  It
+    is the in-process :class:`~repro.flow.distributed.Transport`:
+    workers claim the smallest queued point id first, so time-sortable
+    job ids drain first-come first-served, and ``complete`` records a
+    result at once.  :class:`~repro.flow.nettransport.BrokerServer`
+    hands it the worker ops of its connections.  ``start()`` launches
+    the scheduler thread (lease healing, finalization, retention) and
+    ``stop()`` joins it; the broker calls ``stop()`` from its own
+    ``close()``.  Construction recovers state from the service
+    directory: jobs already terminal stay terminal, everything else has
+    its unfinished points re-enqueued — the restart-durability contract.
 
     All public methods are thread-safe (the broker serves each
     connection on its own thread) and keyed by tenant: a job submitted
@@ -172,7 +177,6 @@ class JobService:
     def __init__(
         self,
         service_dir,
-        transport,
         cache=None,
         *,
         lease_seconds: float = 30.0,
@@ -188,7 +192,6 @@ class JobService:
         self.state_dir = self.service_dir / "state"
         for sub in (self.jobs_dir, self.results_dir, self.state_dir):
             sub.mkdir(parents=True, exist_ok=True)
-        self.transport = transport
         self.cache = cache
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
@@ -197,11 +200,17 @@ class JobService:
         self.poll_seconds = poll_seconds
         #: a standing broker must not hoard finished jobs forever: a
         #: terminal job older than this is purged (spec, results, and
-        #: the in-memory record) by the scheduler, like the transport's
-        #: tombstone TTL.  Clients get a full window to fetch.
+        #: the in-memory record) by the scheduler.  Clients get a full
+        #: window to fetch.
         self.terminal_ttl_seconds = terminal_ttl_seconds
         self._lock = threading.Lock()
         self._jobs: Dict[str, _JobRecord] = {}
+        #: point id -> worker message, not yet claimed
+        self._pending: Dict[str, Dict[str, object]] = {}
+        #: point id -> [message, last heartbeat (monotonic)]
+        self._leases: Dict[str, List[object]] = {}
+        #: worker id -> last heartbeat (monotonic)
+        self._workers: Dict[str, float] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._recover()
@@ -247,8 +256,9 @@ class JobService:
 
         Results already on disk stay resolved; everything else in a
         non-terminal job is re-enqueued from the persisted spec — the
-        transport behind a restarted broker starts empty, so the spec
-        files are the only queue that survives.
+        queue lives in memory, so the spec files are the only queue that
+        survives.  A result file of a non-terminal job that does not
+        load is deleted and its point runs again.
         """
         for spec_path in sorted(self.jobs_dir.glob("*.json")):
             try:
@@ -273,8 +283,14 @@ class JobService:
                     index = int(path.stem)
                 except ValueError:
                     continue
+                payload = self._load_result(path)
+                if payload is None and state not in TERMINAL_STATES:
+                    try:
+                        path.unlink()  # damaged: the point runs again
+                    except OSError:
+                        pass
+                    continue
                 job.resolved.add(index)
-                payload = self._load_result(job.job_id, index)
                 if payload is not None and isinstance(
                     payload.get("outcome"), BaseException
                 ):
@@ -294,9 +310,10 @@ class JobService:
             self._jobs[job.job_id] = job
 
     def _enqueue_point(self, job: _JobRecord, index: int, attempt: int) -> None:
+        """Queue a point for the workers (the lock is held)."""
         if job.state in TERMINAL_STATES:
-            # a cancel raced us; its tombstone would drop the result
-            # anyway, so don't burn a worker on a dead job's point
+            # a cancel raced us: its result would be dropped anyway, so
+            # don't burn a worker on a dead job's point
             return
         source, options_spec = job.points[index]
         message = {
@@ -310,14 +327,18 @@ class JobService:
             # workers compute this point inside the submitting tenant's
             # cache namespace (see run_worker)
             message["namespace"] = job.tenant
-        self.transport.put_job(message)
+        self._pending[message["id"]] = message
 
-    def _load_result(self, job_id: str, index: int):
+    @staticmethod
+    def _load_result(path: pathlib.Path):
+        """A stored payload dict, or None if the file is missing or does
+        not load (truncated, or naming a class that no longer imports)."""
         try:
-            with open(self._result_path(job_id, index), "rb") as f:
-                return pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            with open(path, "rb") as f:
+                payload = pickle.load(f)
+        except Exception:  # noqa: BLE001 — any unpickling failure is damage
             return None
+        return payload if isinstance(payload, dict) else None
 
     # -- client API (also reachable as RPCs via handle_rpc) ------------------
     def submit(self, points, tenant: str = "", fail_fast: bool = False) -> str:
@@ -376,8 +397,7 @@ class JobService:
             # enqueue before releasing the lock: a cancel racing this
             # submit must either see no job yet or find every point in
             # the queue, never a half-enqueued job whose remaining
-            # points it cannot drop (put_job is cheap — the broker's
-            # transport is in-memory)
+            # points it cannot drop
             for index in range(len(points)):
                 self._enqueue_point(job, index, attempt=0)
         return job.job_id
@@ -411,11 +431,13 @@ class JobService:
         """The per-point result payloads of a terminal job, in point
         order from point ``start`` on.
 
-        Slots a cancelled job never ran hold None.  With ``max_bytes``
-        the list stops before the stored payloads would exceed that many
-        bytes (it always holds at least one slot), so a fetch reply
-        stays within a frame.  Non-destructive: a fetched job stays
-        fetchable until cancelled (which purges it).
+        Slots a cancelled job never ran hold None.  A resolved point
+        whose stored file does not load gets a payload whose outcome is
+        a :class:`~repro.errors.SystemGenerationError` naming the file.
+        With ``max_bytes`` the list stops before the stored payloads
+        would exceed that many bytes (it always holds at least one
+        slot), so a fetch reply stays within a frame.  Non-destructive:
+        a fetched job stays fetchable until cancelled (which purges it).
         """
         with self._lock:
             job = self._get(job_id, tenant)
@@ -430,16 +452,21 @@ class JobService:
                 if index not in job.resolved:
                     payloads.append(None)
                     continue
+                path = self._result_path(job.job_id, index)
                 if max_bytes is not None:
                     try:
-                        size += self._result_path(
-                            job.job_id, index
-                        ).stat().st_size
+                        size += path.stat().st_size
                     except OSError:
                         pass
                     if payloads and size > max_bytes:
                         break
-                payloads.append(self._load_result(job.job_id, index))
+                payload = self._load_result(path)
+                if payload is None:
+                    payload = {"outcome": SystemGenerationError(
+                        f"job {job.job_id}: the stored result of point "
+                        f"{index} ({path}) does not load"
+                    ), "events": [], "deltas": {}}
+                payloads.append(payload)
             return payloads
 
     def cancel(self, job_id: str, tenant: str = "") -> Dict[str, object]:
@@ -455,14 +482,16 @@ class JobService:
             job.state = "cancelled"
             job.finished = time.time()
             self._persist_state(job)
-            unresolved = {job.point_id(i) for i in job.unresolved()}
-        # a tombstone drops in-flight straggler results; cancel_pending
-        # drops the never-claimed
-        self.transport.mark_batch_done(job.job_id)
-        self.transport.cancel_pending(unresolved)
-        for pid in unresolved:
-            self.transport.release(pid)
+            self._drop_pending(job)
         return {"job": job.job_id, "state": "cancelled", "purged": False}
+
+    def _drop_pending(self, job: _JobRecord) -> List[int]:
+        """Drop ``job``'s unclaimed points from the queue (the lock is
+        held); returns their indexes."""
+        return [
+            index for index in job.unresolved()
+            if self._pending.pop(job.point_id(index), None) is not None
+        ]
 
     def _purge(self, job: _JobRecord) -> None:
         for index in range(len(job.points)):
@@ -567,24 +596,105 @@ class JobService:
             }, False
         return {"ok": False, "error": f"unknown service op {op!r}"}, False
 
+    # -- worker side: the Transport protocol ---------------------------------
+    def claim_job(self) -> Optional[Dict[str, object]]:
+        """Lease the queued point with the smallest id, or None."""
+        with self._lock:
+            if not self._pending:
+                return None
+            point_id = min(self._pending)
+            message = self._pending.pop(point_id)
+            self._leases[point_id] = [message, time.monotonic()]
+            return dict(message)
+
+    def heartbeat_job(self, point_id: str) -> None:
+        with self._lock:
+            lease = self._leases.get(point_id)
+            if lease is not None:
+                lease[1] = time.monotonic()
+
+    def complete(self, point_id: str, message: Dict[str, object]) -> None:
+        """Record a point's :func:`~repro.flow.distributed.encode_result`
+        message at once; a post for no unresolved point of a live job
+        (an unknown id, a finished or cancelled job, a duplicate) is
+        dropped.  The lease goes only after that: a post that fails to
+        record (a full disk) leaves it to expire and be re-leased."""
+        job_id, _, index = str(point_id).rpartition("-")
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if (job is not None and index.isdigit()
+                and int(index) < len(job.points)):
+            self._resolve(job, int(index), message)
+        with self._lock:
+            self._leases.pop(str(point_id), None)
+
+    def heartbeat_worker(self, worker_id: str) -> None:
+        with self._lock:
+            self._workers[worker_id] = time.monotonic()
+
+    def unregister_worker(self, worker_id: str) -> None:
+        with self._lock:
+            self._workers.pop(worker_id, None)
+
+    def alive_workers(self, stale_seconds: float) -> List[str]:
+        now = time.monotonic()
+        with self._lock:
+            return sorted(
+                w for w, ts in self._workers.items()
+                if now - ts < stale_seconds
+            )
+
+    def expire_leases(self, claims: Dict[str, object]) -> None:
+        """Expire at once the leases of ``claims`` (point id -> the
+        attempt claimed), whose holder is gone for good; a lease since
+        re-claimed under a later attempt is left alone."""
+        with self._lock:
+            for point_id, attempt in claims.items():
+                lease = self._leases.get(point_id)
+                if lease is not None and lease[0].get("attempt") == attempt:
+                    lease[1] = float("-inf")
+
+    def _age_lease(self, point_id: str, seconds: float) -> None:
+        """Rewind a lease's heartbeat (tests simulate a dead worker
+        without waiting out a real lease window)."""
+        with self._lock:
+            lease = self._leases.get(point_id)
+            if lease is not None:
+                lease[1] -= seconds
+
+    def _age_worker(self, worker_id: str, seconds: float) -> None:
+        with self._lock:
+            if worker_id in self._workers:
+                self._workers[worker_id] -= seconds
+
     # -- scheduler -----------------------------------------------------------
     def _run(self) -> None:
         while not self._stop.wait(self.poll_seconds):
             try:
                 self._tick()
             except Exception:  # noqa: BLE001 — the scheduler must survive
-                # transient transport trouble; jobs heal on the next tick
+                # transient trouble (a full disk); jobs heal next tick
                 pass
 
     def _tick(self) -> None:
+        """Heal the leases, finalize finished jobs, purge expired ones.
+        The work follows the leases and the jobs, never the queue."""
+        now = time.monotonic()
+        lost: List[Tuple[_JobRecord, int]] = []
         with self._lock:
+            for point_id, (message, beat) in list(self._leases.items()):
+                job = self._jobs.get(point_id.rpartition("-")[0])
+                if job is None or job.state in TERMINAL_STATES:
+                    del self._leases[point_id]  # a finished job's straggler
+                elif now - beat >= self.lease_seconds:
+                    del self._leases[point_id]
+                    lost.append((job, int(message["index"])))
             live = [
                 j for j in self._jobs.values()
                 if j.state not in TERMINAL_STATES
             ]
-        for job in live:
-            self._collect(job)
-        self._heal_leases(live)
+        for job, index in lost:
+            self._burn_attempt(job, index)
         for job in live:
             self._maybe_finalize(job)
         self._expire_terminal()
@@ -602,35 +712,18 @@ class JobService:
             for job in expired:
                 self._purge(job)
 
-    def _collect(self, job: _JobRecord) -> None:
-        for index in job.unresolved():
-            message = self.transport.take_result(job.point_id(index))
-            if message is not None:
-                self._resolve(job, index, message)
-
-    def collect(self, point_id: str) -> None:
-        """Resolve one just-posted result now instead of on the next
-        tick (the broker calls this before it acknowledges the post)."""
-        job_id, _, index = point_id.rpartition("-")
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None or not index.isdigit():
-            return  # not a point of this service's jobs
-        message = self.transport.take_result(point_id)
-        if message is not None:
-            self._resolve(job, int(index), message)
-
     def _resolve(self, job: _JobRecord, index: int, message) -> None:
         """Record a point's :func:`~repro.flow.distributed.encode_result`
         message: its pickled payload becomes the result file unread."""
         with self._lock:
-            if index in job.resolved or job.state in TERMINAL_STATES:
+            if (index in job.resolved or index in job.abandoned
+                    or job.state in TERMINAL_STATES):
                 return  # duplicate post, or a cancel/purge won the race
         path = self._result_path(job.job_id, index)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, message["result"])
         with self._lock:
-            if index in job.resolved:
+            if index in job.resolved or index in job.abandoned:
                 return  # duplicate post of a re-leased point
             if job.state in TERMINAL_STATES:
                 # cancelled (maybe purged) while the payload was being
@@ -646,33 +739,20 @@ class JobService:
                     pass  # other results remain; purge removes them
                 return
             job.resolved.add(index)
+            # a requeued copy of the point need not run again
+            self._pending.pop(job.point_id(index), None)
             if message.get("failed"):
                 job.failed_points += 1
                 if job.fail_fast:
                     # nothing unclaimed may start after a failure (the
                     # scheduler thread is the only requeuer, and it
                     # abandons instead of requeueing from here on)
-                    pending = {job.point_id(i): i for i in job.unresolved()}
-                    for pid in self.transport.cancel_pending(set(pending)):
-                        job.abandoned.add(pending[pid])
+                    job.abandoned.update(self._drop_pending(job))
             if job.state == "queued":
                 job.state = "running"
             deltas = message.get("deltas")
         if deltas and self.cache is not None:
             self.cache.merge_stats(deltas)
-
-    def _heal_leases(self, live: List[_JobRecord]) -> None:
-        by_pid: Dict[str, Tuple[_JobRecord, int]] = {}
-        for job in live:
-            for index in job.unresolved():
-                by_pid[job.point_id(index)] = (job, index)
-        if not by_pid:
-            return
-        for pid in self.transport.expired_leases(self.lease_seconds):
-            hit = by_pid.get(pid)
-            if hit is None:
-                continue  # another batch's lease (a live attached sweep)
-            self._burn_attempt(*hit)
 
     def _burn_attempt(self, job: _JobRecord, index: int) -> None:
         """A point's worker died: requeue within the retry budget, else
@@ -680,30 +760,28 @@ class JobService:
         point failure, so a fail_fast job requeues too — until one of its
         points has failed, after which a lost point is abandoned."""
         with self._lock:
-            if job.state in TERMINAL_STATES:
-                return  # a cancel raced the scheduler: never requeue
+            if job.state in TERMINAL_STATES or index in job.resolved:
+                return  # a cancel or a slow worker's post won the race
             attempts = job.attempts.get(index, 0) + 1
             job.attempts[index] = attempts
             if job.aborted():
                 job.abandoned.add(index)
-        self.transport.release(job.point_id(index))
-        if index in job.abandoned:
-            return
-        if attempts >= self.max_attempts:
-            self._resolve(job, index, encode_result({
-                "id": job.point_id(index),
-                "index": index,
-                "outcome": WorkerCrashError(
-                    f"point {index} of job {job.job_id} lost its worker "
-                    f"{self.max_attempts} times (each time its connection "
-                    f"dropped or its lease went {self.lease_seconds:.1f}s "
-                    "without a heartbeat); giving up"
-                ),
-                "events": [],
-                "deltas": {},
-            }))
-        else:
-            self._enqueue_point(job, index, attempt=attempts)
+                return
+            if attempts < self.max_attempts:
+                self._enqueue_point(job, index, attempt=attempts)
+                return
+        self._resolve(job, index, encode_result({
+            "id": job.point_id(index),
+            "index": index,
+            "outcome": WorkerCrashError(
+                f"point {index} of job {job.job_id} lost its worker "
+                f"{self.max_attempts} times (each time its connection "
+                f"dropped or its lease went {self.lease_seconds:.1f}s "
+                "without a heartbeat); giving up"
+            ),
+            "events": [],
+            "deltas": {},
+        }))
 
     def _maybe_finalize(self, job: _JobRecord) -> None:
         with self._lock:
@@ -714,9 +792,6 @@ class JobService:
             job.state = "failed" if job.failed_points else "done"
             job.finished = time.time()
             self._persist_state(job)
-        # close the batch out: a straggler worker double-completing a
-        # re-leased point must not strand a result in the queue state
-        self.transport.mark_batch_done(job.job_id)
 
 
 def start_service_broker(
@@ -745,14 +820,12 @@ def start_service_broker(
     over the same directory are re-enqueued before the first connection
     lands.  ``server.close()`` stops the service too.
     """
-    from repro.flow.nettransport import BrokerServer, MemoryTransport
+    from repro.flow.nettransport import BrokerServer
 
     if service_dir is None:
         service_dir = pathlib.Path(cache.cache_dir) / ".service"
-    transport = MemoryTransport()
     service = JobService(
         service_dir,
-        transport,
         cache,
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,

@@ -26,21 +26,11 @@ from repro.flow.distributed import (
     WorkerCrashError,
     run_worker,
 )
-from repro.flow.nettransport import TOKEN_ENV, MemoryTransport
-from repro.flow.service import TERMINAL_STATES, start_service_broker
+from repro.flow.nettransport import TOKEN_ENV
+from repro.flow.service import TERMINAL_STATES, JobService, start_service_broker
 from repro.mnemosyne import SharingMode
 
 TOKEN = "distributed-secret"
-
-
-def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
-    return {
-        "id": job_id,
-        "index": index,
-        "source": source,
-        "options": options,
-        "attempt": attempt,
-    }
 
 
 def worker_env():
@@ -78,22 +68,35 @@ def wait_terminal(service, job_id, timeout=120.0):
     return service.status(job_id)
 
 
+class RecordingService(JobService):
+    """A job service that also keeps every message posted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.posts = {}
+
+    def complete(self, point_id, message):
+        self.posts[point_id] = message
+        super().complete(point_id, message)
+
+
 class TestWorkerLoop:
     def test_worker_drains_queue_and_posts_results(self, tmp_path):
-        t = MemoryTransport()
+        t = RecordingService(tmp_path / "service")
         opts = FlowOptions(system=SystemOptions(k=2, m=2))
-        t.put_job(message("j0", index=0))
-        t.put_job(message("j1", index=1, options=opts.to_spec()))
+        job_id = t.submit(
+            [(HELMHOLTZ_DSL, None), (HELMHOLTZ_DSL, opts.to_spec())]
+        )
         handled = run_worker(t, DiskStageCache(tmp_path / "cache"),
                              max_jobs=2, worker_id="w-test")
         assert handled == 2
-        posted = t.take_result("j0")
+        posted = t.posts[f"{job_id}-00000"]
         assert posted["failed"] is False
         assert posted["deltas"]["misses"] > 0
         # the payload is pickled once by the worker, for the broker to
         # store unread
         r0 = pickle.loads(posted["result"])
-        r1 = pickle.loads(t.take_result("j1")["result"])
+        r1 = pickle.loads(t.posts[f"{job_id}-00001"]["result"])
         assert r0["worker"] == "w-test"
         assert r0["outcome"].system.k == 16  # default: maximize k
         assert r1["outcome"].system.k == 2
@@ -102,16 +105,17 @@ class TestWorkerLoop:
 
     def test_worker_idle_timeout_exits_empty(self, tmp_path):
         t0 = time.monotonic()
-        handled = run_worker(MemoryTransport(), DiskStageCache(tmp_path),
+        handled = run_worker(JobService(tmp_path / "service"),
+                             DiskStageCache(tmp_path / "cache"),
                              idle_timeout=0.2, poll_seconds=0.02)
         assert handled == 0
         assert time.monotonic() - t0 < 5.0
 
     def test_worker_ships_job_errors_by_value(self, tmp_path):
-        t = MemoryTransport()
-        t.put_job(message("j0", source="not CFDlang at all"))
-        run_worker(t, DiskStageCache(tmp_path), max_jobs=1)
-        posted = t.take_result("j0")
+        t = RecordingService(tmp_path / "service")
+        job_id = t.submit([("not CFDlang at all", None)])
+        run_worker(t, DiskStageCache(tmp_path / "cache"), max_jobs=1)
+        posted = t.posts[f"{job_id}-00000"]
         assert posted["failed"] is True
         assert isinstance(pickle.loads(posted["result"])["outcome"], Exception)
 
@@ -272,7 +276,7 @@ class TestWorkerDeathRecovery:
         # the sweep gave its job up before closing its broker: nothing
         # stays queued for a worker that attaches late
         (server,) = servers
-        assert server.transport.claim_job() is None
+        assert server.service.claim_job() is None
         assert server.service.stats()["jobs"]["cancelled"] == 1
         assert "job j" in str(err.value)
         # the sweep's broker kept its job files out of the user's cache
@@ -364,7 +368,7 @@ class TestStandingBroker:
         jobs = standing_broker.service.stats()["jobs"]
         assert jobs["cancelled"] == 1
         assert jobs["queued"] == jobs["running"] == 0
-        assert standing_broker.transport.claim_job() is None
+        assert standing_broker.service.claim_job() is None
 
     @pytest.mark.parametrize("setting", [
         {"lease_seconds": 5.0}, {"max_attempts": 1},

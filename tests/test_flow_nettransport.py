@@ -1,10 +1,9 @@
-"""TCP transport: transport-conformance contract (memory, and TCP for
-the worker side), broker server auth, remote cache tiering, TCP
-worker/executor end-to-end equivalence, and the worker CLI failure
-paths."""
+"""TCP transport: transport-conformance contract (the job service in
+process, and over TCP for the worker side), broker server auth, remote
+cache tiering, TCP worker/executor end-to-end equivalence, and the
+worker CLI failure paths."""
 
 import os
-import pickle
 import socket
 import time
 
@@ -24,10 +23,10 @@ from repro.flow.distributed import (
     DistributedExecutor,
     Transport,
     TransportClosedError,
+    encode_result,
 )
 from repro.flow.nettransport import (
     BrokerAuthError,
-    MemoryTransport,
     RemoteStageCache,
     TcpTransport,
     parse_hostport,
@@ -35,19 +34,13 @@ from repro.flow.nettransport import (
     run_tcp_worker,
     send_frame,
 )
-from repro.flow.service import start_service_broker
+from repro.flow.service import (
+    TERMINAL_STATES,
+    JobService,
+    start_service_broker,
+)
 
 TOKEN = "conformance-secret"
-
-
-def message(job_id, index=0, source=HELMHOLTZ_DSL, options=None, attempt=0):
-    return {
-        "id": job_id,
-        "index": index,
-        "source": source,
-        "options": options,
-        "attempt": attempt,
-    }
 
 
 def serve(tmp_path, cache=None, token=TOKEN):
@@ -59,14 +52,26 @@ def serve(tmp_path, cache=None, token=TOKEN):
 
 
 # -- the Transport contract ---------------------------------------------------
+def posted(outcome):
+    """The message a worker posts for a point that ended in ``outcome``."""
+    return encode_result({"outcome": outcome, "events": [], "deltas": {}})
+
+
+def wait_terminal(service, job_id, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while (service.status(job_id)["state"] not in TERMINAL_STATES
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return service.status(job_id)
+
+
 class TransportConformance:
     """The queue semantics a worker relies on, pinned once and run
-    against each way of reaching the broker's queue state: exactly-once
-    claiming in sorted-id order, lease heartbeat/expiry/requeue,
-    pending-job cancellation, batch tombstones, result consumption, and
-    worker liveness.  ``rig`` yields ``(worker, broker)``: the
-    :class:`Transport` under test, and the :class:`MemoryTransport`
-    holding the queue state it reaches (the job service's side).
+    against each way of reaching the broker's job service: exactly-once
+    claiming in sorted-id order, lease heartbeat/expiry/requeue, cancel,
+    dropped straggler posts, and worker liveness.  ``rig`` yields
+    ``(worker, service)``: the :class:`Transport` under test, and the
+    started :class:`JobService` whose points it claims.
     """
 
     @pytest.fixture
@@ -78,105 +83,120 @@ class TransportConformance:
         assert isinstance(worker, Transport)
 
     def test_put_claim_complete_roundtrip(self, rig):
-        worker, broker = rig
-        broker.put_job(message("b-00000", index=7))
+        worker, service = rig
+        job_id = service.submit([("src", None)] * 2)
         claimed = worker.claim_job()
-        assert claimed["id"] == "b-00000" and claimed["index"] == 7
+        assert claimed["id"] == f"{job_id}-00000" and claimed["index"] == 0
+        assert worker.claim_job()["index"] == 1
         assert worker.claim_job() is None  # leased, not re-claimable
-        worker.complete("b-00000", {"id": "b-00000", "outcome": 42})
-        assert broker.take_result("b-00000")["outcome"] == 42
-        assert broker.take_result("b-00000") is None  # consumed
-        assert broker.expired_leases(0.0) == []  # lease dropped
+        worker.complete(claimed["id"], posted(42))
+        assert service.status(job_id)["done_points"] == 1  # recorded
+        worker.complete(f"{job_id}-00001", posted(43))
+        assert wait_terminal(service, job_id)["state"] == "done"
+        assert [p["outcome"] for p in service.fetch(job_id)] == [42, 43]
+        assert not service._leases  # leases dropped
 
     def test_claims_in_sorted_id_order(self, rig):
-        worker, broker = rig
-        broker.put_job(message("b-00002", index=2))
-        broker.put_job(message("b-00000", index=0))
-        broker.put_job(message("b-00001", index=1))
+        worker, service = rig
+        service.stop()  # tick by hand: the test must not race the scheduler
+        first = service.submit([("src", None)] * 2)
+        time.sleep(0.002)  # the id's clock field is millisecond-grained
+        second = service.submit([("src", None)])
+        assert worker.claim_job()["id"] == f"{first}-00000"
+        service._age_lease(f"{first}-00000", 3600.0)
+        service._tick()  # requeued behind the other two points
         claimed = [worker.claim_job()["id"] for _ in range(3)]
-        assert claimed == ["b-00000", "b-00001", "b-00002"]
+        assert claimed == [f"{first}-00000", f"{first}-00001",
+                           f"{second}-00000"]
 
     def test_lease_expiry_heartbeat_and_requeue(self, rig):
-        worker, broker = rig
-        broker.put_job(message("b-00000"))
+        worker, service = rig
+        service.stop()  # tick by hand: the test must not race the scheduler
+        job_id = service.submit([("src", None)])
         job = worker.claim_job()
-        assert broker.expired_leases(30.0) == []  # fresh lease
-        broker._age_lease("b-00000", 3600.0)
-        assert broker.expired_leases(30.0) == ["b-00000"]
-        worker.heartbeat_job("b-00000")  # a live worker touched it
-        assert broker.expired_leases(30.0) == []
-        # the service's requeue path: release, re-put, claim again
-        broker._age_lease("b-00000", 3600.0)
-        broker.release(job["id"])
-        job["attempt"] = 1
-        broker.put_job(job)
+        service._tick()
+        assert worker.claim_job() is None  # a fresh lease holds
+        service._age_lease(job["id"], 3600.0)
+        worker.heartbeat_job(job["id"])  # a live worker touched it
+        service._tick()
+        assert worker.claim_job() is None
+        assert service.status(job_id)["retries"] == 0
+        service._age_lease(job["id"], 3600.0)  # its worker died
+        service._tick()
+        assert service.status(job_id)["retries"] == 1
         reclaimed = worker.claim_job()
-        assert reclaimed["id"] == "b-00000" and reclaimed["attempt"] == 1
+        assert reclaimed["id"] == job["id"] and reclaimed["attempt"] == 1
 
     def test_heartbeat_of_unclaimed_job_is_harmless(self, rig):
-        worker, broker = rig
+        worker, service = rig
+        job_id = service.submit([("src", None)])
         worker.heartbeat_job("never-claimed-00000")
-        assert broker.expired_leases(0.0) == []
+        worker.heartbeat_job(f"{job_id}-00000")  # queued, not claimed
+        assert not service._leases
+        assert worker.claim_job()["id"] == f"{job_id}-00000"
 
-    def test_cancel_pending_skips_claimed_jobs(self, rig):
-        worker, broker = rig
-        broker.put_job(message("b-00000"))
-        broker.put_job(message("b-00001", index=1))
-        worker.claim_job()  # b-00000 leased
-        cancelled = broker.cancel_pending({"b-00000", "b-00001"})
-        assert cancelled == {"b-00001"}
-        assert worker.claim_job() is None  # queue scrubbed
+    def test_cancel_drops_unclaimed_points(self, rig):
+        worker, service = rig
+        job_id = service.submit([("src", None)] * 2)
+        worker.claim_job()  # point 0 leased
+        service.cancel(job_id)
+        assert worker.claim_job() is None  # point 1 left the queue
+        assert service.status(job_id)["state"] == "cancelled"
+        assert service.fetch(job_id) == [None, None]
 
-    def test_batch_tombstone_blocks_straggler_results(self, rig):
-        worker, broker = rig
-        broker.put_job(message("batchA-00000"))
-        broker.put_job(message("batchA-00001", index=1))
-        worker.claim_job()
-        worker.claim_job()
-        worker.complete("batchA-00001", {"id": "batchA-00001", "outcome": 0})
-        broker.mark_batch_done("batchA")
-        # a stray posted before the close is discarded with the batch...
-        assert broker.take_result("batchA-00001") is None
-        # ...and a straggler posting after it is dropped on arrival
-        worker.complete("batchA-00000", {"id": "batchA-00000", "outcome": 1})
-        assert broker.take_result("batchA-00000") is None
-        assert broker.expired_leases(0.0) == []  # lease cleaned up
-        # other batches are unaffected
-        broker.put_job(message("batchB-00000"))
-        worker.claim_job()
-        worker.complete("batchB-00000", {"id": "batchB-00000", "outcome": 2})
-        assert broker.take_result("batchB-00000")["outcome"] == 2
+    def test_post_for_a_finished_job_is_dropped(self, rig):
+        worker, service = rig
+        # a straggler posting after its job was cancelled
+        cancelled = service.submit([("src", None)])
+        straggler = worker.claim_job()
+        service.cancel(cancelled)
+        worker.complete(straggler["id"], posted("late"))
+        assert service.status(cancelled)["done_points"] == 0
+        assert service.fetch(cancelled) == [None]
+        # a second post of a done job's point (a slow worker whose
+        # lease was re-leased) keeps the first result
+        done = service.submit([("src", None)])
+        point = worker.claim_job()["id"]
+        worker.complete(point, posted(1))
+        assert wait_terminal(service, done)["state"] == "done"
+        worker.complete(point, posted(2))
+        assert [p["outcome"] for p in service.fetch(done)] == [1]
+        assert not list((service.results_dir / cancelled).glob("*.pkl"))
+        assert not service._leases
 
     def test_worker_liveness(self, rig):
-        worker, broker = rig
-        assert broker.alive_workers(60.0) == []
+        worker, service = rig
+        assert service.alive_workers(60.0) == []
         worker.heartbeat_worker("w1")
-        assert broker.alive_workers(60.0) == ["w1"]
-        broker._age_worker("w1", 3600.0)
-        assert broker.alive_workers(60.0) == []
+        assert service.alive_workers(60.0) == ["w1"]
+        service._age_worker("w1", 3600.0)
+        assert service.alive_workers(60.0) == []
         worker.heartbeat_worker("w1")
         worker.unregister_worker("w1")
-        assert broker.alive_workers(60.0) == []
+        assert service.alive_workers(60.0) == []
 
 
 class TestMemoryConformance(TransportConformance):
+    """The worker side in the broker's own memory: a started
+    :class:`JobService` is its own transport."""
+
     @pytest.fixture
     def rig(self, tmp_path):
-        transport = MemoryTransport()
-        yield transport, transport
+        with JobService(tmp_path / "service", poll_seconds=0.01) as service:
+            yield service, service
 
 
 class TestTcpConformance(TransportConformance):
     """The worker side over the wire: a TcpTransport client proxy
-    against a live broker, whose queue state (a MemoryTransport) the
-    tests inspect and age directly."""
+    against a live broker, whose job service the tests inspect and age
+    directly."""
 
     @pytest.fixture
     def rig(self, tmp_path):
         server = serve(tmp_path)
         client = TcpTransport(server.address, TOKEN).connect()
         try:
-            yield client, server.transport
+            yield client, server.service
         finally:
             client.close()
             server.close()
@@ -220,31 +240,31 @@ class TestBrokerServer:
                 server.address, TOKEN, role="worker", worker_id="w1"
             ).connect()
             worker.heartbeat_worker("w1")
-            assert server.transport.alive_workers(60.0) == ["w1"]
+            assert server.service.alive_workers(60.0) == ["w1"]
             worker.close()
             deadline = time.monotonic() + 5.0
-            while (server.transport.alive_workers(60.0)
+            while (server.service.alive_workers(60.0)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert server.transport.alive_workers(60.0) == []
+            assert server.service.alive_workers(60.0) == []
 
     def test_dropped_connection_expires_its_leases_at_once(self, tmp_path):
         """A TcpTransport never reconnects, so a point its dropped
-        connection claimed can never be completed: the lease expires at
-        once instead of after the lease window."""
+        connection claimed can never be completed: the point is
+        re-leased at once instead of after the 30 s lease window."""
         with serve(tmp_path) as server:
-            server.transport.put_job(message("b-00000"))
+            job_id = server.service.submit([("src", None)])
             worker = TcpTransport(
                 server.address, TOKEN, role="worker", worker_id="w1"
             ).connect()
-            assert worker.claim_job()["id"] == "b-00000"
-            assert server.transport.expired_leases(3600.0) == []
+            assert worker.claim_job()["id"] == f"{job_id}-00000"
+            assert server.service.status(job_id)["retries"] == 0
             worker._sock.close()  # the worker dies: no goodbye
             deadline = time.monotonic() + 5.0
-            while (not server.transport.expired_leases(3600.0)
+            while (server.service.status(job_id)["retries"] < 1
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert server.transport.expired_leases(3600.0) == ["b-00000"]
+            assert server.service.status(job_id)["retries"] == 1
 
     def test_lost_connection_stays_lost(self, tmp_path):
         """Once connected, a dropped broker reads as TransportClosedError
@@ -409,17 +429,16 @@ class TestTcpWorkerLoop:
         broker_cache = DiskStageCache(tmp_path / "broker")
         with serve(tmp_path, broker_cache) as server:
             opts = FlowOptions(system=SystemOptions(k=2, m=2))
-            server.transport.put_job(message("b-00000", index=0))
-            server.transport.put_job(
-                message("b-00001", index=1, options=opts.to_spec())
+            job_id = server.service.submit(
+                [(HELMHOLTZ_DSL, None), (HELMHOLTZ_DSL, opts.to_spec())]
             )
             handled = run_tcp_worker(
                 server.address, TOKEN, tmp_path / "local",
                 max_jobs=2, worker_id="w-tcp",
             )
             assert handled == 2
-            r0 = pickle.loads(server.transport.take_result("b-00000")["result"])
-            r1 = pickle.loads(server.transport.take_result("b-00001")["result"])
+            assert wait_terminal(server.service, job_id)["state"] == "done"
+            r0, r1 = server.service.fetch(job_id)
         assert r0["worker"] == "w-tcp"
         assert r0["outcome"].system.k == 16  # default: maximize k
         assert r1["outcome"].system.k == 2
@@ -440,12 +459,13 @@ class TestTcpWorkerLoop:
         monkeypatch.setattr(TcpTransport, "cache_put", no_wire)
         broker_cache = DiskStageCache(tmp_path / "broker")
         with serve(tmp_path, broker_cache) as server:
-            server.transport.put_job(message("b-00000"))
+            job_id = server.service.submit([(HELMHOLTZ_DSL, None)])
             handled = run_tcp_worker(
                 server.address, TOKEN, tmp_path / "broker", max_jobs=1,
             )
             assert handled == 1
-            r0 = pickle.loads(server.transport.take_result("b-00000")["result"])
+            assert wait_terminal(server.service, job_id)["state"] == "done"
+            (r0,) = server.service.fetch(job_id)
         assert r0["outcome"].system.k == 16
         assert r0["deltas"]["misses"] > 0
         assert broker_cache.stats()["disk_entries"] > 0

@@ -4,11 +4,13 @@ restart durability, admission control, tenant cache namespaces, the
 service executor, and the submit/status/fetch/cancel CLI verbs."""
 
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import types
 
 import pytest
 
@@ -37,7 +39,6 @@ from repro.flow.distributed import (
 )
 from repro.flow.nettransport import (
     BrokerAuthError,
-    MemoryTransport,
     TcpTransport,
     run_tcp_worker,
 )
@@ -104,14 +105,12 @@ def wait_state(rig, job_id, states=TERMINAL_STATES, timeout=120.0):
 
 # -- the job-lifecycle contract -----------------------------------------------
 class _LocalRig:
-    """JobService driven directly: MemoryTransport + in-process worker."""
+    """JobService driven directly: an in-process worker drains it."""
 
     def __init__(self, root, **limits):
-        self.transport = MemoryTransport()
         self.cache = DiskStageCache(root / "cache")
         self.service = JobService(
-            root / "service", self.transport, self.cache,
-            poll_seconds=0.01, **limits,
+            root / "service", self.cache, poll_seconds=0.01, **limits,
         ).start()
         self._drained = 0
 
@@ -133,7 +132,7 @@ class _LocalRig:
     def drain(self, n):
         self._drained += 1
         run_worker(
-            transport=self.transport, cache=self.cache,
+            transport=self.service, cache=self.cache,
             max_jobs=n, poll_seconds=0.005,
             worker_id=f"w-local-{self._drained}",
         )
@@ -311,16 +310,14 @@ class TestJobServiceUnit:
         assert first < mint_job_id()
 
     def test_per_tenant_limit_is_independent(self, tmp_path):
-        service = JobService(
-            tmp_path, MemoryTransport(), max_jobs=16, max_tenant_jobs=1
-        )
+        service = JobService(tmp_path, max_jobs=16, max_tenant_jobs=1)
         service.submit([(HELMHOLTZ_DSL, None)], tenant="alice")
         with pytest.raises(BrokerBusyError, match="token"):
             service.submit([(HELMHOLTZ_DSL, None)], tenant="alice")
         service.submit([(HELMHOLTZ_DSL, None)], tenant="bob")  # unaffected
 
     def test_tenants_cannot_see_each_others_jobs(self, tmp_path):
-        service = JobService(tmp_path, MemoryTransport())
+        service = JobService(tmp_path)
         job_id = service.submit([(HELMHOLTZ_DSL, None)], tenant="alice")
         assert service.status(job_id, tenant="alice")["total"] == 1
         for other in ("bob", ""):
@@ -333,21 +330,19 @@ class TestJobServiceUnit:
         """A point whose lease keeps expiring burns its retry budget and
         resolves to WorkerCrashError — the job goes terminal instead of
         requeueing forever."""
-        transport = MemoryTransport()
         with JobService(
-            tmp_path, transport,
-            lease_seconds=0.05, max_attempts=2, poll_seconds=0.01,
+            tmp_path, lease_seconds=0.05, max_attempts=2, poll_seconds=0.01,
         ) as service:
             job_id = service.submit([(HELMHOLTZ_DSL, None)])
             deadline = time.monotonic() + 30.0
             while (service.status(job_id)["state"] not in TERMINAL_STATES
                    and time.monotonic() < deadline):
-                message = transport.claim_job()
+                message = service.claim_job()
                 if message is None:
                     time.sleep(0.01)
                     continue
                 # claim like a worker, then die: age the lease stale
-                transport._age_lease(message["id"], 3600.0)
+                service._age_lease(message["id"], 3600.0)
             status = service.status(job_id)
             assert status["state"] == "failed"
             assert status["retries"] >= 2
@@ -357,7 +352,7 @@ class TestJobServiceUnit:
     def test_malformed_submit_is_replied_not_raised(self, tmp_path):
         """handle_rpc's contract: a bad request is an ok:False reply,
         never an exception that would tear the connection down."""
-        service = JobService(tmp_path, MemoryTransport())
+        service = JobService(tmp_path)
         for bad in (None, "text", 7, [HELMHOLTZ_DSL],
                     [["source-only"]], [[HELMHOLTZ_DSL, None, "extra"]]):
             reply, pickled = service.handle_rpc(
@@ -374,9 +369,7 @@ class TestJobServiceUnit:
         assert not service._jobs  # nothing half-admitted
 
     def test_terminal_jobs_expire_after_retention(self, tmp_path):
-        service = JobService(
-            tmp_path / "gc", MemoryTransport(), terminal_ttl_seconds=0.0
-        )
+        service = JobService(tmp_path / "gc", terminal_ttl_seconds=0.0)
         job_id = service.submit([])  # no points: immediately done
         assert service.status(job_id)["state"] == "done"
         service._expire_terminal()
@@ -385,10 +378,7 @@ class TestJobServiceUnit:
         assert not list(service.jobs_dir.glob("*.json"))
         assert not list(service.state_dir.glob("*.json"))
         # inside the retention window nothing is touched
-        keeper = JobService(
-            tmp_path / "keep", MemoryTransport(),
-            terminal_ttl_seconds=3600.0,
-        )
+        keeper = JobService(tmp_path / "keep", terminal_ttl_seconds=3600.0)
         job_id = keeper.submit([])
         keeper._expire_terminal()
         assert keeper.status(job_id)["state"] == "done"
@@ -396,14 +386,13 @@ class TestJobServiceUnit:
     def test_cancel_blocks_requeue_and_orphan_results(self, tmp_path):
         """A heal/collect racing a cancel must neither put a dead job's
         point back in the queue nor write a result file for it."""
-        transport = MemoryTransport()
-        service = JobService(tmp_path, transport)
+        service = JobService(tmp_path)
         job_id = service.submit([(HELMHOLTZ_DSL, None)])
         service.cancel(job_id)
-        assert transport.claim_job() is None  # cancel drained the queue
+        assert service.claim_job() is None  # cancel drained the queue
         job = service._jobs[job_id]
         service._enqueue_point(job, 0, attempt=1)  # a racing heal
-        assert transport.claim_job() is None
+        assert service.claim_job() is None
         service._resolve(job, 0, posted(None))  # a racing straggler collect
         assert not (service.results_dir / job_id).exists()
 
@@ -411,16 +400,15 @@ class TestJobServiceUnit:
         """After a fail_fast job's first failed point, unclaimed points
         never start (slots stay None), claimed ones finish and are
         recorded, and the job goes terminal."""
-        transport = MemoryTransport()
-        service = JobService(tmp_path, transport)
+        service = JobService(tmp_path)
         job_id = service.submit(
             [(HELMHOLTZ_DSL, None)] * 3, fail_fast=True
         )
-        first, second = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], posted(ValueError("boom")))
+        first, second = service.claim_job(), service.claim_job()
+        service.complete(first["id"], posted(ValueError("boom")))
         service._tick()
-        assert transport.claim_job() is None  # point 2 was dropped
-        transport.complete(second["id"], posted("ran"))
+        assert service.claim_job() is None  # point 2 was dropped
+        service.complete(second["id"], posted("ran"))
         service._tick()
         status = service.status(job_id)
         assert status["state"] == "failed" and status["failed_points"] == 1
@@ -431,34 +419,89 @@ class TestJobServiceUnit:
     def test_fail_fast_abandons_a_lost_point_after_a_failure(self, tmp_path):
         """Worker death is requeued even under fail_fast — but once a
         point has failed, a point whose lease expires is abandoned."""
-        transport = MemoryTransport()
-        service = JobService(tmp_path, transport, lease_seconds=30.0)
+        service = JobService(tmp_path, lease_seconds=30.0)
         job_id = service.submit([(HELMHOLTZ_DSL, None)] * 2, fail_fast=True)
-        first, second = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], posted(ValueError("boom")))
-        transport._age_lease(second["id"], 3600.0)  # its worker died
+        first, second = service.claim_job(), service.claim_job()
+        service.complete(first["id"], posted(ValueError("boom")))
+        service._age_lease(second["id"], 3600.0)  # its worker died
         service._tick()
         service._tick()
-        assert transport.claim_job() is None  # not requeued
+        assert service.claim_job() is None  # not requeued
         assert service.status(job_id)["state"] == "failed"
         assert service.fetch(job_id)[1] is None
+
+    def test_fail_fast_drops_a_late_post_of_an_abandoned_point(self,
+                                                               tmp_path):
+        """A point abandoned after a failure keeps its None slot even if
+        its worker lived after all, and the job still waits for the
+        point that is running."""
+        service = JobService(tmp_path)
+        job_id = service.submit([(HELMHOLTZ_DSL, None)] * 3, fail_fast=True)
+        first, second, third = (service.claim_job() for _ in range(3))
+        service.complete(first["id"], posted(ValueError("boom")))
+        service._age_lease(second["id"], 3600.0)  # its heartbeat stalled
+        service._tick()
+        service.complete(second["id"], posted("late"))  # ...but it lived
+        service._tick()
+        assert service.status(job_id)["state"] == "running"
+        service.complete(third["id"], posted("ran"))
+        service._tick()
+        assert service.status(job_id)["state"] == "failed"
+        outcomes = [p and p["outcome"] for p in service.fetch(job_id)]
+        assert outcomes[1:] == [None, "ran"]
 
     def test_restart_keeps_a_fail_fast_abort(self, tmp_path):
         """A broker restarted over an aborted fail_fast job re-enqueues
         nothing: the points it dropped stay dropped."""
-        transport = MemoryTransport()
-        service = JobService(tmp_path, transport)
+        service = JobService(tmp_path)
         job_id = service.submit([(HELMHOLTZ_DSL, None)] * 3, fail_fast=True)
-        first, _ = transport.claim_job(), transport.claim_job()
-        transport.complete(first["id"], posted(ValueError("boom")))
+        first, _ = service.claim_job(), service.claim_job()
+        service.complete(first["id"], posted(ValueError("boom")))
         service._tick()  # point 1 still running when the broker dies
 
-        revived_transport = MemoryTransport()
-        revived = JobService(tmp_path, revived_transport)
-        assert revived_transport.claim_job() is None
+        revived = JobService(tmp_path)
+        assert revived.claim_job() is None
         revived._tick()
         assert revived.status(job_id)["state"] == "failed"
         assert revived.fetch(job_id)[1:] == [None, None]
+
+    def test_tick_work_follows_the_leases_not_the_queue(self, tmp_path,
+                                                        monkeypatch):
+        """A scheduler tick over 8 jobs x 2,000 queued points, none of
+        them leased, makes no per-point call."""
+        from repro.flow.service import _JobRecord
+
+        service = JobService(tmp_path)
+        for _ in range(8):  # the per-token limit of unfinished jobs
+            service.submit([("src", None)] * 2000)
+        calls = []
+        for name in ("point_id", "unresolved"):
+            def counted(self, *args, _original=getattr(_JobRecord, name)):
+                calls.append(_original)
+                return _original(self, *args)
+
+            monkeypatch.setattr(_JobRecord, name, counted)
+        service._tick()
+        assert calls == []
+        assert service.stats()["queue_depth"] == 16000  # still queued
+
+    def test_stray_posts_leave_no_trace(self, tmp_path):
+        """A post for no point of a live job — an unknown id, or a
+        straggler's after a cancel — leaves no result file and no lease,
+        and changes no job's status."""
+        service = JobService(tmp_path)
+        cancelled = service.submit([("src", None)])
+        straggler = service.claim_job()
+        service.cancel(cancelled)
+        live = service.submit([("src", None)] * 2)
+        before = service.status(cancelled), service.status(live)
+        service.complete(straggler["id"], posted("late"))
+        for stray in ("j000000000000deadbeef-00000", f"{live}-00002",
+                      f"{live}-x", "no-dash-in-the-job"):
+            service.complete(stray, posted("stray"))
+        assert (service.status(cancelled), service.status(live)) == before
+        assert not list(service.results_dir.rglob("*.pkl"))
+        assert not service._leases
 
     def test_namespaced_key_partitions_without_changing_shape(self):
         key = "a" * 64
@@ -545,10 +588,10 @@ class TestBrokerRestart:
             )
             worker.start()
             deadline = time.monotonic() + 30.0  # the worker re-registered
-            while (not server.transport.alive_workers(60.0)
+            while (not server.service.alive_workers(60.0)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert server.transport.alive_workers(60.0) == ["w-revived"]
+            assert server.service.alive_workers(60.0) == ["w-revived"]
             job = attach_job(server.address, TOKEN, job_id)
             job.wait(timeout=300.0, poll_seconds=0.05)
             assert result_signature(job.fetch()) == result_signature(
@@ -599,6 +642,72 @@ class TestBrokerRestart:
             job.client.close()
         finally:
             server.close()
+
+
+class TestDamagedResults:
+    """A resolved point whose stored result does not load reads as an
+    error naming the file, never as a point that never ran (None); an
+    unfinished job recovered over such a file runs the point again."""
+
+    @staticmethod
+    def damage(path, how):
+        if how == "truncated":
+            path.write_bytes(path.read_bytes()[:10])
+            return
+        # a payload whose class no longer imports (moved by an upgrade)
+        module = types.ModuleType("repro_moved_away")
+
+        class Moved:
+            pass
+
+        Moved.__module__, Moved.__qualname__ = module.__name__, "Moved"
+        module.Moved = Moved
+        sys.modules[module.__name__] = module
+        try:
+            data = pickle.dumps({"outcome": Moved(), "events": [],
+                                 "deltas": {}})
+        finally:
+            del sys.modules[module.__name__]
+        path.write_bytes(data)
+
+    @pytest.mark.parametrize("how", ["truncated", "moved_class"])
+    @pytest.mark.parametrize("over", ["in_process", "tcp"])
+    def test_fetch_names_the_damaged_file(self, tmp_path, how, over):
+        server = start_service_broker(
+            "127.0.0.1", 0, TOKEN, None, tmp_path / "service",
+            poll_seconds=0.01,
+        )
+        try:
+            service = server.service
+            job_id = service.submit([("src", None)] * 2)
+            for _ in range(2):
+                service.complete(service.claim_job()["id"], posted("ran"))
+            assert wait_state(service, job_id)["state"] == "done"
+            self.damage(service.results_dir / job_id / "00001.pkl", how)
+            if over == "tcp":
+                with ServiceClient(server.address, TOKEN) as client:
+                    payloads = client.fetch(job_id)
+            else:
+                payloads = service.fetch(job_id)
+        finally:
+            server.close()
+        assert payloads[0]["outcome"] == "ran"
+        error = payloads[1]["outcome"]
+        assert isinstance(error, SystemGenerationError)
+        assert job_id in str(error) and "point 1" in str(error)
+        assert "00001.pkl" in str(error)
+
+    def test_restart_reruns_a_damaged_point(self, tmp_path):
+        service = JobService(tmp_path)
+        job_id = service.submit([("src", None)] * 3)
+        for _ in range(2):
+            service.complete(service.claim_job()["id"], posted("ran"))
+        damaged = service.results_dir / job_id / "00001.pkl"
+        self.damage(damaged, "truncated")
+        revived = JobService(tmp_path)
+        assert not damaged.exists()
+        assert revived.status(job_id)["done_points"] == 1
+        assert sorted(revived.claim_job()["index"] for _ in range(2)) == [1, 2]
 
 
 # -- tenant cache namespaces over the wire ------------------------------------
@@ -885,6 +994,25 @@ class TestServiceCli:
         rc = main(["status", "--broker", address, "--token", TOKEN, job_id])
         assert rc == 2
         assert "no job" in capsys.readouterr().err
+
+    def test_fetch_reports_a_point_that_fits_no_system(self, broker,
+                                                       tmp_path, capsys):
+        """n = 32: the memory subsystem alone needs more BRAM than the
+        ZCU106 has, so auto-sizing yields no system."""
+        from repro.apps.helmholtz import inverse_helmholtz_source
+        from repro.flow.cli import main
+
+        server, address = broker
+        job_id = server.service.submit([(inverse_helmholtz_source(32), None)])
+        run_tcp_worker(server.address, TOKEN, tmp_path / "worker",
+                       max_jobs=1, poll_seconds=0.005)
+        rc = main(["fetch", "--broker", address, "--token", TOKEN,
+                   job_id, "--wait", "--poll", "0.05"])
+        output = capsys.readouterr()
+        assert rc == 1
+        assert ("error: no feasible configuration: a single kernel + "
+                "memory exceeds the ZCU106") in output.out
+        assert "Traceback" not in output.err
 
     def test_second_submit_is_front_end_cached(self, broker, tmp_path,
                                                capsys):
