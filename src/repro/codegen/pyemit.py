@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.codegen.kernel import StagePlan, stage_plans
-from repro.errors import IRError
+from repro.errors import IRError, LayoutError
 from repro.layout.layout import Layout
 from repro.poly.aff import AffTuple
 from repro.poly.schedule import PolyProgram
@@ -87,19 +87,32 @@ def compile_python_kernel(source: str, name: str = "kernel_body") -> Callable:
     return ns[name]  # type: ignore[return-value]
 
 
-def pack_array(flat: np.ndarray, layout: Layout, arr: np.ndarray) -> None:
-    """Scatter a tensor into its flat, layout-addressed buffer.
+def _layout_view(flat: np.ndarray, layout: Layout) -> np.ndarray:
+    """``flat`` (shape ``(*batch, cells)``) viewed as the ``(*batch,
+    *layout.shape)`` tensors it holds.  ``as_strided`` checks no bounds,
+    so a row shorter than ``offset + size`` raises here."""
+    if flat.shape[-1] < layout.offset + layout.size:
+        raise LayoutError(
+            f"buffer of {flat.shape[-1]} cells is too short for tensor "
+            f"{layout.tensor!r} (layout spans {layout.offset + layout.size})"
+        )
+    step = flat.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        flat[..., layout.offset:],
+        shape=flat.shape[:-1] + layout.shape,
+        strides=flat.strides[:-1] + tuple(step * s for s in layout.strides),
+    )
 
-    Vectorized over a precomputed flat-address index array (cached per
-    ``(shape, layout)`` — see :func:`repro.layout.layout.
-    flat_index_array`) instead of an ``np.ndindex`` Python loop.
-    """
-    flat[layout.flat_indices().reshape(-1)] = np.ascontiguousarray(arr).reshape(-1)
+
+def pack_array(flat: np.ndarray, layout: Layout, arr: np.ndarray) -> None:
+    """Scatter a tensor (or a ``(*batch, *shape)`` stack of them) into
+    its flat, layout-addressed buffer(s)."""
+    _layout_view(flat, layout)[...] = arr
 
 
 def unpack_array(flat: np.ndarray, layout: Layout) -> np.ndarray:
-    """Gather a tensor back out of its flat buffer (vectorized)."""
-    return flat[layout.flat_indices()]
+    """Gather a tensor (or a stack of them) back out of flat buffer(s)."""
+    return _layout_view(flat, layout).copy()
 
 
 def run_python_kernel(

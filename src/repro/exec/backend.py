@@ -8,7 +8,7 @@ they differ in fidelity and throughput:
 
 ``loops``
     The generated-Python mirror of the C kernel (:mod:`repro.codegen.
-    pyemit`), run once per element against flat, layout-addressed
+    pyemit`), called once per element on row views of the batch
     buffers.  Bit-exact with the generated C code's loop structure — the
     reference the other backends are checked against.
 ``numpy``
@@ -18,8 +18,9 @@ they differ in fidelity and throughput:
     loops, so agreement is ``allclose`` (1e-12), not bit-exact.
 ``cnative``
     The C99 kernel from :mod:`repro.codegen.cemit` compiled with the
-    system C compiler into a shared library and driven via ``ctypes``;
-    unavailable (and auto-skipped) when no compiler is installed.
+    system C compiler into a shared library; one ``ctypes`` call walks
+    the whole batch in C.  Bit-exact with ``loops``; unavailable (and
+    auto-skipped) when no compiler is installed.
 
 Backends register here by name; :func:`get_backend` resolves them for
 the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
@@ -29,10 +30,11 @@ the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.codegen.pyemit import pack_array
 from repro.errors import ExecBackendError, IRError, SimulationError
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
@@ -224,3 +226,30 @@ def resolved_program(fn: Function, prog: Optional[PolyProgram]) -> PolyProgram:
     from repro.poly.schedule import reference_schedule
 
     return reference_schedule(fn)
+
+
+def batch_buffers(
+    prog: PolyProgram,
+    elements: Mapping[str, np.ndarray],
+    static_inputs: Mapping[str, np.ndarray],
+    element_inputs: Sequence[str],
+) -> Tuple[int, Dict[str, np.ndarray]]:
+    """Validate a batch and pack it for ``prog``'s generated kernel.
+
+    Returns ``Ne`` and one flat, layout-addressed buffer per kernel
+    parameter in parameter order (interface, then temporaries), each
+    input packed by one :func:`pack_array` call.  Streamed inputs and
+    outputs get one row per element, ``(Ne, size)``; static inputs and
+    temporaries one ``(size,)`` buffer that every element shares.
+    """
+    fn = prog.function
+    ne = consistent_batch_size(elements, element_inputs)
+    inputs = checked_batch_inputs(fn, elements, static_inputs, element_inputs)
+    per_element = set(element_inputs) | {d.name for d in fn.outputs()}
+    buffers: Dict[str, np.ndarray] = {}
+    for d in fn.interface() + fn.temporaries():
+        size = prog.layouts[d.name].size
+        buffers[d.name] = np.zeros((ne, size) if d.name in per_element else size)
+        if d.name in inputs:
+            pack_array(buffers[d.name], prog.layouts[d.name], inputs[d.name])
+    return ne, buffers

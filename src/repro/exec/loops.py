@@ -4,29 +4,24 @@ Runs the Python mirror of the generated C kernel (:mod:`repro.codegen.
 pyemit`) over flat, layout-addressed buffers — the same loop structure,
 statement order, and accumulation order the C code executes, which makes
 this the bit-exact reference the vectorized backends are checked
-against.  The kernel is compiled once per batch and the pack/unpack of
-streamed tensors is vectorized over cached flat-address index arrays;
-only the arithmetic itself remains a Python loop nest.
+against.  The kernel is compiled and every tensor packed once per batch
+(:func:`~repro.exec.backend.batch_buffers`); the kernel then runs on
+each element's row views, so only the arithmetic remains a Python loop
+nest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.codegen.pyemit import (
     compile_python_kernel,
     generate_python_kernel,
-    pack_array,
     unpack_array,
 )
-from repro.exec.backend import (
-    ExecBackend,
-    checked_batch_inputs,
-    consistent_batch_size,
-    resolved_program,
-)
+from repro.exec.backend import ExecBackend, batch_buffers, resolved_program
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
 
@@ -45,32 +40,11 @@ class LoopsBackend(ExecBackend):
         prog: Optional[PolyProgram] = None,
     ) -> Dict[str, np.ndarray]:
         prog = resolved_program(fn, prog)
-        fn = prog.function
-        ne = consistent_batch_size(elements, element_inputs)
-        inputs = checked_batch_inputs(fn, elements, static_inputs, element_inputs)
+        ne, buffers = batch_buffers(prog, elements, static_inputs, element_inputs)
         kernel = compile_python_kernel(generate_python_kernel(prog))
-
-        buffers: Dict[str, np.ndarray] = {
-            d.name: np.zeros(prog.layouts[d.name].size, dtype=np.float64)
-            for d in fn.decls.values()
-        }
-        streamed = [d.name for d in fn.inputs() if d.name in set(element_inputs)]
-        for d in fn.inputs():
-            if d.name not in streamed:
-                pack_array(buffers[d.name], prog.layouts[d.name], inputs[d.name])
-        params = [d.name for d in fn.interface()] + [
-            d.name for d in fn.temporaries()
-        ]
-        args = [buffers[p] for p in params]
-
-        out_decls = fn.outputs()
-        outs: Dict[str, List[np.ndarray]] = {d.name: [] for d in out_decls}
         for e in range(ne):
-            for name in streamed:
-                pack_array(buffers[name], prog.layouts[name], inputs[name][e])
-            kernel(*args)
-            for d in out_decls:
-                outs[d.name].append(
-                    unpack_array(buffers[d.name], prog.layouts[d.name])
-                )
-        return {n: np.stack(v) for n, v in outs.items()}
+            kernel(*[b[e] if b.ndim == 2 else b for b in buffers.values()])
+        return {
+            d.name: unpack_array(buffers[d.name], prog.layouts[d.name])
+            for d in prog.function.outputs()
+        }

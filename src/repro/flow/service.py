@@ -258,7 +258,9 @@ class JobService:
         non-terminal job is re-enqueued from the persisted spec — the
         queue lives in memory, so the spec files are the only queue that
         survives.  A result file of a non-terminal job that does not
-        load is deleted and its point runs again.
+        load is deleted and its point runs again; in a finished job it
+        counts as a failed point (``fetch`` returns it as an error), so
+        a ``done`` job with such a point reads ``failed``.
         """
         for spec_path in sorted(self.jobs_dir.glob("*.json")):
             try:
@@ -291,12 +293,12 @@ class JobService:
                         pass
                     continue
                 job.resolved.add(index)
-                if payload is not None and isinstance(
+                if payload is None or isinstance(
                     payload.get("outcome"), BaseException
                 ):
                     job.failed_points += 1
             if state in TERMINAL_STATES:
-                job.state = state
+                job.state = "failed" if job.failed_points and state == "done" else state
                 # the original finish time is gone with the old broker;
                 # restarting the retention clock keeps an unfetched job
                 # available for a full window after the restart

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import LayoutError
 from repro.poly.aff import AffExpr, AffTuple
@@ -80,17 +77,6 @@ class Layout:
             raise LayoutError("point rank mismatch")
         return self.offset + sum(s * x for s, x in zip(self.strides, point))
 
-    def flat_indices(self) -> np.ndarray:
-        """Flat addresses of every tensor index, as an array of the tensor's
-        shape (cached per ``(shape, strides, offset)``).
-
-        ``flat[layout.flat_indices().ravel()] = arr.ravel()`` packs a tensor
-        into its flat array and ``flat[layout.flat_indices()]`` gathers it
-        back — the vectorized equivalent of looping ``np.ndindex`` and
-        calling :meth:`address` per point.
-        """
-        return flat_index_array(self.shape, self.strides, self.offset)
-
     def aff(self, dims: Sequence[str]) -> AffTuple:
         """The layout as an affine function over the given dim names."""
         if len(dims) != len(self.shape):
@@ -131,25 +117,6 @@ class Layout:
         terms = " + ".join(f"{s}*{d}" for s, d in zip(self.strides, dims))
         off = f" + {self.offset}" if self.offset else ""
         return f"{{ {self.tensor}[{','.join(dims)}] -> {self.array}[{terms}{off}] }}"
-
-
-@lru_cache(maxsize=None)
-def flat_index_array(
-    shape: Tuple[int, ...], strides: Tuple[int, ...], offset: int = 0
-) -> np.ndarray:
-    """Address array ``addr[idx] = offset + dot(strides, idx)`` over ``shape``.
-
-    The result is cached (layouts repeat across kernels and elements) and
-    marked read-only so cache sharing is safe.
-    """
-    idx = np.full(shape, offset, dtype=np.intp)
-    for axis, (extent, stride) in enumerate(zip(shape, strides)):
-        coords = np.arange(extent, dtype=np.intp) * stride
-        idx += coords.reshape(
-            (1,) * axis + (extent,) + (1,) * (len(shape) - axis - 1)
-        )
-    idx.setflags(write=False)
-    return idx
 
 
 def default_layouts(shapes: Dict[str, Tuple[int, ...]]) -> Dict[str, Layout]:

@@ -709,6 +709,24 @@ class TestDamagedResults:
         assert revived.status(job_id)["done_points"] == 1
         assert sorted(revived.claim_job()["index"] for _ in range(2)) == [1, 2]
 
+    def test_restart_counts_a_damaged_point_of_a_finished_job(self, tmp_path):
+        """After a restart, status agrees with fetch: the point fetch
+        returns as an error counts as failed, and the job reads failed."""
+        service = JobService(tmp_path)
+        job_id = service.submit([("src", None)] * 2)
+        for _ in range(2):
+            service.complete(service.claim_job()["id"], posted("ran"))
+        service._tick()
+        assert service.status(job_id)["state"] == "done"
+        self.damage(service.results_dir / job_id / "00001.pkl", "truncated")
+        revived = JobService(tmp_path)
+        status = revived.status(job_id)
+        assert (status["state"], status["done_points"],
+                status["failed_points"]) == ("failed", 2, 1)
+        payloads = revived.fetch(job_id)
+        assert payloads[0]["outcome"] == "ran"
+        assert isinstance(payloads[1]["outcome"], SystemGenerationError)
+
 
 # -- tenant cache namespaces over the wire ------------------------------------
 class TestTenantNamespaces:
