@@ -1,9 +1,16 @@
-"""Python mirror of the generated C kernel.
+"""Python mirror of the generated C kernel, and its buffer layout.
 
 Emits a Python function with the *same* loop structure and flat-address
 arithmetic as the C99 kernel, compiled with ``exec``.  Running it against
 the IR interpreter validates the whole codegen path (schedules, layouts,
 accumulator transformation, address expressions) without a C toolchain.
+
+:func:`pack_array` and :func:`unpack_array` move tensors in and out of
+the flat, layout-addressed buffers both kernels read.  A buffer may be
+lane-interleaved: with ``lanes`` L, cell ``a * L + l`` holds flat
+address ``a`` of element ``l``, the layout the host C kernel computes L
+elements at a time in (one element per SIMD lane); ``lanes=1`` is the
+plain per-element buffer.
 """
 
 from __future__ import annotations
@@ -87,32 +94,79 @@ def compile_python_kernel(source: str, name: str = "kernel_body") -> Callable:
     return ns[name]  # type: ignore[return-value]
 
 
-def _layout_view(flat: np.ndarray, layout: Layout) -> np.ndarray:
+def _layout_view(flat: np.ndarray, layout: Layout, lanes: int = 1) -> np.ndarray:
     """``flat`` (shape ``(*batch, cells)``) viewed as the ``(*batch,
-    *layout.shape)`` tensors it holds.  ``as_strided`` checks no bounds,
-    so a row shorter than ``offset + size`` raises here."""
-    if flat.shape[-1] < layout.offset + layout.size:
+    lanes, *layout.shape)`` tensors it holds: cell ``a * lanes + l``
+    holds flat address ``a`` of lane ``l``.  ``as_strided`` checks no
+    bounds, so a row shorter than the layout's span raises here."""
+    span = (layout.offset + layout.size) * lanes
+    if flat.shape[-1] < span:
         raise LayoutError(
             f"buffer of {flat.shape[-1]} cells is too short for tensor "
-            f"{layout.tensor!r} (layout spans {layout.offset + layout.size})"
+            f"{layout.tensor!r} (layout spans {span})"
         )
     step = flat.strides[-1]
     return np.lib.stride_tricks.as_strided(
-        flat[..., layout.offset:],
-        shape=flat.shape[:-1] + layout.shape,
-        strides=flat.strides[:-1] + tuple(step * s for s in layout.strides),
+        flat[..., layout.offset * lanes:],
+        shape=flat.shape[:-1] + (lanes,) + layout.shape,
+        strides=flat.strides[:-1]
+        + (step,)
+        + tuple(step * lanes * s for s in layout.strides),
     )
 
 
-def pack_array(flat: np.ndarray, layout: Layout, arr: np.ndarray) -> None:
-    """Scatter a tensor (or a ``(*batch, *shape)`` stack of them) into
-    its flat, layout-addressed buffer(s)."""
-    _layout_view(flat, layout)[...] = arr
+def _lane_groups(stack: np.ndarray, lanes: int):
+    """A ``(Ne, *shape)`` stack split into its whole lane groups, viewed
+    as ``(Ne // lanes, lanes, *shape)``, and the ``Ne % lanes`` elements
+    of the partial group after them."""
+    groups = len(stack) // lanes
+    whole = stack[: groups * lanes].reshape((groups, lanes) + stack.shape[1:])
+    return whole, stack[groups * lanes:]
 
 
-def unpack_array(flat: np.ndarray, layout: Layout) -> np.ndarray:
-    """Gather a tensor (or a stack of them) back out of flat buffer(s)."""
-    return _layout_view(flat, layout).copy()
+def pack_array(
+    flat: np.ndarray, layout: Layout, arr: np.ndarray, lanes: int = 1
+) -> None:
+    """Scatter tensors into flat, layout-addressed, lane-interleaved
+    buffer(s).
+
+    A 1-D ``flat`` of ``size * lanes`` cells gets the one tensor ``arr``
+    in every lane; a ``(G, size * lanes)`` stack gets the ``(Ne, *shape)``
+    stack ``arr``, element ``e`` in lane ``e % lanes`` of row ``e //
+    lanes``.  Lanes past ``Ne`` keep what they held (the zeros of a
+    fresh buffer).  With ``lanes=1`` a row is one element's buffer.
+    """
+    view = _layout_view(flat, layout, lanes)
+    if flat.ndim == 1:
+        view[...] = arr
+        return
+    whole, rest = _lane_groups(arr, lanes)
+    view[: len(whole)] = whole
+    if len(rest):
+        view[len(whole), : len(rest)] = rest
+
+
+def unpack_array(
+    flat: np.ndarray,
+    layout: Layout,
+    lanes: int = 1,
+    count: Optional[int] = None,
+) -> np.ndarray:
+    """Gather tensors back out of :func:`pack_array`'s buffers: the
+    tensor in lane 0 of a 1-D ``flat``, or the ``(count, *shape)``
+    stack of a ``(G, size * lanes)`` one (``count`` defaults to every
+    lane, ``G * lanes``).  The result is a new array; de-interleaving is
+    its one copy."""
+    view = _layout_view(flat, layout, lanes)
+    if flat.ndim == 1:
+        return view[0].copy()
+    count = len(flat) * lanes if count is None else count
+    out = np.empty((count,) + layout.shape)
+    whole, rest = _lane_groups(out, lanes)
+    whole[...] = view[: len(whole)]
+    if len(rest):
+        rest[...] = view[len(whole), : len(rest)]
+    return out
 
 
 def run_python_kernel(

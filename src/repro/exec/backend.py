@@ -18,9 +18,14 @@ they differ in fidelity and throughput:
     loops, so agreement is ``allclose`` (1e-12), not bit-exact.
 ``cnative``
     The C99 kernel from :mod:`repro.codegen.cemit` compiled with the
-    system C compiler into a shared library; one ``ctypes`` call walks
-    the whole batch in C.  Bit-exact with ``loops``; unavailable (and
-    auto-skipped) when no compiler is installed.
+    system C compiler into a shared library that computes 2 or 4
+    elements per kernel call, one per SIMD lane; one ``ctypes`` call
+    walks the whole batch in C.  Bit-exact with ``loops`` at every lane
+    count; unavailable (and auto-skipped) when no compiler is installed.
+
+Both generated-kernel backends pack a batch with :func:`batch_buffers`:
+flat, layout-addressed buffers whose every cell holds one element per
+lane (``loops`` runs at one lane).
 
 Backends register here by name; :func:`get_backend` resolves them for
 the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
@@ -47,14 +52,17 @@ class FunctionalRecord:
     Produced by the ``simulate`` stage when an execution backend is
     selected (:attr:`~repro.flow.options.SystemOptions.exec_backend`)
     and surfaced through :class:`~repro.flow.pipeline.FlowResult.
-    functional` and the flow trace metrics.  ``replayed`` marks a record
-    served from a cache tier: its timing is the run that computed it.
+    functional` and the flow trace metrics.  ``max_error`` is the
+    largest absolute difference between the batch's checked elements
+    and ``teil.interp``.  ``replayed`` marks a record served from a
+    cache tier: its timing is the run that computed it.
     """
 
     backend: str
     n_elements: int
     seconds: float
     replayed: bool = False
+    max_error: float = 0.0
 
     @property
     def elements_per_sec(self) -> float:
@@ -233,23 +241,34 @@ def batch_buffers(
     elements: Mapping[str, np.ndarray],
     static_inputs: Mapping[str, np.ndarray],
     element_inputs: Sequence[str],
+    lanes: int = 1,
 ) -> Tuple[int, Dict[str, np.ndarray]]:
     """Validate a batch and pack it for ``prog``'s generated kernel.
 
     Returns ``Ne`` and one flat, layout-addressed buffer per kernel
     parameter in parameter order (interface, then temporaries), each
-    input packed by one :func:`pack_array` call.  Streamed inputs and
-    outputs get one row per element, ``(Ne, size)``; static inputs and
-    temporaries one ``(size,)`` buffer that every element shares.
+    input packed by one :func:`pack_array` call.  Every cell holds
+    ``lanes`` consecutive elements, one per lane, and one kernel call
+    computes a whole row of ``size * lanes`` cells.  Streamed inputs and
+    outputs get one row per lane group, ``(ceil(Ne / lanes), size *
+    lanes)``, the unused lanes of the last one zero; static inputs get
+    their tensor copied into every lane of one shared ``(size * lanes,)``
+    buffer, and temporaries one shared zero buffer of that size.  With
+    ``lanes=1`` a row is one element.
     """
     fn = prog.function
     ne = consistent_batch_size(elements, element_inputs)
     inputs = checked_batch_inputs(fn, elements, static_inputs, element_inputs)
     per_element = set(element_inputs) | {d.name for d in fn.outputs()}
+    groups = -(-ne // lanes)
     buffers: Dict[str, np.ndarray] = {}
     for d in fn.interface() + fn.temporaries():
-        size = prog.layouts[d.name].size
-        buffers[d.name] = np.zeros((ne, size) if d.name in per_element else size)
+        cells = prog.layouts[d.name].size * lanes
+        buffers[d.name] = np.zeros(
+            (groups, cells) if d.name in per_element else cells
+        )
         if d.name in inputs:
-            pack_array(buffers[d.name], prog.layouts[d.name], inputs[d.name])
+            pack_array(
+                buffers[d.name], prog.layouts[d.name], inputs[d.name], lanes
+            )
     return ne, buffers

@@ -1,17 +1,37 @@
 """The ``cnative`` execution backend: the generated C99 kernel, compiled.
 
-Takes the exact kernel source the flow emits for HLS
-(:func:`repro.codegen.kernel.generate_kernel`), appends a
-``kernel_batch`` entry point and compiles both with the system C
-compiler into a shared library.  One ``ctypes`` call streams a whole
-batch through it, as the paper's host streams its elements through an
-accelerator: streamed inputs and outputs advance by one layout ``size``
-per element, static inputs and exported temporaries stay put.
-``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so
-the results are bit-identical to the ``loops`` reference; ``#pragma
-HLS`` lines are unknown pragmas to a host compiler and are ignored.
-Libraries are cached by source hash for the process lifetime and
-removed at exit, and each program object's kernel is generated once.
+Takes the kernel the flow emits for HLS (:func:`repro.codegen.kernel.
+generate_kernel`) and compiles it with the system C compiler into a
+shared library that computes several elements per kernel call, one per
+SIMD lane, as the paper replicates one kernel over independent
+elements.  The C AST is re-emitted with every array element and
+accumulator typed ``lane``, a GCC/Clang vector of ``CFD_LANES``
+doubles, and ``0.0`` written as a zero lane; the statements, loop order
+and summation order stay the HLS kernel's.  Each operator applies the
+same IEEE operation lane by lane and ``-ffp-contract=off`` keeps the
+compiler from fusing multiply-adds, so every lane is bit-identical to
+the ``loops`` reference.  ``#pragma HLS`` lines are unknown pragmas to a
+host compiler and are ignored; the HLS text itself is untouched.
+
+``CFD_LANES`` follows the compiled ISA: 4 when the compiler defines
+``__AVX__`` (256-bit registers), else 2 (the 128-bit SSE2 or NEON
+baseline).  A lane type wider than the registers runs slower than
+scalar code.  The build adds ``-march=native`` when the compiler
+builds a small lane function with it (one probe per compiler) and the
+library reports its lane count through ``kernel_lanes()``.  ``lane`` is
+declared ``aligned(8)``: a vector type otherwise demands its own size
+as alignment, and NumPy buffers are only 8-byte aligned.
+
+An appended ``kernel_batch`` walks the lane groups of a batch in one
+``ctypes`` call, as the paper's host streams its elements through an
+accelerator: streamed inputs and outputs advance by one row of the
+lane-interleaved buffers (:func:`~repro.exec.backend.batch_buffers`),
+static inputs and exported temporaries stay put.  ``kernel_body`` is
+``static`` so that it is inlined there, where every pointer is
+``restrict``: each parameter has a buffer of its own, so no two alias.
+Libraries are cached by source, compiler and flags for the process
+lifetime and removed at exit, and each program object's kernel is
+generated once.
 
 The backend reports itself unavailable (and callers auto-skip it) when
 no C compiler is on ``PATH``; set ``CFDLANG_CC`` to pick a specific one.
@@ -21,6 +41,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -29,10 +50,13 @@ import tempfile
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.codegen.cast import CAssign, CBlock, CDecl, CFor, CLiteral, CStmt
+from repro.codegen.cemit import emit_function
 from repro.codegen.kernel import generate_kernel
 from repro.codegen.pyemit import unpack_array
 from repro.errors import ExecBackendError
@@ -43,9 +67,32 @@ from repro.teil.program import Function
 _CC_CANDIDATES = ("cc", "gcc", "clang")
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
 
+#: the lane type; ``-DCFD_LANES=n`` overrides the ISA's lane count
+_PRELUDE = """\
+#ifndef CFD_LANES
+#ifdef __AVX__
+#define CFD_LANES 4
+#else
+#define CFD_LANES 2
+#endif
+#endif
+typedef double lane __attribute__((vector_size(8 * CFD_LANES), aligned(8)));
+
+"""
+_ZERO_LANE = CLiteral("(lane){0}")
+
 _build_dir: Optional[str] = None
-_compiled: Dict[str, Callable] = {}
+_compiled: Dict[str, KernelLibrary] = {}
 _compile_lock = threading.Lock()  # one writer per kernel file
+
+
+class KernelLibrary(NamedTuple):
+    """A compiled kernel: its batch entry point and lane count."""
+
+    #: ``kernel_batch(ng, s0, p0, s1, p1, ...)``
+    batch: Callable
+    #: elements per ``kernel_body`` call, as the library reports it
+    lanes: int
 
 
 def find_compiler() -> Optional[str]:
@@ -68,60 +115,137 @@ def _ensure_build_dir() -> str:
     return _build_dir
 
 
-def compile_kernel_library(source: str, n_params: int) -> Callable:
-    """Compile a ``kernel_body`` source with an appended
-    ``kernel_batch(ne, s0, p0, s1, p1, ...)`` entry point, which calls
-    ``kernel_body`` once per element with each ``p_i`` advanced by
-    ``s_i`` doubles; returns ``kernel_batch`` as a ctypes function.
+def _run_compiler(cc: str, args: Sequence[str], **kwargs):
+    try:
+        return subprocess.run([cc, *args], capture_output=True, text=True, **kwargs)
+    except OSError as exc:
+        raise ExecBackendError(f"C compiler {cc} did not run: {exc}") from None
 
-    Cached by source hash; raises :class:`ExecBackendError` when no
-    compiler is found or the compile fails.
+
+#: lane arithmetic for the ``-march=native`` probe to compile and assemble
+_PROBE = _PRELUDE + """\
+void cfd_probe(long n, lane *restrict a, const lane *restrict b) {
+  for (long i = 0; i < n; ++i)
+    a[i] = a[i] * b[i] + b[i] / a[i];
+}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _isa_flags(cc: str) -> Tuple[str, ...]:
+    """``-march=native`` when ``cc`` builds lane code with it, else no
+    flag.
+
+    The probe is lane arithmetic taken through the assembler, not an
+    empty unit: a compiler newer than its assembler accepts the flag
+    yet emits vector instructions the assembler cannot encode.
     """
-    params = ", ".join(f"long s{i}, double *p{i}" for i in range(n_params))
-    args = ", ".join(f"p{i} + e * s{i}" for i in range(n_params))
-    source += (
-        f"\nvoid kernel_batch(long ne, {params}) {{\n"
-        f"  for (long e = 0; e < ne; ++e)\n    kernel_body({args});\n}}\n"
+    c_path = os.path.join(_ensure_build_dir(), "isa-probe.c")
+    with open(c_path, "w") as fh:
+        fh.write(_PROBE)
+    probe = _run_compiler(
+        cc, [*_CFLAGS, "-march=native", "-c", "-o", c_path[:-1] + "o", c_path]
     )
-    key = hashlib.sha256(source.encode()).hexdigest()
+    return ("-march=native",) if probe.returncode == 0 else ()
+
+
+def lane_kernel_source(prog: PolyProgram) -> Tuple[str, int]:
+    """``prog``'s ``kernel_body`` with every element typed ``lane``, and
+    its parameter count.
+
+    The HLS kernel's C AST re-emitted: parameters and ``double``
+    declarations become ``lane``, ``0.0`` stores and initialisers a zero
+    lane, and the function ``static``; every statement, loop and sum
+    keeps its order.
+    """
+    fn = generate_kernel(prog).function
+    lane_fn = replace(
+        fn,
+        params=[replace(p, ctype="lane") for p in fn.params],
+        body=_lane_stmt(fn.body),
+        return_type="static void",
+    )
+    return emit_function(lane_fn), len(fn.params)
+
+
+def _lane_stmt(stmt: CStmt) -> CStmt:
+    if isinstance(stmt, CBlock):
+        return CBlock([_lane_stmt(s) for s in stmt.stmts])
+    if isinstance(stmt, CFor):
+        return replace(stmt, body=_lane_stmt(stmt.body))
+    if isinstance(stmt, CDecl) and stmt.ctype == "double":
+        init = _ZERO_LANE if stmt.init == CLiteral(0.0) else stmt.init
+        return replace(stmt, ctype="lane", init=init)
+    if isinstance(stmt, CAssign) and stmt.rhs == CLiteral(0.0):
+        return replace(stmt, rhs=_ZERO_LANE)
+    return stmt
+
+
+def compile_kernel_library(
+    source: str, n_params: int, lanes: Optional[int] = None
+) -> KernelLibrary:
+    """Compile a lane-typed ``kernel_body`` source (see
+    :func:`lane_kernel_source`) with an appended ``kernel_batch(ng, s0,
+    p0, s1, p1, ...)`` entry point, which calls ``kernel_body`` once per
+    lane group with each ``p_i`` advanced by ``s_i`` lanes.
+
+    ``lanes`` overrides the ISA's lane count (``-DCFD_LANES``), so a
+    test can build every width on any host.  Cached by source, compiler
+    and flags; raises :class:`ExecBackendError` when no compiler is
+    found or the compile fails.
+    """
+    params = ", ".join(f"long s{i}, lane *restrict p{i}" for i in range(n_params))
+    args = ", ".join(f"p{i} + g * s{i}" for i in range(n_params))
+    source = (
+        _PRELUDE
+        + source
+        + f"\nvoid kernel_batch(long ng, {params}) {{\n"
+        f"  for (long g = 0; g < ng; ++g)\n    kernel_body({args});\n}}\n"
+        "\nint kernel_lanes(void) { return CFD_LANES; }\n"
+    )
     with _compile_lock:
-        if key in _compiled:
-            return _compiled[key]
         cc = find_compiler()
         if cc is None:
             raise ExecBackendError(
                 "no C compiler found (tried $CFDLANG_CC, cc, gcc, clang)"
             )
+        flags = [*_CFLAGS, *_isa_flags(cc)]
+        if lanes is not None:
+            flags.append(f"-DCFD_LANES={int(lanes)}")
+        key = hashlib.sha256(
+            "\0".join([source, cc, *flags]).encode()
+        ).hexdigest()
+        if key in _compiled:
+            return _compiled[key]
         build = _ensure_build_dir()
         c_path = os.path.join(build, f"kernel-{key[:16]}.c")
         so_path = os.path.join(build, f"kernel-{key[:16]}.so")
         with open(c_path, "w") as fh:
             fh.write(source)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", so_path, c_path],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_compiler(cc, [*flags, "-o", so_path, c_path])
         if proc.returncode != 0:
             raise ExecBackendError(
                 f"C compile of generated kernel failed ({cc}):\n{proc.stderr}"
             )
-        entry = ctypes.CDLL(so_path).kernel_batch
+        lib = ctypes.CDLL(so_path)
+        lib.kernel_lanes.restype = ctypes.c_int
+        lib.kernel_lanes.argtypes = []
+        entry = lib.kernel_batch
         entry.restype = None
         entry.argtypes = [ctypes.c_long] + [ctypes.c_long, ctypes.c_void_p] * n_params
-        _compiled[key] = entry
-        return entry
+        _compiled[key] = KernelLibrary(entry, lib.kernel_lanes())
+        return _compiled[key]
 
 
 class CNativeBackend(ExecBackend):
-    """Whole-batch execution of the compiled generated C kernel."""
+    """Whole-batch execution of the compiled C kernel, one element per SIMD lane."""
 
     name = "cnative"
     #: programs whose compiled kernel stays memoized (least recently used go)
     MEMO_SIZE = 64
 
     def __init__(self) -> None:
-        # id(prog) -> (weakref to prog, entry point); the weakref tells a
+        # id(prog) -> (weakref to prog, library); the weakref tells a
         # live program from a dead one whose id was reused
         self._kernels: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -134,22 +258,21 @@ class CNativeBackend(ExecBackend):
             return None
         return "no C compiler on PATH (tried $CFDLANG_CC, cc, gcc, clang)"
 
-    def _kernel(self, prog: PolyProgram) -> Callable:
-        """The batch entry point of ``prog``, generated and compiled on
-        the first call per program object."""
+    def _kernel(self, prog: PolyProgram) -> KernelLibrary:
+        """The compiled kernel of ``prog``, generated and compiled on the
+        first call per program object."""
         with self._lock:
             hit = self._kernels.get(id(prog))
             if hit is not None and hit[0]() is prog:
                 self._kernels.move_to_end(id(prog))
                 return hit[1]
-        code = generate_kernel(prog)
-        entry = compile_kernel_library(code.source, len(code.interface_params))
+        lib = compile_kernel_library(*lane_kernel_source(prog))
         with self._lock:
-            self._kernels[id(prog)] = (weakref.ref(prog), entry)
+            self._kernels[id(prog)] = (weakref.ref(prog), lib)
             self._kernels.move_to_end(id(prog))
             while len(self._kernels) > self.MEMO_SIZE:
                 self._kernels.popitem(last=False)
-        return entry
+        return lib
 
     def run_batch(
         self,
@@ -160,12 +283,17 @@ class CNativeBackend(ExecBackend):
         prog: Optional[PolyProgram] = None,
     ) -> Dict[str, np.ndarray]:
         prog = resolved_program(fn, prog)
-        ne, buffers = batch_buffers(prog, elements, static_inputs, element_inputs)
+        lib = self._kernel(prog)
+        ne, buffers = batch_buffers(
+            prog, elements, static_inputs, element_inputs, lib.lanes
+        )
         args: List[int] = []
-        for buf in buffers.values():  # ``buffers`` keeps them alive
-            args += [buf.shape[1] if buf.ndim == 2 else 0, buf.ctypes.data]
-        self._kernel(prog)(ne, *args)
+        for name, buf in buffers.items():  # ``buffers`` keeps them alive
+            args += [prog.layouts[name].size if buf.ndim == 2 else 0, buf.ctypes.data]
+        lib.batch(-(-ne // lib.lanes), *args)
         return {
-            d.name: unpack_array(buffers[d.name], prog.layouts[d.name])
+            d.name: unpack_array(
+                buffers[d.name], prog.layouts[d.name], lib.lanes, ne
+            )
             for d in prog.function.outputs()
         }

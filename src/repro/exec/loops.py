@@ -5,9 +5,10 @@ pyemit`) over flat, layout-addressed buffers — the same loop structure,
 statement order, and accumulation order the C code executes, which makes
 this the bit-exact reference the vectorized backends are checked
 against.  The kernel is compiled and every tensor packed once per batch
-(:func:`~repro.exec.backend.batch_buffers`); the kernel then runs on
-each element's row views, so only the arithmetic remains a Python loop
-nest.
+by the buffer helpers ``cnative`` uses (:func:`~repro.exec.backend.
+batch_buffers`), at one lane: each row of a streamed buffer is one
+element's flat buffer.  The kernel then runs on each element's row
+views, so only the arithmetic remains a Python loop nest.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ Service directory layout (all writes atomic)::
       state/    <job-id>.json        terminal state marker
 
 A job id sorts by submit time (``j<hex-ms><nonce>``), so the service's
-sorted-id claim order drains jobs first-come-first-served.
+claim order (job id, then point index) drains jobs first-come-first-served.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def mint_job_id() -> str:
     """A fresh job id that sorts by submit time.
 
     Milliseconds since the epoch in fixed-width hex, plus a nonce:
-    workers claim pending points in sorted-id order, so time-sortable
-    ids make the whole service drain first-come-first-served.  No ``-``
+    workers claim pending points in job-id order, so time-sortable ids
+    make the whole service drain first-come-first-served.  No ``-``
     may appear — point ids are ``<job>-<idx>``, split on the last dash.
     """
     return f"j{int(time.time() * 1000):012x}{uuid.uuid4().hex[:8]}"
@@ -158,10 +158,11 @@ class JobService:
     queued (a worker message by point id), leased (the message and its
     last heartbeat, ``time.monotonic``), resolved (a result file).  It
     is the in-process :class:`~repro.flow.distributed.Transport`:
-    workers claim the smallest queued point id first, so time-sortable
-    job ids drain first-come first-served, and ``complete`` records a
-    result at once.  :class:`~repro.flow.nettransport.BrokerServer`
-    hands it the worker ops of its connections.  ``start()`` launches
+    workers claim queued points by job id, then point index, so
+    time-sortable job ids drain first-come first-served, and
+    ``complete`` records a result at once.
+    :class:`~repro.flow.nettransport.BrokerServer` hands it the worker
+    ops of its connections.  ``start()`` launches
     the scheduler thread (lease healing, finalization, retention) and
     ``stop()`` joins it; the broker calls ``stop()`` from its own
     ``close()``.  Construction recovers state from the service
@@ -600,11 +601,17 @@ class JobService:
 
     # -- worker side: the Transport protocol ---------------------------------
     def claim_job(self) -> Optional[Dict[str, object]]:
-        """Lease the queued point with the smallest id, or None."""
+        """Lease the first queued point, by job id then point index, or
+        None."""
         with self._lock:
             if not self._pending:
                 return None
-            point_id = min(self._pending)
+            # the index, not the id string: ids pad it to five digits,
+            # so "-100000" would sort before "-10001"
+            point_id = min(
+                self._pending.values(),
+                key=lambda m: (m["id"].rpartition("-")[0], m["index"]),
+            )["id"]
             message = self._pending.pop(point_id)
             self._leases[point_id] = [message, time.monotonic()]
             return dict(message)

@@ -457,6 +457,7 @@ class Flow:
         functional = self.state.get("functional")
         if functional is not None and self.trace is not None:
             self.trace.record_metric("exec-backend", functional.backend)
+            self.trace.record_metric("functional-max-error", functional.max_error)
             if not functional.replayed:
                 self.trace.record_metric(
                     "elements/sec", round(functional.elements_per_sec, 1)

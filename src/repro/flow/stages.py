@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 from repro.cfdlang import analyze, parse_program
 from repro.cfdlang.ast import Program
 from repro.codegen import generate_kernel
-from repro.errors import ReproError, SystemGenerationError
+from repro.errors import ReproError, SimulationError, SystemGenerationError
 from repro.flow.options import FlowOptions
 from repro.layout import Layout, default_layouts
 from repro.memory import CompatibilityGraph, build_compatibility_graph
@@ -34,7 +34,9 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (6: the ``memory`` stage's CLIQUE cover is exact above 14 arrays,
+#: (7: the ``simulate`` stage checks its functional batch against
+#: ``teil.interp`` and records the error;
+#: 6: the ``memory`` stage's CLIQUE cover is exact above 14 arrays,
 #: where it was greedy;
 #: 5: HBM memory architectures — the ``bank-assign`` stage between
 #: build-system and simulate, Board grew a MemorySystem (its repr feeds
@@ -44,7 +46,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 6
+STAGE_API_VERSION = 7
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]
@@ -325,12 +327,23 @@ def _run_build_system(state, options):
     }
 
 
+#: a functional batch's outputs must match ``teil.interp`` this closely
+#: (``np.allclose`` rtol and atol)
+FUNCTIONAL_TOLERANCE = 1e-12
+
+
 def _run_functional_batch(state, options):
-    """Execute a functional smoke batch with the selected backend.
+    """Execute a functional batch with the selected backend and check it.
 
     Streamed inputs are the interface arrays the system transfers per
-    element (the transfer footprint's streamed inputs); everything else
-    gets deterministic static data.  Returns the throughput record.
+    element (the transfer footprint's streamed inputs, or every input of
+    a kernel that streams only outputs); everything else gets
+    deterministic static data.  The batch's first and last element
+    are recomputed with ``teil.interp`` (a backend that computes several
+    elements per call holds the last one in its final, padded group);
+    an output off by more than :data:`FUNCTIONAL_TOLERANCE` raises
+    :class:`SimulationError`.  Returns the throughput record with the
+    largest absolute error seen.
     """
     import time
 
@@ -338,6 +351,7 @@ def _run_functional_batch(state, options):
 
     from repro.exec import FunctionalRecord, require_backend
     from repro.system.integration import transfer_footprint
+    from repro.teil.interp import interpret
 
     prog = state["poly"]
     fn = prog.function
@@ -345,6 +359,9 @@ def _run_functional_batch(state, options):
     ne = options.system.functional_elements
     footprint = transfer_footprint(fn, state["port_classes"])
     streamed = [d.name for d in fn.inputs() if d.name in footprint.streamed]
+    # a kernel that streams only outputs (all its inputs static) still
+    # computes Ne elements: give each its own inputs
+    streamed = streamed or [d.name for d in fn.inputs()]
     rng = np.random.default_rng(0)
     elements = {n: rng.random((ne,) + fn.decls[n].shape) for n in streamed}
     static = {
@@ -353,10 +370,25 @@ def _run_functional_batch(state, options):
         if d.name not in set(streamed)
     }
     t0 = time.perf_counter()
-    backend.run_batch(fn, elements, static, streamed, prog=prog)
+    outputs = backend.run_batch(fn, elements, static, streamed, prog=prog)
     seconds = time.perf_counter() - t0
+    max_error = 0.0
+    for e in sorted({0, ne - 1}) if ne else ():
+        want = interpret(fn, {**static, **{n: elements[n][e] for n in streamed}})
+        for name, ref in want.items():
+            got = outputs[name][e]
+            error = float(np.max(np.abs(got - ref)))
+            max_error = max(max_error, error)
+            if not np.allclose(
+                got, ref, rtol=FUNCTIONAL_TOLERANCE, atol=FUNCTIONAL_TOLERANCE
+            ):
+                raise SimulationError(
+                    f"functional batch of kernel {fn.name!r} on "
+                    f"{backend.name!r} differs from teil.interp: output "
+                    f"{name!r} of element {e} is off by up to {error:.3g}"
+                )
     return FunctionalRecord(
-        backend=backend.name, n_elements=ne, seconds=seconds
+        backend=backend.name, n_elements=ne, seconds=seconds, max_error=max_error
     )
 
 

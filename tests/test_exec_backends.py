@@ -2,12 +2,23 @@
 
 Every app x schedule/layout variant x backend must agree with the
 ``loops`` reference (the generated-Python mirror of the C kernel):
-``cnative`` runs the same loops compiled and must match it exactly,
-``numpy`` reassociates sums and must match within 1e-12.  ``cnative``
-skips cleanly on hosts without a C compiler.
+``cnative`` runs the same loops compiled and must match it exactly, at
+every lane count and batch size, ``numpy`` reassociates sums and must
+match within 1e-12.  ``cnative`` skips cleanly on hosts without a C
+compiler.
+
+The HLS text of every suite kernel is pinned by digest in
+``data/kernel_text.json``: the host build re-types a copy of the C AST
+and must leave the text the flow emits alone.  Regenerate after an
+intended change of the emitted kernels with
+``PYTHONPATH=src python tests/test_exec_backends.py``.
 """
 
+import functools
 import gc
+import hashlib
+import json
+import pathlib
 import sys
 import threading
 
@@ -20,6 +31,7 @@ from repro.apps import (
     inverse_helmholtz_program,
     preconditioner_program,
 )
+from repro.apps.workloads import WORKLOAD_SUITES, make_workload
 from repro.codegen.pyemit import pack_array, unpack_array
 from repro.errors import ExecBackendError, LayoutError, SimulationError
 from repro.exec import (
@@ -30,13 +42,15 @@ from repro.exec import (
     get_backend,
     require_backend,
 )
-from repro.flow import compile_any
+from repro.flow import compile_any, compile_program
 from repro.flow.options import FlowOptions, SystemOptions
 from repro.flow.session import Flow, FlowTrace
 from repro.flow.solver import SolverLoop
 from repro.layout.layout import Layout
 
 NE = 3
+LANES = (1, 2, 4, 8)
+KERNEL_TEXT = pathlib.Path(__file__).with_name("data") / "kernel_text.json"
 
 APPS = {
     "helmholtz": lambda: inverse_helmholtz_program(5),
@@ -52,7 +66,7 @@ VARIANTS = {
 }
 
 
-def _batch(res, kind="all", seed=0):
+def _batch(res, kind="all", seed=0, ne=NE):
     """One batch of inputs: ``all`` streams every input (the strictest
     exercise of the batch path), ``mixed`` streams the largest-rank
     inputs and keeps the rest static (stride 0 in cnative's batch call),
@@ -61,7 +75,7 @@ def _batch(res, kind="all", seed=0):
     inputs = res.function.inputs()
     top = max(len(d.shape) for d in inputs)
     streamed = [d.name for d in inputs if kind != "mixed" or len(d.shape) == top]
-    ne = 0 if kind == "empty" else NE
+    ne = 0 if kind == "empty" else ne
     elements = {n: rng.random((ne,) + res.function.decls[n].shape) for n in streamed}
     static = {d.name: rng.random(d.shape) for d in inputs if d.name not in streamed}
     return elements, static, streamed
@@ -72,6 +86,20 @@ def _cnative():
     if not backend.available():
         pytest.skip(backend.unavailable_reason())
     return backend
+
+
+def _lane_backend(monkeypatch, lanes):
+    """A fresh ``cnative`` backend whose kernels build with ``lanes``
+    lanes, whatever the host's ISA."""
+    from repro.exec import cnative
+
+    _cnative()
+    monkeypatch.setattr(
+        cnative,
+        "compile_kernel_library",
+        functools.partial(cnative.compile_kernel_library, lanes=lanes),
+    )
+    return CNativeBackend()
 
 
 @pytest.fixture(scope="module", params=sorted(APPS))
@@ -242,6 +270,184 @@ class TestCNativeBatch:
         assert np.array_equal(unpack_array(flat, layout), batch)
 
 
+@pytest.fixture(scope="module")
+def lane_case(variant_result):
+    """A mixed batch of 2 * max(LANES) + 1 elements and its ``loops``
+    outputs; elements are independent, so every prefix of the batch has
+    the matching prefix of the outputs."""
+    elements, static, streamed = _batch(
+        variant_result, "mixed", ne=2 * max(LANES) + 1
+    )
+    ref = get_backend("loops").run_batch(
+        variant_result.function, elements, static, streamed,
+        prog=variant_result.poly,
+    )
+    return elements, static, streamed, ref
+
+
+class TestLanes:
+    """Every lane count computes every element bit-identically: the
+    lane build runs the HLS kernel's loops, one element per lane."""
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_every_lane_count_and_batch_size_matches_loops(
+        self, variant_result, lane_case, lanes, monkeypatch
+    ):
+        backend = _lane_backend(monkeypatch, lanes)
+        res = variant_result
+        elements, static, streamed, ref = lane_case
+        for ne in sorted({0, 1, lanes - 1, lanes + 1, 2 * lanes + 1}):
+            batch = {n: a[:ne] for n, a in elements.items()}
+            got = backend.run_batch(
+                res.function, batch, static, streamed, prog=res.poly
+            )
+            assert set(got) == set(ref)
+            for name in ref:
+                assert np.array_equal(got[name], ref[name][:ne]), (ne, name)
+        assert backend._kernel(res.poly).lanes == lanes
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_padding_lanes_divide_zero_by_zero_unseen(self, lanes, monkeypatch):
+        """The unused lanes of the last group hold zeros, so an
+        entry-wise division computes 0/0 there; that NaN stays in the
+        buffer and never reaches an output."""
+        from repro.cfdlang import ProgramBuilder
+        from repro.exec import cnative
+
+        b = ProgramBuilder()
+        num, den = b.input("u", (3, 4)), b.input("d", (3, 4))
+        b.assign(b.output("q", (3, 4)), b.div(num, den))
+        res = compile_any(b.build())
+        backend = _lane_backend(monkeypatch, lanes)
+        seen = []
+        real = cnative.unpack_array
+        monkeypatch.setattr(
+            cnative, "unpack_array",
+            lambda flat, *args: seen.append(flat.copy()) or real(flat, *args),
+        )
+        rng = np.random.default_rng(1)
+        ne = lanes + 1
+        elements = {"u": rng.random((ne, 3, 4)), "d": 1.0 + rng.random((ne, 3, 4))}
+        args = (res.function, elements, {}, ["u", "d"])
+        got = backend.run_batch(*args, prog=res.poly)["q"]
+        assert not np.isnan(got).any()
+        ref = get_backend("loops").run_batch(*args, prog=res.poly)["q"]
+        assert np.array_equal(got, ref)
+        (flat,) = seen
+        cells = flat[-1].reshape(-1, lanes)  # the last group, cell by lane
+        assert np.isnan(cells[:, ne % lanes:]).all() == (lanes > 1)
+        assert not np.isnan(cells[:, : ne % lanes]).any()
+
+
+def _cc_wrapper(tmp_path, monkeypatch, on_native_arch: str):
+    """Point ``CFDLANG_CC`` at a wrapper of the host's compiler that runs
+    the shell line ``on_native_arch`` (``$src``: the C file, if any)
+    when called with ``-march=native``."""
+    from repro.exec.cnative import find_compiler
+
+    _cnative()
+    wrapper = tmp_path / "cc-wrapper"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        "src=\n"
+        'for arg in "$@"; do case "$arg" in *.c) src="$arg";; esac; done\n'
+        'for arg in "$@"; do\n'
+        '  if [ "$arg" = "-march=native" ]; then\n'
+        f"    {on_native_arch}\n"
+        "  fi\n"
+        "done\n"
+        f'exec "{find_compiler()}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CFDLANG_CC", str(wrapper))
+    return wrapper
+
+
+class TestHostBuild:
+    @pytest.fixture
+    def cc_without_native_arch(self, tmp_path, monkeypatch):
+        """A compiler that rejects ``-march=native``."""
+        return _cc_wrapper(
+            tmp_path,
+            monkeypatch,
+            'echo "error: unsupported -march=native" >&2; exit 1',
+        )
+
+    @pytest.fixture
+    def cc_ahead_of_its_assembler(self, tmp_path, monkeypatch):
+        """A compiler that accepts ``-march=native`` but fails to
+        assemble vector code with it, as a compiler newer than its
+        assembler does."""
+        return _cc_wrapper(
+            tmp_path,
+            monkeypatch,
+            'grep -q vector_size "$src" 2>/dev/null && '
+            '{ echo "Error: no such instruction" >&2; exit 1; }',
+        )
+
+    @staticmethod
+    def _builds_two_lanes_bit_exact():
+        backend = CNativeBackend()
+        res = compile_any(APPS["helmholtz"]())
+        elements, static, streamed = _batch(res, "mixed", ne=5)
+        got = backend.run_batch(
+            res.function, elements, static, streamed, prog=res.poly
+        )
+        ref = get_backend("loops").run_batch(
+            res.function, elements, static, streamed, prog=res.poly
+        )
+        assert backend._kernel(res.poly).lanes == 2
+        assert all(np.array_equal(got[n], ref[n]) for n in ref)
+
+    def test_compiler_without_native_arch_builds_two_lanes(
+        self, cc_without_native_arch
+    ):
+        self._builds_two_lanes_bit_exact()
+
+    def test_native_arch_that_cannot_assemble_lanes_is_not_used(
+        self, cc_ahead_of_its_assembler
+    ):
+        """The probe builds lane code, so it sees what an empty unit
+        would pass."""
+        self._builds_two_lanes_bit_exact()
+
+    def test_compile_error_is_one_error_naming_the_compiler(
+        self, cc_without_native_arch
+    ):
+        from repro.exec import cnative
+
+        source, n_params = cnative.lane_kernel_source(
+            compile_any(APPS["preconditioner"]()).poly
+        )
+        with pytest.raises(ExecBackendError) as info:
+            cnative.compile_kernel_library(
+                source + "\nnot C at all\n", n_params
+            )
+        assert str(cc_without_native_arch) in str(info.value)
+
+    def test_hls_text_is_the_flows_and_has_no_lanes(self):
+        """The lane build leaves the emitted HLS kernel byte-identical."""
+        want = json.loads(KERNEL_TEXT.read_text())
+        got = kernel_texts()
+        assert sorted(got) == sorted(want)
+        for key, source in got.items():
+            assert "lane" not in source, key
+            assert hashlib.sha256(source.encode()).hexdigest() == want[key], key
+
+
+def kernel_texts() -> dict:
+    """The HLS kernel text of every suite kernel, unfused and fused."""
+    out = {}
+    for suite in WORKLOAD_SUITES:
+        for fusion in (None, "auto"):
+            res = compile_program(
+                make_workload(suite, n=5).program, FlowOptions(fusion=fusion)
+            )
+            for name, result in res.results.items():
+                out[f"{suite}/{fusion or 'unfused'}/{name}"] = result.kernel.source
+    return out
+
+
 class TestRegistry:
     def test_all_backends_registered(self):
         assert backend_names() == ["loops", "numpy", "cnative"]
@@ -349,6 +555,64 @@ class TestFlowIntegration:
         assert trace.metrics["exec-backend"] == "numpy"
         assert "elements/sec" not in trace.metrics
 
+    @pytest.mark.parametrize("backend", ["loops", "numpy", "cnative"])
+    def test_functional_batch_is_checked_against_the_interpreter(
+        self, app, backend
+    ):
+        """The first and the last element (in a partial lane group at 5
+        elements) are recomputed with ``teil.interp``."""
+        if not get_backend(backend).available():
+            pytest.skip(get_backend(backend).unavailable_reason())
+        opts = FlowOptions(system=SystemOptions(
+            exec_backend=backend, functional_elements=5
+        ))
+        trace = FlowTrace()
+        res = Flow(APPS[app](), opts, trace=trace).run()
+        assert 0.0 <= res.functional.max_error <= 1e-12
+        assert trace.metrics["functional-max-error"] == res.functional.max_error
+
+    @staticmethod
+    def _perturbed(monkeypatch, element, delta):
+        """Options selecting a ``loops`` backend that adds ``delta`` to
+        one entry of ``element``'s first output."""
+        from repro.exec import backend as registry
+        from repro.exec.loops import LoopsBackend
+
+        class Perturbed(LoopsBackend):
+            name = "perturbed"
+
+            def run_batch(self, *args, **kwargs):
+                outs = super().run_batch(*args, **kwargs)
+                next(iter(outs.values()))[element].flat[0] += delta
+                return outs
+
+        monkeypatch.setitem(registry._REGISTRY, "perturbed", Perturbed())
+        return FlowOptions(system=SystemOptions(
+            exec_backend="perturbed", functional_elements=5
+        ))
+
+    @pytest.mark.parametrize("element", [0, -1])
+    def test_a_wrong_output_fails_the_stage(self, monkeypatch, element):
+        opts = self._perturbed(monkeypatch, element, 1e-9)
+        program = APPS["preconditioner"]()
+        with pytest.raises(SimulationError) as info:
+            Flow(program, opts).run()
+        message = str(info.value)
+        assert "differs from teil.interp" in message
+        assert "'perturbed'" in message and "off by up to 1e-09" in message
+        assert repr(compile_any(program).function.name) in message
+
+    def test_replayed_record_keeps_its_error(self, tmp_path, monkeypatch):
+        from repro.flow import DiskStageCache
+
+        opts = self._perturbed(monkeypatch, -1, 1e-14)
+        cache = DiskStageCache(tmp_path)
+        cold = compile_any(APPS["preconditioner"](), opts, cache=cache)
+        warm = compile_any(APPS["preconditioner"](), opts, cache=cache)
+        assert warm.functional.replayed and not cold.functional.replayed
+        assert warm.functional.max_error == cold.functional.max_error
+        assert 0.0 < cold.functional.max_error <= 1e-12
+
     def test_no_backend_no_record(self):
         res = compile_any(APPS["helmholtz"]())
         assert res.functional is None
@@ -395,3 +659,12 @@ class TestCli:
 
         assert main(["--app", "helmholtz", "--exec-backend", "qemu"]) == 2
         assert "unknown execution backend" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    KERNEL_TEXT.parent.mkdir(exist_ok=True)
+    KERNEL_TEXT.write_text(json.dumps({
+        key: hashlib.sha256(source.encode()).hexdigest()
+        for key, source in kernel_texts().items()
+    }, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {KERNEL_TEXT}", file=sys.stderr)

@@ -485,6 +485,54 @@ class TestJobServiceUnit:
         assert calls == []
         assert service.stats()["queue_depth"] == 16000  # still queued
 
+    def test_claims_drain_jobs_first_come_first_served(self, tmp_path):
+        """Points go out by job id (submit time), then point index; a
+        requeued point goes back ahead of a later job's points."""
+        service = JobService(tmp_path)
+        first = service.submit([("src", None)] * 3)
+        time.sleep(0.002)  # the id's clock field is millisecond-grained
+        second = service.submit([("src", None)] * 2)
+        lost = service.claim_job()
+        assert lost["id"] == f"{first}-00000"
+        service._age_lease(lost["id"], 3600.0)  # its worker died
+        service._tick()
+        claimed = [service.claim_job()["id"] for _ in range(5)]
+        assert claimed == [
+            f"{first}-00000", f"{first}-00001", f"{first}-00002",
+            f"{second}-00000", f"{second}-00001",
+        ]
+        assert service.claim_job() is None
+
+    def test_claims_follow_the_numeric_point_index(self, tmp_path):
+        """Point ids pad the index to five digits, so past 99,999 the id
+        string no longer sorts by index; the claim order still does."""
+        from repro.flow.service import _JobRecord
+
+        service = JobService(tmp_path)
+        job = _JobRecord(mint_job_id(), "", [("src", None)] * 100_001,
+                         "queued", time.time())
+        service._jobs[job.job_id] = job
+        for index in (100_000, 10_001, 99_999):
+            service._enqueue_point(job, index, attempt=0)
+        claimed = [service.claim_job()["index"] for _ in range(3)]
+        assert claimed == [10_001, 99_999, 100_000]
+
+    def test_dropped_points_are_never_claimed(self, tmp_path):
+        """A cancelled job's points, and a requeued copy of a point
+        whose first worker posted after all, leave the queue."""
+        service = JobService(tmp_path)
+        cancelled = service.submit([("src", None)] * 2)
+        time.sleep(0.002)
+        live = service.submit([("src", None)] * 2)
+        service.cancel(cancelled)
+        slow = service.claim_job()
+        assert slow["id"] == f"{live}-00000"
+        service._age_lease(slow["id"], 3600.0)
+        service._tick()  # requeued behind the live worker's back ...
+        service.complete(slow["id"], posted("ran"))  # ... which posts
+        assert service.claim_job()["id"] == f"{live}-00001"
+        assert service.claim_job() is None
+
     def test_stray_posts_leave_no_trace(self, tmp_path):
         """A post for no point of a live job — an unknown id, or a
         straggler's after a cancel — leaves no result file and no lease,
