@@ -7,6 +7,7 @@ See :mod:`repro.exec.backend` for the protocol; ``loops`` / ``numpy`` /
 from repro.exec.backend import (
     ExecBackend,
     FunctionalRecord,
+    Packed,
     available_backend_names,
     backend_names,
     consistent_batch_size,
@@ -29,6 +30,7 @@ __all__ = [
     "FunctionalRecord",
     "LoopsBackend",
     "NumpyBackend",
+    "Packed",
     "available_backend_names",
     "backend_names",
     "consistent_batch_size",

@@ -18,14 +18,20 @@ they differ in fidelity and throughput:
     loops, so agreement is ``allclose`` (1e-12), not bit-exact.
 ``cnative``
     The C99 kernel from :mod:`repro.codegen.cemit` compiled with the
-    system C compiler into a shared library that computes 2 or 4
+    system C compiler into a shared library that computes 2, 4 or 8
     elements per kernel call, one per SIMD lane; one ``ctypes`` call
     walks the whole batch in C.  Bit-exact with ``loops`` at every lane
     count; unavailable (and auto-skipped) when no compiler is installed.
 
 Both generated-kernel backends pack a batch with :func:`batch_buffers`:
 flat, layout-addressed buffers whose every cell holds one element per
-lane (``loops`` runs at one lane).
+lane (``loops`` runs at one lane), each starting on a vector boundary.
+They return their streamed outputs still in that layout, as
+:class:`Packed` values: handed to the next kernel of a chain or the next
+solver step on the same backend, a :class:`Packed` input whose lane
+count and layout geometry match is adopted as the kernel's buffer
+without a copy, and ``np.asarray`` unpacks one into its ``(Ne, *shape)``
+stack wherever host arrays are needed.
 
 Backends register here by name; :func:`get_backend` resolves them for
 the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
@@ -35,12 +41,13 @@ the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.codegen.pyemit import pack_array
-from repro.errors import ExecBackendError, IRError, SimulationError
+from repro.codegen.pyemit import pack_array, unpack_array
+from repro.errors import ExecBackendError, IRError, LayoutError, SimulationError
+from repro.layout.layout import Layout
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
 
@@ -77,6 +84,57 @@ class FunctionalRecord:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Packed:
+    """A streamed tensor left in a generated-kernel backend's lane layout.
+
+    ``buffer`` is a ``(ceil(count / lanes), layout.size * lanes)`` stack
+    from :func:`batch_buffers`: element ``e`` sits in lane ``e % lanes``
+    of row ``e // lanes``, and the unused lanes of the last row hold
+    whatever the kernel computed there.  It behaves as the ``(count,
+    *layout.shape)`` stack it holds where only the count and shape are
+    read (``len``, ``.shape``); ``np.asarray`` unpacks it, one
+    de-interleaving copy.  The buffer is shared, not copied: neither the
+    backends nor their callers write it.
+    """
+
+    buffer: np.ndarray
+    layout: Layout
+    lanes: int
+    count: int
+
+    def __post_init__(self) -> None:
+        # an adopted buffer goes to the C kernel as a bare pointer
+        rows = (-(-self.count // self.lanes), self.layout.size * self.lanes)
+        buf = self.buffer
+        if (buf.shape != rows or buf.dtype != np.float64
+                or not buf.flags.c_contiguous):
+            raise LayoutError(
+                f"packed {self.layout.tensor!r} needs a C-contiguous float64 "
+                f"buffer of shape {rows}, got {buf.dtype} {buf.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.count
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (self.count,) + self.layout.shape
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = unpack_array(self.buffer, self.layout, self.lanes, self.count)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+Batch = Union[np.ndarray, Packed]
+
+
+def streamed_array(arr) -> Batch:
+    """A streamed input as a float64 ``(Ne, *shape)`` array; a
+    :class:`Packed` one stays packed."""
+    return arr if isinstance(arr, Packed) else np.asarray(arr, dtype=np.float64)
+
+
 class ExecBackend:
     """Base class for kernel execution backends.
 
@@ -97,19 +155,21 @@ class ExecBackend:
     def run_batch(
         self,
         fn: Function,
-        elements: Mapping[str, np.ndarray],
+        elements: Mapping[str, Batch],
         static_inputs: Mapping[str, np.ndarray],
         element_inputs: Sequence[str],
         prog: Optional[PolyProgram] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> Dict[str, Batch]:
         """Execute ``fn`` over a batch; returns stacked outputs.
 
         ``elements[name]`` has shape ``(Ne, *tensor_shape)`` for every
-        name in ``element_inputs``; the remaining inputs come from
-        ``static_inputs`` and are shared across elements.  ``prog``
-        supplies the scheduled/laid-out program for backends that
-        execute generated kernels; when omitted they fall back to the
-        reference schedule with default layouts.
+        name in ``element_inputs`` (an array or a :class:`Packed`
+        stack); the remaining inputs come from ``static_inputs`` and are
+        shared across elements.  ``prog`` supplies the scheduled/laid-out
+        program for backends that execute generated kernels; when
+        omitted they fall back to the reference schedule with default
+        layouts.  Outputs are ``(Ne, *tensor_shape)`` stacks, as
+        :class:`Packed` values on the generated-kernel backends.
         """
         raise NotImplementedError
 
@@ -162,7 +222,7 @@ def require_backend(name: str) -> ExecBackend:
 # ---------------------------------------------------------------------------
 
 def consistent_batch_size(
-    elements: Mapping[str, np.ndarray], element_inputs: Sequence[str]
+    elements: Mapping[str, Batch], element_inputs: Sequence[str]
 ) -> int:
     """The common ``Ne`` of the streamed inputs.
 
@@ -172,7 +232,7 @@ def consistent_batch_size(
     if not element_inputs:
         raise SimulationError("no streamed element inputs given")
     try:
-        counts = {n: int(np.asarray(elements[n]).shape[0]) for n in element_inputs}
+        counts = {n: int(np.shape(elements[n])[0]) for n in element_inputs}
     except KeyError as exc:
         raise SimulationError(f"missing streamed input {exc.args[0]!r}") from None
     except IndexError:
@@ -189,21 +249,22 @@ def consistent_batch_size(
 
 def checked_batch_inputs(
     fn: Function,
-    elements: Mapping[str, np.ndarray],
+    elements: Mapping[str, Batch],
     static_inputs: Mapping[str, np.ndarray],
     element_inputs: Sequence[str],
-) -> Dict[str, np.ndarray]:
+) -> Dict[str, Batch]:
     """Validate and normalize the batch inputs to float64 arrays.
 
-    Streamed entries keep their leading element axis; static entries
-    match the declared tensor shape exactly.  Raises :class:`IRError`
-    on missing or mis-shaped inputs (mirroring the interpreter).
+    Streamed entries keep their leading element axis (and a
+    :class:`Packed` one stays packed); static entries match the declared
+    tensor shape exactly.  Raises :class:`IRError` on missing or
+    mis-shaped inputs (mirroring the interpreter).
     """
     streamed = set(element_inputs)
-    out: Dict[str, np.ndarray] = {}
+    out: Dict[str, Batch] = {}
     for d in fn.inputs():
         if d.name in streamed:
-            arr = np.asarray(elements[d.name], dtype=np.float64)
+            arr = streamed_array(elements[d.name])
             if arr.shape[1:] != d.shape:
                 raise IRError(
                     f"streamed input {d.name!r} has per-element shape "
@@ -236,9 +297,25 @@ def resolved_program(fn: Function, prog: Optional[PolyProgram]) -> PolyProgram:
     return reference_schedule(fn)
 
 
+def _geometry(layout: Layout) -> tuple:
+    """What places a tensor in a buffer row.  ``Layout`` equality also
+    compares the tensor's name, and a carried ``w`` is adopted as ``u``."""
+    return layout.shape, layout.strides, layout.offset, layout.size
+
+
+def _aligned_zeros(shape: Tuple[int, ...], align: int) -> np.ndarray:
+    """A float64 zero array whose data starts on an ``align``-byte
+    boundary: one vector over-allocated and sliced off (``.base`` keeps
+    the allocation alive)."""
+    n = int(np.prod(shape))
+    raw = np.zeros(n + align // 8)
+    start = (-raw.ctypes.data % align) // 8
+    return raw[start:start + n].reshape(shape)
+
+
 def batch_buffers(
     prog: PolyProgram,
-    elements: Mapping[str, np.ndarray],
+    elements: Mapping[str, Batch],
     static_inputs: Mapping[str, np.ndarray],
     element_inputs: Sequence[str],
     lanes: int = 1,
@@ -251,10 +328,18 @@ def batch_buffers(
     ``lanes`` consecutive elements, one per lane, and one kernel call
     computes a whole row of ``size * lanes`` cells.  Streamed inputs and
     outputs get one row per lane group, ``(ceil(Ne / lanes), size *
-    lanes)``, the unused lanes of the last one zero; static inputs get
-    their tensor copied into every lane of one shared ``(size * lanes,)``
-    buffer, and temporaries one shared zero buffer of that size.  With
-    ``lanes=1`` a row is one element.
+    lanes)``, the unused lanes of the last one packed as zeros; static
+    inputs get their tensor copied into every lane of one shared ``(size
+    * lanes,)`` buffer, and temporaries one shared zero buffer of that
+    size.  With ``lanes=1`` a row is one element.  Every buffer starts on
+    an ``8 * lanes``-byte boundary, so no lane vector straddles two cache
+    lines.
+
+    A :class:`Packed` streamed input at ``lanes`` lanes whose layout
+    geometry matches the parameter's is the parameter's buffer as it
+    is, with no copy: a kernel never writes its inputs (TeIL rejects an
+    assignment to one).  Any other :class:`Packed` input is unpacked
+    and packed again.
     """
     fn = prog.function
     ne = consistent_batch_size(elements, element_inputs)
@@ -263,12 +348,17 @@ def batch_buffers(
     groups = -(-ne // lanes)
     buffers: Dict[str, np.ndarray] = {}
     for d in fn.interface() + fn.temporaries():
-        cells = prog.layouts[d.name].size * lanes
-        buffers[d.name] = np.zeros(
-            (groups, cells) if d.name in per_element else cells
+        layout = prog.layouts[d.name]
+        arr = inputs.get(d.name)
+        if isinstance(arr, Packed):
+            if arr.lanes == lanes and _geometry(arr.layout) == _geometry(layout):
+                buffers[d.name] = arr.buffer
+                continue
+            arr = np.asarray(arr)
+        cells = layout.size * lanes
+        buffers[d.name] = _aligned_zeros(
+            (groups, cells) if d.name in per_element else (cells,), 8 * lanes
         )
-        if d.name in inputs:
-            pack_array(
-                buffers[d.name], prog.layouts[d.name], inputs[d.name], lanes
-            )
+        if arr is not None:
+            pack_array(buffers[d.name], layout, arr, lanes)
     return ne, buffers

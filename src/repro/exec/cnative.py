@@ -13,25 +13,33 @@ compiler from fusing multiply-adds, so every lane is bit-identical to
 the ``loops`` reference.  ``#pragma HLS`` lines are unknown pragmas to a
 host compiler and are ignored; the HLS text itself is untouched.
 
-``CFD_LANES`` follows the compiled ISA: 4 when the compiler defines
-``__AVX__`` (256-bit registers), else 2 (the 128-bit SSE2 or NEON
-baseline).  A lane type wider than the registers runs slower than
-scalar code.  The build adds ``-march=native`` when the compiler
-builds a small lane function with it (one probe per compiler) and the
-library reports its lane count through ``kernel_lanes()``.  ``lane`` is
-declared ``aligned(8)``: a vector type otherwise demands its own size
-as alignment, and NumPy buffers are only 8-byte aligned.
+``CFD_LANES`` follows the compiled ISA: 8 when the compiler defines
+``__AVX512F__`` (512-bit registers), 4 with ``__AVX__`` (256-bit), else
+2 (the 128-bit SSE2 or NEON baseline).  A lane type wider than the
+registers runs slower than scalar code.  The build adds
+``-march=native`` when the compiler builds a small lane function with
+it (one probe per compiler) and the library reports its lane count
+through ``kernel_lanes()``.  :func:`~repro.exec.backend.batch_buffers`
+starts every buffer on an ``8 * CFD_LANES``-byte boundary, so no lane
+vector straddles two cache lines; at 8 lanes that is what makes the
+wider vectors pay.  ``lane`` stays declared ``aligned(8)`` all the
+same: a vector type otherwise demands its own size as alignment, and a
+caller's NumPy buffer may be only 8-byte aligned.  The alignment is for
+speed; every buffer is correct.
 
 An appended ``kernel_batch`` walks the lane groups of a batch in one
 ``ctypes`` call, as the paper's host streams its elements through an
 accelerator: streamed inputs and outputs advance by one row of the
-lane-interleaved buffers (:func:`~repro.exec.backend.batch_buffers`),
-static inputs and exported temporaries stay put.  ``kernel_body`` is
-``static`` so that it is inlined there, where every pointer is
-``restrict``: each parameter has a buffer of its own, so no two alias.
-Libraries are cached by source, compiler and flags for the process
-lifetime and removed at exit, and each program object's kernel is
-generated once.
+lane-interleaved buffers, static inputs and exported temporaries stay
+put.  ``kernel_body`` is ``static`` so that it is inlined there, where
+every pointer is ``restrict``: the outputs and temporaries have fresh
+buffers, and the kernel only reads its inputs, so no buffer it writes
+aliases another parameter.  The streamed outputs come back as
+:class:`~repro.exec.backend.Packed` lane buffers, which the next kernel
+of a chain, or the next solver step, adopts as its input without a
+copy.  Libraries are cached by source, compiler and flags for the
+process lifetime and removed at exit, and each program object's kernel
+is generated once.
 
 The backend reports itself unavailable (and callers auto-skip it) when
 no C compiler is on ``PATH``; set ``CFDLANG_CC`` to pick a specific one.
@@ -58,9 +66,14 @@ import numpy as np
 from repro.codegen.cast import CAssign, CBlock, CDecl, CFor, CLiteral, CStmt
 from repro.codegen.cemit import emit_function
 from repro.codegen.kernel import generate_kernel
-from repro.codegen.pyemit import unpack_array
 from repro.errors import ExecBackendError
-from repro.exec.backend import ExecBackend, batch_buffers, resolved_program
+from repro.exec.backend import (
+    Batch,
+    ExecBackend,
+    Packed,
+    batch_buffers,
+    resolved_program,
+)
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
 
@@ -70,7 +83,9 @@ _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off"]
 #: the lane type; ``-DCFD_LANES=n`` overrides the ISA's lane count
 _PRELUDE = """\
 #ifndef CFD_LANES
-#ifdef __AVX__
+#if defined(__AVX512F__)
+#define CFD_LANES 8
+#elif defined(__AVX__)
 #define CFD_LANES 4
 #else
 #define CFD_LANES 2
@@ -277,11 +292,11 @@ class CNativeBackend(ExecBackend):
     def run_batch(
         self,
         fn: Function,
-        elements: Mapping[str, np.ndarray],
+        elements: Mapping[str, Batch],
         static_inputs: Mapping[str, np.ndarray],
         element_inputs: Sequence[str],
         prog: Optional[PolyProgram] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> Dict[str, Packed]:
         prog = resolved_program(fn, prog)
         lib = self._kernel(prog)
         ne, buffers = batch_buffers(
@@ -292,8 +307,6 @@ class CNativeBackend(ExecBackend):
             args += [prog.layouts[name].size if buf.ndim == 2 else 0, buf.ctypes.data]
         lib.batch(-(-ne // lib.lanes), *args)
         return {
-            d.name: unpack_array(
-                buffers[d.name], prog.layouts[d.name], lib.lanes, ne
-            )
+            d.name: Packed(buffers[d.name], prog.layouts[d.name], lib.lanes, ne)
             for d in prog.function.outputs()
         }

@@ -11,9 +11,11 @@ broadcasted array op.  ``Ne`` elements therefore execute in
 Values are layout-independent (layouts place tensors in memory, they do
 not change the computed function), so this backend works on the tensor
 IR directly; the stage structure matches the generated kernel's plans
-one-to-one.  Summation order inside an einsum differs from the
-sequential reference loops, so results match the ``loops`` backend to
-``allclose`` tolerance (1e-12), not bit-exactly.
+one-to-one.  It keeps host arrays: a :class:`~repro.exec.backend.Packed`
+input from a generated-kernel backend is unpacked with ``np.asarray``.
+Summation order inside an einsum differs from the sequential reference
+loops, so results match the ``loops`` backend to ``allclose`` tolerance
+(1e-12), not bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.errors import IRError
 from repro.exec.backend import (
+    Batch,
     ExecBackend,
     checked_batch_inputs,
     consistent_batch_size,
@@ -49,7 +52,7 @@ class NumpyBackend(ExecBackend):
     def run_batch(
         self,
         fn: Function,
-        elements: Mapping[str, np.ndarray],
+        elements: Mapping[str, Batch],
         static_inputs: Mapping[str, np.ndarray],
         element_inputs: Sequence[str],
         prog: Optional[PolyProgram] = None,
@@ -57,7 +60,12 @@ class NumpyBackend(ExecBackend):
         if prog is not None:
             fn = prog.function
         ne = consistent_batch_size(elements, element_inputs)
-        env = checked_batch_inputs(fn, elements, static_inputs, element_inputs)
+        env = {
+            name: np.asarray(arr)
+            for name, arr in checked_batch_inputs(
+                fn, elements, static_inputs, element_inputs
+            ).items()
+        }
         batched: Set[str] = {
             d.name for d in fn.inputs() if d.name in set(element_inputs)
         }

@@ -15,6 +15,13 @@ element axis ``(Ne, *shape)`` and flow through ``backend.run_batch``;
 elements.  A kernel with at least one streamed input runs batched on
 the backend; a kernel reading only static tensors runs once through the
 interpreter and its outputs join the static environment.
+
+On the generated-kernel backends a streamed intermediate stays in the
+backend's lane layout between kernels, as the paper's PLMs keep an
+element's data on chip between stages: kernel *i* returns it as a
+:class:`~repro.exec.backend.Packed` buffer, and kernel *i + 1* adopts
+that buffer as its input, with no unpack and no re-pack, when its
+layout matches.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.exec.backend import ExecBackend, require_backend
+from repro.exec.backend import Batch, ExecBackend, require_backend, streamed_array
 from repro.poly.schedule import PolyProgram
 from repro.teil.interp import interpret
 from repro.teil.program import Function
@@ -34,20 +41,23 @@ ChainStage = Union[Function, Tuple[Function, Optional[PolyProgram]]]
 
 def run_chain_batch(
     stages: Iterable[ChainStage],
-    elements: Mapping[str, np.ndarray],
+    elements: Mapping[str, Batch],
     static_inputs: Optional[Mapping[str, np.ndarray]] = None,
     backend: Union[str, ExecBackend] = "numpy",
-) -> Dict[str, np.ndarray]:
+) -> Dict[str, Batch]:
     """Execute a kernel chain over a batch; returns every kernel output.
 
     ``stages`` are functions or ``(function, poly)`` pairs in execution
     order.  ``elements`` maps streamed tensors to ``(Ne, *shape)``
-    stacks; ``static_inputs`` maps shared tensors to plain arrays.  An
-    input neither supplied nor produced by an earlier kernel is an
-    error naming the kernel and tensor; so are two kernels producing the
-    same tensor, and a streamed output colliding with a static input —
-    both would otherwise silently shadow data.  Streamed outputs come
-    back as ``(Ne, *shape)`` stacks, static ones as plain arrays.
+    stacks (arrays, or :class:`~repro.exec.backend.Packed` outputs of an
+    earlier chain on the same backend); ``static_inputs`` maps shared
+    tensors to plain arrays.  An input neither supplied nor produced by
+    an earlier kernel is an error naming the kernel and tensor; so are
+    two kernels producing the same tensor, and a streamed output
+    colliding with a static input — both would otherwise silently shadow
+    data.  Streamed outputs come back as ``(Ne, *shape)`` stacks —
+    :class:`~repro.exec.backend.Packed` on ``cnative`` and ``loops``,
+    which ``np.asarray`` unpacks — and static ones as plain arrays.
 
     A fused group (see :class:`repro.flow.program.FusionPlan`) arrives
     here as a single chain stage, so the whole group is one
@@ -57,9 +67,8 @@ def run_chain_batch(
     """
     if isinstance(backend, str):
         backend = require_backend(backend)
-    streamed: Dict[str, np.ndarray] = {
-        name: np.asarray(arr, dtype=np.float64)
-        for name, arr in elements.items()
+    streamed: Dict[str, Batch] = {
+        name: streamed_array(arr) for name, arr in elements.items()
     }
     static: Dict[str, np.ndarray] = {
         name: np.asarray(arr, dtype=np.float64)
@@ -67,7 +76,7 @@ def run_chain_batch(
     }
     caller_static = set(static)
     origin: Dict[str, str] = {}  # tensor name -> kernel that produced it
-    produced: Dict[str, np.ndarray] = {}
+    produced: Dict[str, Batch] = {}
     for item in stages:
         fn, prog = item if isinstance(item, tuple) else (item, None)
         element_inputs = [d.name for d in fn.inputs() if d.name in streamed]

@@ -30,13 +30,17 @@ still runs per member — against the same cache keys an unfused compile
 uses — then :func:`repro.teil.fuse.fuse_functions` merges the lowered
 members and a function-seeded :class:`Flow` carries the composite
 through every remaining stage under a cache identity composed from the
-member fingerprints.
+member fingerprints.  A group whose members lowered to the same content
+as in an earlier compile (every warm solver step) reuses that compile's
+composite from a bounded table instead of fusing again.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cfdlang.ast import Program as CfdlangAst
 from repro.cfdlang.parser import parse_program
@@ -516,6 +520,36 @@ class ProgramResult:
         return table + ("\n" + "\n".join(notes) if notes else "")
 
 
+#: fused composites by what :meth:`~repro.teil.fuse.FusedKernel.
+#: fingerprint` hashes — group name, members' content keys, kept
+#: outputs; fusion is a pure function of those, so entries never go stale
+_FUSED: "OrderedDict[tuple, FusedKernel]" = OrderedDict()
+_FUSED_SIZE = 64
+_fused_lock = threading.Lock()
+
+
+def _fused_kernel(
+    members: Sequence[Function],
+    member_keys: Sequence[str],
+    name: str,
+    keep: Sequence[str],
+) -> FusedKernel:
+    """``fuse_functions(members, ...)``, or the composite an earlier
+    compile built from members of the same content."""
+    key = (name, tuple(member_keys), tuple(keep))
+    with _fused_lock:
+        fk = _FUSED.get(key)
+        if fk is not None:
+            _FUSED.move_to_end(key)
+            return fk
+    fk = fuse_functions(members, name=name, keep_outputs=keep)
+    with _fused_lock:
+        _FUSED[key] = fk
+        while len(_FUSED) > _FUSED_SIZE:
+            _FUSED.popitem(last=False)
+    return fk
+
+
 class ProgramFlow:
     """One compilation session over every kernel of a :class:`Program`.
 
@@ -577,10 +611,11 @@ class ProgramFlow:
             if isinstance(unit, str):
                 results[unit] = flows[unit].resume()
                 continue
-            fk = fuse_functions(
+            fk = _fused_kernel(
                 [functions[m] for m in unit],
-                name=FusionPlan.group_name(unit),
-                keep_outputs=plan.keep_for(unit, self.program, functions),
+                [flows[m].key("function") for m in unit],
+                FusionPlan.group_name(unit),
+                plan.keep_for(unit, self.program, functions),
             )
             flow = Flow.from_function(
                 fk.function,

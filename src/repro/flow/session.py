@@ -291,6 +291,11 @@ class Flow:
     def __contains__(self, key: str) -> bool:
         return key in self.state
 
+    def key(self, name: str) -> str:
+        """The cache identity of state entry ``name``; for the lowered
+        ``function``, a digest of its content fingerprint."""
+        return self._keys[name]
+
     def completed_stages(self) -> List[str]:
         return list(self._completed)
 

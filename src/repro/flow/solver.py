@@ -10,11 +10,19 @@ back into the next step's inputs.
 
 Re-entering the compiler per step is the point, not an inefficiency to
 hide: with per-kernel content-addressed stage keys, step 1 pays for
-compilation once and every later step's lookups hit the session cache,
-so the steady-state cost of a step is the numeric work alone.  The
-:class:`SolverResult` records exactly that — per-step compile/numeric
-seconds, front-end stage executions vs. cache hits, and the cross-step
-hit rate the CI benchmark gate asserts on.
+compilation once and every later step's lookups hit the session cache
+(and a fused group reuses its composite kernel), so the steady-state
+cost of a step is the numeric work alone.  The :class:`SolverResult`
+records exactly that — per-step compile/numeric seconds, front-end
+stage executions vs. cache hits, and the cross-step hit rate the CI
+benchmark gate asserts on.
+
+The carried state stays in the backend's lane layout between steps: on
+``cnative`` and ``loops`` a step's outputs are
+:class:`~repro.exec.backend.Packed` buffers, the next step's kernel
+adopts them as its inputs, and only the final step's outputs are
+unpacked into host arrays (inside that step's numeric time).  A step
+never writes the buffers it read.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ class SolverResult:
 
     program: Program
     steps: List[SolverStep]
-    #: chain outputs of the final step (streamed ones stacked ``(Ne, ...)``)
+    #: chain outputs of the final step, as host arrays (streamed ones
+    #: stacked ``(Ne, ...)``)
     outputs: Dict[str, np.ndarray]
     n_elements: int
     backend: str
@@ -179,14 +188,12 @@ class SolverLoop:
     ) -> SolverResult:
         """Run ``steps`` time steps; returns the per-step records and the
         final outputs."""
+        from repro.exec.backend import streamed_array
         from repro.exec.programs import run_chain_batch
 
         if steps < 1:
             raise SystemGenerationError(f"steps must be >= 1, got {steps}")
-        state: Dict[str, np.ndarray] = {
-            name: np.asarray(arr, dtype=np.float64)
-            for name, arr in elements.items()
-        }
+        state = {name: streamed_array(arr) for name, arr in elements.items()}
         static = dict(static or {})
         n_elements = (
             int(next(iter(state.values())).shape[0]) if state else 0
@@ -207,6 +214,8 @@ class SolverLoop:
             outputs = run_chain_batch(
                 compiled.chain(), state, static, backend=self.backend
             )
+            if step == steps:
+                outputs = {n: np.asarray(a) for n, a in outputs.items()}
             numeric_seconds = time.perf_counter() - t1
             records.append(
                 SolverStep(
@@ -229,9 +238,7 @@ class SolverLoop:
                         f"carry source {out_name!r} missing from step "
                         f"{step} outputs"
                     )
-                state[in_name] = np.asarray(
-                    outputs[out_name], dtype=np.float64
-                )
+                state[in_name] = streamed_array(outputs[out_name])
         result = SolverResult(
             program=self.program,
             steps=records,

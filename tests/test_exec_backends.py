@@ -21,6 +21,7 @@ import json
 import pathlib
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,12 +37,15 @@ from repro.codegen.pyemit import pack_array, unpack_array
 from repro.errors import ExecBackendError, LayoutError, SimulationError
 from repro.exec import (
     CNativeBackend,
+    Packed,
     available_backend_names,
     backend_names,
     consistent_batch_size,
     get_backend,
     require_backend,
 )
+from repro.exec.backend import batch_buffers
+from repro.exec.programs import run_chain_batch
 from repro.flow import compile_any, compile_program
 from repro.flow.options import FlowOptions, SystemOptions
 from repro.flow.session import Flow, FlowTrace
@@ -220,6 +224,42 @@ class TestCNativeBatch:
         backend._kernels[id(column.poly)] = stale
         assert run(column)
 
+    def test_packed_input_is_adopted_or_repacked_by_geometry(
+        self, monkeypatch
+    ):
+        """A ``Packed`` output fed to another program is adopted when
+        its layout places the tensor as the input's does — here ``v``
+        as ``u``, both row-major — and unpacked and packed again for
+        the column-major ``u`` program; both stay exact."""
+        from repro.exec import backend as backend_module
+
+        backend = _cnative()
+        default = compile_any(APPS["helmholtz"](), VARIANTS["default"])
+        column = compile_any(APPS["helmholtz"](), VARIANTS["column-major-u"])
+        elements, static, streamed = _batch(default, "mixed", ne=5)
+        v = backend.run_batch(
+            default.function, elements, static, streamed, prog=default.poly
+        )["v"]
+        packed = []
+        real = backend_module.pack_array
+        monkeypatch.setattr(
+            backend_module, "pack_array",
+            lambda flat, layout, *args: packed.append(layout.tensor)
+            or real(flat, layout, *args),
+        )
+        for res, adopted in ((default, True), (column, False)):
+            host = dict(elements, u=np.asarray(v))
+            want = get_backend("loops").run_batch(
+                res.function, host, static, streamed, prog=res.poly
+            )
+            packed.clear()
+            got = backend.run_batch(
+                res.function, dict(elements, u=v), static, streamed,
+                prog=res.poly,
+            )
+            assert ("u" not in packed) == adopted
+            assert all(np.array_equal(got[n], want[n]) for n in want)
+
     def test_kernel_memo_is_bounded_under_threads(self, monkeypatch):
         """Threads sharing one backend evict and refill its memo at
         once: every batch stays exact and the memo keeps MEMO_SIZE."""
@@ -303,8 +343,18 @@ class TestLanes:
             )
             assert set(got) == set(ref)
             for name in ref:
-                assert np.array_equal(got[name], ref[name][:ne]), (ne, name)
+                want = np.asarray(ref[name])[:ne]
+                assert np.array_equal(got[name], want), (ne, name)
         assert backend._kernel(res.poly).lanes == lanes
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_buffers_start_on_a_vector_boundary(self, variant_result, lanes):
+        elements, static, streamed = _batch(variant_result, "mixed", ne=5)
+        _, buffers = batch_buffers(
+            variant_result.poly, elements, static, streamed, lanes
+        )
+        for name, buf in buffers.items():
+            assert buf.ctypes.data % (8 * lanes) == 0, name
 
     @pytest.mark.parametrize("lanes", LANES)
     def test_padding_lanes_divide_zero_by_zero_unseen(self, lanes, monkeypatch):
@@ -312,31 +362,120 @@ class TestLanes:
         entry-wise division computes 0/0 there; that NaN stays in the
         buffer and never reaches an output."""
         from repro.cfdlang import ProgramBuilder
-        from repro.exec import cnative
 
         b = ProgramBuilder()
         num, den = b.input("u", (3, 4)), b.input("d", (3, 4))
         b.assign(b.output("q", (3, 4)), b.div(num, den))
         res = compile_any(b.build())
         backend = _lane_backend(monkeypatch, lanes)
-        seen = []
-        real = cnative.unpack_array
-        monkeypatch.setattr(
-            cnative, "unpack_array",
-            lambda flat, *args: seen.append(flat.copy()) or real(flat, *args),
-        )
         rng = np.random.default_rng(1)
         ne = lanes + 1
         elements = {"u": rng.random((ne, 3, 4)), "d": 1.0 + rng.random((ne, 3, 4))}
         args = (res.function, elements, {}, ["u", "d"])
-        got = backend.run_batch(*args, prog=res.poly)["q"]
+        packed = backend.run_batch(*args, prog=res.poly)["q"]
+        got = np.asarray(packed)
         assert not np.isnan(got).any()
         ref = get_backend("loops").run_batch(*args, prog=res.poly)["q"]
         assert np.array_equal(got, ref)
-        (flat,) = seen
-        cells = flat[-1].reshape(-1, lanes)  # the last group, cell by lane
+        cells = packed.buffer[-1].reshape(-1, lanes)  # the last group, cell by lane
         assert np.isnan(cells[:, ne % lanes:]).all() == (lanes > 1)
         assert not np.isnan(cells[:, : ne % lanes]).any()
+
+
+def _smoother(fusion, ne=3, n=4):
+    wl = make_workload("smoother", n=n, n_elements=ne, seed=5)
+    options = FlowOptions(fusion=fusion, fusion_keep=tuple(wl.carry))
+    return wl, compile_program(wl.program, options)
+
+
+class TestPackedHandOff:
+    """Streamed tensors stay in the backend's lane buffers between the
+    kernels of a chain and between solver steps."""
+
+    STEPS = 16
+
+    @pytest.mark.parametrize("fusion", [None, "auto"])
+    @pytest.mark.parametrize("backend", ["cnative", "loops"])
+    def test_solve_equals_stepping_with_host_arrays(self, backend, fusion):
+        b = _cnative() if backend == "cnative" else get_backend(backend)
+        wl, compiled = _smoother(fusion)
+        prog = compiled.chain()[0][1]
+        lanes = b._kernel(prog).lanes if backend == "cnative" else 1
+        for ne in sorted({0, 1, lanes - 1, lanes + 1, 2 * lanes + 1}):
+            elements = make_workload("smoother", n=4, n_elements=ne).elements
+            state = dict(elements)
+            for _ in range(self.STEPS):
+                want = run_chain_batch(compiled.chain(), state, wl.static, b)
+                want = {n: np.asarray(a) for n, a in want.items()}
+                state = {"u": want["w"]}
+            got = SolverLoop(
+                wl.program, carry=wl.carry, backend=backend, fusion=fusion
+            ).run(elements, wl.static, steps=self.STEPS)
+            assert set(got.outputs) == set(want)
+            for name, arr in got.outputs.items():
+                assert isinstance(arr, np.ndarray)
+                assert np.array_equal(arr, want[name]), (ne, name)
+
+    @pytest.mark.parametrize("backend", ["cnative", "loops"])
+    def test_one_solve_packs_and_unpacks_the_state_once(
+        self, backend, monkeypatch
+    ):
+        from repro.exec import backend as backend_module
+
+        if backend == "cnative":
+            _cnative()
+        wl, _ = _smoother("auto")
+        calls = []
+        for fn_name in ("pack_array", "unpack_array"):
+            real = getattr(backend_module, fn_name)
+            monkeypatch.setattr(
+                backend_module, fn_name,
+                lambda flat, layout, *args, real=real, fn_name=fn_name:
+                calls.append((fn_name, layout.tensor))
+                or real(flat, layout, *args),
+            )
+        SolverLoop(
+            wl.program, carry=wl.carry, backend=backend, fusion="auto"
+        ).run(wl.elements, wl.static, steps=4)
+        assert calls.count(("pack_array", "u")) == 1
+        assert [c for c in calls if c[0] == "unpack_array"] == [
+            ("unpack_array", "w")
+        ]
+
+    def test_a_step_never_changes_the_state_it_read(self):
+        b = _cnative()
+        wl, compiled = _smoother("auto", ne=9)
+        state = run_chain_batch(compiled.chain(), wl.elements, wl.static, b)
+        packed = state["w"]
+        before = packed.buffer.copy()
+        after = run_chain_batch(compiled.chain(), {"u": packed}, wl.static, b)
+        assert after["w"].buffer is not packed.buffer
+        assert np.array_equal(packed.buffer, before, equal_nan=True)
+
+    def test_packed_buffer_must_fit_its_layout(self):
+        """An adopted buffer reaches the C kernel as a bare pointer."""
+        layout = Layout.row_major("u", (3, 4))
+        Packed(np.zeros((2, 48)), layout, lanes=4, count=5)
+        for buffer in (np.zeros((1, 48)), np.zeros((2, 48), np.float32),
+                       np.zeros((48, 2)).T):
+            with pytest.raises(LayoutError, match="packed 'u'"):
+                Packed(buffer, layout, lanes=4, count=5)
+
+    @pytest.mark.parametrize("backend", ["numpy", "loops"])
+    def test_cnative_packed_feeds_the_host_backends(self, backend):
+        b = _cnative()
+        wl, compiled = _smoother(None, ne=5)
+        (helmholtz, h_prog), (update, u_prog) = compiled.chain()
+        v = b.run_batch(helmholtz, wl.elements, wl.static, ["u"], h_prog)["v"]
+        assert isinstance(v, Packed) and len(v) == 5
+        assert v.shape == (5,) + helmholtz.decls["v"].shape
+        run = get_backend(backend).run_batch
+        got = run(update, dict(wl.elements, v=v), wl.static, ["u", "v"], u_prog)
+        want = run(
+            update, dict(wl.elements, v=np.asarray(v)), wl.static, ["u", "v"],
+            u_prog,
+        )
+        assert np.array_equal(got["w"], want["w"])
 
 
 def _cc_wrapper(tmp_path, monkeypatch, on_native_arch: str):
@@ -571,6 +710,28 @@ class TestFlowIntegration:
         assert 0.0 <= res.functional.max_error <= 1e-12
         assert trace.metrics["functional-max-error"] == res.functional.max_error
 
+    def test_functional_record_times_the_batch_not_the_compile(
+        self, monkeypatch
+    ):
+        from repro.exec import cnative
+
+        _cnative()
+        compiles = []
+        real = cnative.compile_kernel_library
+
+        def slow(*args, **kwargs):
+            compiles.append(args)
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cnative, "compile_kernel_library", slow)
+        opts = FlowOptions(system=SystemOptions(
+            exec_backend="cnative", functional_elements=5
+        ))
+        res = Flow(APPS["gradient"](), opts).run()
+        assert len(compiles) == 1 and not res.functional.replayed
+        assert res.functional.seconds < 0.3
+
     @staticmethod
     def _perturbed(monkeypatch, element, delta):
         """Options selecting a ``loops`` backend that adds ``delta`` to
@@ -582,7 +743,10 @@ class TestFlowIntegration:
             name = "perturbed"
 
             def run_batch(self, *args, **kwargs):
-                outs = super().run_batch(*args, **kwargs)
+                outs = {
+                    name: np.asarray(arr)
+                    for name, arr in super().run_batch(*args, **kwargs).items()
+                }
                 next(iter(outs.values()))[element].flat[0] += delta
                 return outs
 

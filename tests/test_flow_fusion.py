@@ -1,6 +1,9 @@
 """Chain fusion through the flow: planning, caching, system model,
 execution conformance, solver loops, and the CLI surface."""
 
+import copy
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,18 @@ from repro.flow import (
     StageCache,
     compile_program,
 )
+from repro.flow import program as program_module
 from repro.flow.cli import main as cli_main
-from repro.flow.stages import FRONT_END_STAGES, FUSED_GROUP_STAGES
+from repro.flow.session import Flow
+from repro.flow.stages import (
+    FRONT_END_STAGES,
+    FUSED_GROUP_STAGES,
+    registered_stages,
+    stage_names,
+)
 from repro.mnemosyne.plm import MemorySubsystem
+from repro.teil.fuse import fuse_functions
+from repro.teil.program import Function
 from repro.teil.types import TensorKind
 
 N = 5
@@ -166,6 +178,90 @@ class TestFusedCompileStructure:
         assert "parse" not in FUSED_GROUP_STAGES
         assert "codegen" in FUSED_GROUP_STAGES
         assert "simulate" in FUSED_GROUP_STAGES
+
+
+@pytest.fixture
+def fusions(monkeypatch):
+    """The member-name tuples ``fuse_functions`` ran on, against an
+    empty memo of fused composites."""
+    monkeypatch.setattr(program_module, "_FUSED", OrderedDict())
+    calls = []
+    real = program_module.fuse_functions
+
+    def counting(chain, *args, **kwargs):
+        calls.append(tuple(fn.name for fn in chain))
+        return real(chain, *args, **kwargs)
+
+    monkeypatch.setattr(program_module, "fuse_functions", counting)
+    return calls
+
+
+class TestFusedKernelMemo:
+    def test_recompile_reuses_the_composite(self, fusions):
+        _, first = fused_compile("smoother")
+        _, again = fused_compile("smoother")  # a fresh stage cache
+        assert fusions == [("helmholtz", "update")]
+        name = "fused_helmholtz_update"
+        assert again.fused[name] is first.fused[name]
+        assert again[name].kernel.source == first[name].kernel.source
+
+    def test_a_changed_member_misses_the_memo(self, fusions):
+        fused_compile("smoother")
+        fused_compile("smoother", n=N + 1)
+        wl = make_workload("smoother", n=N)
+        changed = Program("smoother").add_kernel(
+            "helmholtz", wl.program.kernels[0].source
+        ).add_kernel(
+            "update", wl.program.kernels[1].text.replace("u + D * v", "u - D * v")
+        )
+        assert changed.kernels[1].text != wl.program.kernels[1].text
+        compile_program(changed, FlowOptions(fusion="auto", fusion_keep=("w",)))
+        assert fusions == [("helmholtz", "update")] * 3
+
+    def test_warm_steps_fuse_nothing_and_count_every_lookup(self, fusions):
+        wl = make_workload("smoother", n=N)
+        result = SolverLoop(wl.program, carry=wl.carry, fusion="auto").run(
+            wl.elements, wl.static, steps=4,
+        )
+        assert fusions == [("helmholtz", "update")]
+        first = result.steps[0]
+        lookups = first.front_end_executed + first.front_end_cached
+        for step in result.warm_steps():
+            assert (step.front_end_executed, step.front_end_cached) == (
+                0, lookups
+            )
+        assert result.cross_step_hit_rate() == 1.0
+
+
+def _functions(state):
+    """Every TeIL function a flow's artifacts hold, with a deep copy of
+    its attributes."""
+    out = {}
+    for value in state.values():
+        for fn in (value, getattr(value, "function", None)):
+            if isinstance(fn, Function):
+                out[id(fn)] = (fn, copy.deepcopy(vars(fn)))
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(WORKLOAD_SUITES))
+def test_no_post_lower_stage_mutates_a_function(suite):
+    """A memoized composite is handed to every later compile of its
+    group, so no stage may change a function it was given."""
+    wl = make_workload(suite, n=4)
+    flows = [
+        Flow(k.source, FlowOptions().for_kernel(k.name))
+        for k in wl.program.kernels
+    ]
+    members = [flow.run_until("lower")["function"] for flow in flows]
+    flows.append(Flow.from_function(fuse_functions(members).function))
+    tail = registered_stages()[stage_names().index("lower") + 1:]
+    for flow in flows:
+        for stage in tail:
+            before = _functions(flow.state)
+            flow.run_until(stage.name)
+            for fn, attrs in before.values():
+                assert vars(fn) == attrs, (stage.name, fn.name)
 
 
 class TestFusedSystemModel:
