@@ -45,7 +45,7 @@ def test_pipeline_ablation(benchmark, out_dir):
     assert by_mode["flatten"][2] < by_mode["inner"][2] < by_mode["none"][2]
 
 
-def test_unroll_needs_partitioning(benchmark, out_dir):
+def test_unroll_needs_partitioning(out_dir):
     """Unrolling without array partitioning is port-bound; with cyclic
     partitioning II returns to 1 (Sec. V-A1)."""
     rows = []

@@ -12,7 +12,7 @@ from repro.cfdlang import analyze, parse_program
 from repro.codegen import generate_kernel
 from repro.flow import compile_any
 from repro.memory import build_compatibility_graph
-from repro.poly.reschedule import RescheduleOptions, reschedule
+from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
 
@@ -24,10 +24,7 @@ def lowered():
 
 @pytest.fixture(scope="module")
 def scheduled(lowered):
-    return reschedule(
-        reference_schedule(lowered),
-        RescheduleOptions(reduction_placement="outside"),
-    )
+    return reschedule(reference_schedule(lowered), "outside")
 
 
 def test_bench_parse(benchmark):
@@ -53,7 +50,7 @@ def test_bench_reference_schedule(benchmark, lowered):
 
 def test_bench_reschedule(benchmark, lowered):
     ref = reference_schedule(lowered)
-    benchmark(reschedule, ref, RescheduleOptions(reduction_placement="outside"))
+    benchmark(reschedule, ref, "outside")
 
 
 def test_bench_liveness_compat(benchmark, scheduled):

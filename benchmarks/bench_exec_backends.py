@@ -49,6 +49,13 @@ def _host(outputs):
     return {name: np.asarray(arr) for name, arr in outputs.items()}
 
 
+def _record_rate(benchmark):
+    """Elements per second of the timed rounds (none are timed when
+    benchmarking is disabled)."""
+    if benchmark.stats is not None:
+        benchmark.extra_info["elements_per_sec"] = NE / benchmark.stats["mean"]
+
+
 def _run(backend_name):
     res = _flow()
     elements, streamed = _batch(res)
@@ -60,13 +67,13 @@ def _run(backend_name):
 def test_exec_backend_loops(benchmark):
     out = benchmark.pedantic(_run, args=("loops",), rounds=1, iterations=1)
     assert out["v"].shape[0] == NE
-    benchmark.extra_info["elements_per_sec"] = NE / benchmark.stats["mean"]
+    _record_rate(benchmark)
 
 
 def test_exec_backend_numpy(benchmark):
     out = benchmark(_run, "numpy")
     assert out["v"].shape[0] == NE
-    benchmark.extra_info["elements_per_sec"] = NE / benchmark.stats["mean"]
+    _record_rate(benchmark)
 
 
 def test_exec_backend_cnative(benchmark):
@@ -78,7 +85,7 @@ def test_exec_backend_cnative(benchmark):
     _run("cnative")  # compile outside the timed region
     out = benchmark(_run, "cnative")
     assert out["v"].shape[0] == NE
-    benchmark.extra_info["elements_per_sec"] = NE / benchmark.stats["mean"]
+    _record_rate(benchmark)
 
 
 def test_numpy_50x_faster_than_loops(out_dir):

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 from repro.codegen.hlsdirectives import HlsDirectives
 from repro.errors import SystemGenerationError
 from repro.mnemosyne.sharing import SharingMode
+from repro.poly.reschedule import REDUCTION_PLACEMENTS
 from repro.system.board import Board, ZCU106
 from repro.system.platform_data import DEFAULT_PLATFORM, PlatformModel
 
@@ -104,6 +105,15 @@ class FlowOptions:
     system: SystemOptions = field(default_factory=SystemOptions)
 
     def __post_init__(self) -> None:
+        if (
+            self.reduction_placement is not None
+            and self.reduction_placement not in REDUCTION_PLACEMENTS
+        ):
+            raise SystemGenerationError(
+                f"reduction_placement must be None or one of "
+                f"{', '.join(map(repr, REDUCTION_PLACEMENTS))}; got "
+                f"{self.reduction_placement!r}"
+            )
         # normalize the fusion plan so spec round-trips and equality work
         # regardless of whether callers pass lists or tuples
         if isinstance(self.fusion, str):

@@ -28,7 +28,7 @@ from repro.layout import Layout, default_layouts
 from repro.memory import CompatibilityGraph, build_compatibility_graph
 from repro.mnemosyne import PortClass, build_memory_subsystem
 from repro.mnemosyne.config import config_from_compat, port_class_assignment
-from repro.poly.reschedule import RescheduleOptions, reschedule
+from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
@@ -177,12 +177,7 @@ def _run_schedule(state, options):
 
 
 def _run_reschedule(state, options):
-    poly = reschedule(
-        state["poly_ref"],
-        RescheduleOptions(
-            reduction_placement=options.effective_reduction_placement()
-        ),
-    )
+    poly = reschedule(state["poly_ref"], options.effective_reduction_placement())
     return {"poly": poly}
 
 

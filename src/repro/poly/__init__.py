@@ -14,7 +14,7 @@ without symbolic parameters* (tensor shapes are static in CFDlang):
   ``ge_le`` helper of Sec. IV-F,
 - :mod:`repro.poly.schedule`  — statements, schedules, reference schedule,
 - :mod:`repro.poly.dataflow`  — RAW/RAR dependence analysis,
-- :mod:`repro.poly.reschedule` — dependence-driven rescheduling (Pluto-lite),
+- :mod:`repro.poly.reschedule` — exact least-cost rescheduling (Pluto-lite),
 - :mod:`repro.poly.codegen_ast` — schedule to loop-AST generation.
 """
 

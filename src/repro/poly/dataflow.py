@@ -162,10 +162,3 @@ def access_schedule_points(
         img = sched.range()
         parts = img if parts is None else parts.union(img)
     return parts
-
-
-def dependence_distance_stages(prog: PolyProgram, dep: StatementDep) -> int:
-    """Stage distance of a statement-level dependence (live-interval proxy)."""
-    return prog.stage_of(prog.statement(dep.consumer)) - prog.stage_of(
-        prog.statement(dep.producer)
-    )

@@ -5,22 +5,39 @@ cost function "to reduce the dependence distance and thus the live
 intervals", plus a RAR term that "attempts to place the statements at
 coincident schedule space points" to reduce pressure on temporary storage.
 
-This module implements the same objective over the schedule family our flow
-uses (stage ordering + per-statement loop permutation):
+This module optimizes the same objective, exactly, over the schedule family
+our flow uses (stage ordering + per-statement loop permutation):
 
-* statement order: the legal (topological) order minimizing
-  ``sum_over_RAW(bytes(tensor) * stage_distance)`` with a RAR-coincidence
-  tie-break;
-* loop order: the permutation maximizing layout consecutivity (stride-0/1
-  innermost accesses), preferring reduction-innermost so code generation can
-  use a register accumulator (HLS-friendly).
+* statement order: the legal (topological) order of least
+  ``sum(weight * stage_distance)`` over the RAW edges (weight ``10 * bytes``)
+  and the RAR pairs (weight ``bytes``).  The weights are integers, so equal
+  costs tie exactly, and a tie goes to the order whose sequence of statement
+  names is least.  A pair at stage distance ``d`` crosses ``d`` of the cuts
+  between consecutive stages, so the cost is the sum over cuts of the weight
+  crossing each; :func:`least_cost_order` minimizes it by a DP over the
+  downsets of the RAW DAG (the sets of statements placed so far);
+* loop order: the permutation of least (misplaced reduction, accesses
+  neither invariant nor consecutive in the innermost loop, permutation).
+  Both criteria depend on the innermost loop alone, and ``loop_dims`` puts
+  the reduction dims last, so for each innermost loop the other dims in
+  index order are the least permutation, and a legal one whenever any
+  permutation with that innermost loop is: one candidate per loop dim.
+
+``reduction_placement`` decides where reduction loops may land:
+
+* ``"innermost"`` — reduction dims form the innermost loops, so code
+  generation can use a register accumulator (natural for non-pipelined or
+  inner-pipelined kernels);
+* ``"outside"``   — a non-reduction loop is innermost, so the
+  memory-accumulation revisit distance covers the fp64 adder latency and
+  flattened pipelining reaches II=1 (the paper's 200 MHz kernels);
+* ``"free"``      — consecutivity alone decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-from typing import Dict, List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from repro.poly.aff import AffExpr
 from repro.poly.dataflow import (
@@ -34,77 +51,64 @@ from repro.poly.schedule import (
     with_loop_permutation,
     with_statement_order,
 )
-from repro.utils import stable_topo_orders
+
+REDUCTION_PLACEMENTS = ("innermost", "outside", "free")
+
+#: cost per byte and stage of distance: RAW distance dominates 10 : 1
+_WEIGHT = {"raw": 10, "rar": 1}
 
 
-@dataclass(frozen=True)
-class RescheduleOptions:
-    """Knobs for the rescheduler (exposed as compiler parameters).
+def least_cost_order(
+    names: Sequence[str],
+    preds: Sequence[int],
+    edges: Sequence[Tuple[int, int]],
+) -> Tuple[str, ...]:
+    """The least ``(cost, order)`` over the legal orders of ``names``.
 
-    ``reduction_placement`` controls where reduction loops land:
-
-    * ``"innermost"`` — register-accumulator codegen (natural for
-      non-pipelined or inner-pipelined kernels);
-    * ``"outside"``   — keep a non-reduction loop innermost so the
-      memory-accumulation revisit distance covers the fp64 adder latency
-      and flattened pipelining reaches II=1 (the paper's 200 MHz kernels);
-    * ``"free"``      — consecutivity alone decides.
+    Bit ``i`` of a mask stands for ``names[i]``; ``preds[i]`` masks the
+    statements that must precede ``names[i]``, and each ``(mask, weight)``
+    edge joins two statements.  The cost of an order is the sum over its
+    cuts of the weight of the edges with exactly one end before the cut.
+    The work grows with the number of downsets (the sets of statements
+    that can precede a cut), not with the number of orders.
     """
+    full = (1 << len(names)) - 1
 
-    reorder_statements: bool = True
-    permute_loops: bool = True
-    max_orders: int = 2000          # cap on explored topological orders
-    rar_weight: float = 0.1         # RAR coincidence weight vs RAW distance
-    reduction_placement: str = "innermost"
+    def ready(placed: int) -> List[int]:
+        return [
+            i
+            for i in range(len(names))
+            if not placed >> i & 1 and not preds[i] & ~placed
+        ]
 
-    def __post_init__(self) -> None:
-        if self.reduction_placement not in ("innermost", "outside", "free"):
-            raise ValueError(
-                f"unknown reduction_placement {self.reduction_placement!r}"
-            )
+    @lru_cache(maxsize=None)
+    def cost(placed: int) -> int:
+        # the cut after ``placed`` plus the least cost of the cuts after it
+        cut = sum(w for mask, w in edges if mask & placed not in (0, mask))
+        if placed == full:
+            return cut
+        return cut + min(cost(placed | 1 << i) for i in ready(placed))
 
-
-def raw_cost(prog: PolyProgram) -> float:
-    """Live-interval proxy: sum of bytes x stage-distance over RAW edges."""
-    total = 0.0
-    for dep in statement_raw_deps(prog):
-        dist = prog.stage_of(prog.statement(dep.consumer)) - prog.stage_of(
-            prog.statement(dep.producer)
-        )
-        total += prog.function.decls[dep.tensor].n_bytes * dist
-    return total
-
-
-def rar_cost(prog: PolyProgram) -> float:
-    """RAR coincidence: smaller stage spread between co-readers is better."""
-    total = 0.0
-    for dep in statement_rar_pairs(prog):
-        d = abs(
-            prog.stage_of(prog.statement(dep.consumer))
-            - prog.stage_of(prog.statement(dep.producer))
-        )
-        total += prog.function.decls[dep.tensor].n_bytes * d
-    return total
+    order = []
+    placed = 0
+    while placed != full:
+        i = min(ready(placed), key=lambda j: (cost(placed | 1 << j), names[j]))
+        order.append(names[i])
+        placed |= 1 << i
+    return tuple(order)
 
 
-def schedule_cost(prog: PolyProgram, options: RescheduleOptions) -> float:
-    return raw_cost(prog) + options.rar_weight * rar_cost(prog)
-
-
-def _choose_statement_order(prog: PolyProgram, options: RescheduleOptions) -> PolyProgram:
-    names = [s.name for s in prog.statements]
-    edges: Dict[str, List[str]] = {n: [] for n in names}
-    for dep in statement_raw_deps(prog):
-        edges[dep.producer].append(dep.consumer)
-    best = None
-    for order in stable_topo_orders(names, edges, limit=options.max_orders):
-        cand = with_statement_order(prog, order)
-        cost = schedule_cost(cand, options)
-        key = (cost, order)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    assert best is not None, "no legal statement order (dependence cycle?)"
-    return best[1]
+def _choose_statement_order(prog: PolyProgram) -> PolyProgram:
+    index = {s.name: i for i, s in enumerate(prog.statements)}
+    preds = [0] * len(index)
+    edges = []
+    for dep in statement_raw_deps(prog) + statement_rar_pairs(prog):
+        p, c = index[dep.producer], index[dep.consumer]
+        weight = _WEIGHT[dep.kind] * prog.function.decls[dep.tensor].n_bytes
+        edges.append((1 << p | 1 << c, weight))
+        if dep.kind == "raw":
+            preds[c] |= 1 << p
+    return with_statement_order(prog, least_cost_order(list(index), preds, edges))
 
 
 def _access_addresses(prog: PolyProgram, stmt: PolyStatement) -> List[AffExpr]:
@@ -126,57 +130,43 @@ def innermost_stride(prog: PolyProgram, stmt: PolyStatement, perm: Sequence[int]
     return [addr.coeff(inner_dim) for addr in _access_addresses(prog, stmt)]
 
 
-def _misplaced_reduction(
-    stmt: PolyStatement, perm: Sequence[int], placement: str
-) -> int:
-    nd = len(stmt.loop_dims)
+def _misplaced_reduction(stmt: PolyStatement, inner: int, placement: str) -> bool:
+    """Whether innermost loop dim ``inner`` misplaces the reduction."""
     if not stmt.is_reduction or placement == "free":
-        return 0
-    red_indices = set(range(stmt.out_rank, nd))
-    if placement == "innermost":
-        # reduction dims must form the innermost contiguous suffix
-        red_positions = [perm.index(i) for i in red_indices]
-        ok = all(p >= nd - len(red_positions) for p in red_positions)
-    else:  # "outside": the innermost loop must not be a reduction dim
-        ok = perm[-1] not in red_indices
-    return 0 if ok else 1
+        return False
+    inner_is_reduction = inner >= stmt.out_rank
+    return inner_is_reduction == (placement == "outside")
 
 
-def _choose_loop_orders(prog: PolyProgram, options: RescheduleOptions) -> PolyProgram:
+def _choose_loop_orders(prog: PolyProgram, placement: str) -> PolyProgram:
     out = prog
     for s in prog.statements:
         nd = len(s.loop_dims)
-        if nd <= 1 or nd > 6:
+        if nd <= 1:
             continue
-        # strides depend on the innermost loop alone: count the accesses
-        # that are neither invariant nor consecutive once per loop dim
         addresses = _access_addresses(out, s)
-        bad = [
-            sum(1 for a in addresses if a.coeff(d) not in (0, 1))
-            for d in s.loop_dims
-        ]
-        best = None
-        for perm in permutations(range(nd)):
-            red = _misplaced_reduction(s, perm, options.reduction_placement)
-            # Reduction placement dominates: PLMs are BRAMs with single-cycle
-            # random access, so stride only breaks ties, but a misplaced
-            # reduction limits the achievable II (or forbids the register
-            # accumulator, depending on the placement policy).
-            key = (red, bad[perm[-1]], perm)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        out = with_loop_permutation(out, s.name, best[2])
+        # Reduction placement dominates: PLMs are BRAMs with single-cycle
+        # random access, so stride only breaks ties, but a misplaced
+        # reduction limits the achievable II (or forbids the register
+        # accumulator, depending on the placement policy).
+        _, _, perm = min(
+            (
+                _misplaced_reduction(s, d, placement),
+                sum(1 for a in addresses if a.coeff(dim) not in (0, 1)),
+                tuple(i for i in range(nd) if i != d) + (d,),
+            )
+            for d, dim in enumerate(s.loop_dims)
+        )
+        out = with_loop_permutation(out, s.name, perm)
     return out
 
 
-def reschedule(prog: PolyProgram, options: RescheduleOptions | None = None) -> PolyProgram:
-    """Compute an optimized legal schedule from the reference schedule."""
-    options = options or RescheduleOptions()
-    out = prog
-    if options.reorder_statements:
-        out = _choose_statement_order(out, options)
-    if options.permute_loops:
-        out = _choose_loop_orders(out, options)
+def reschedule(
+    prog: PolyProgram, reduction_placement: str = "innermost"
+) -> PolyProgram:
+    """Compute the least-cost legal schedule from the reference schedule."""
+    if reduction_placement not in REDUCTION_PLACEMENTS:
+        raise ValueError(f"unknown reduction_placement {reduction_placement!r}")
+    out = _choose_loop_orders(_choose_statement_order(prog), reduction_placement)
     check_schedule_legal(out)
     return out

@@ -6,7 +6,6 @@ from repro.utils.misc import (
     is_power_of_two,
     ceil_div,
     pairwise_disjoint,
-    stable_topo_orders,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "is_power_of_two",
     "ceil_div",
     "pairwise_disjoint",
-    "stable_topo_orders",
 ]

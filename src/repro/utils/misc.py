@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def prod(values: Iterable[int]) -> int:
@@ -34,46 +34,3 @@ def pairwise_disjoint(sets: Sequence[frozenset]) -> bool:
         seen |= s
     return True
 
-
-def stable_topo_orders(
-    nodes: Sequence[Hashable],
-    edges: Mapping[Hashable, Iterable[Hashable]],
-    limit: int = 5000,
-) -> Iterator[tuple]:
-    """Enumerate topological orders of a DAG deterministically.
-
-    ``edges[u]`` lists successors of ``u`` (u must come before them).  Orders
-    are produced in lexicographic order of the input ``nodes`` sequence, and
-    enumeration stops after ``limit`` orders to bound work on dense DAGs.
-    """
-    succ = {n: set(edges.get(n, ())) for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for u in nodes:
-        for v in succ[u]:
-            if v not in indeg:
-                raise ValueError(f"edge target {v!r} not in node set")
-            indeg[v] += 1
-
-    count = 0
-
-    def rec(order: list, indeg_now: dict) -> Iterator[tuple]:
-        nonlocal count
-        if count >= limit:
-            return
-        if len(order) == len(nodes):
-            count += 1
-            yield tuple(order)
-            return
-        for n in nodes:
-            if n not in order and indeg_now[n] == 0:
-                nxt = dict(indeg_now)
-                nxt[n] = -1  # consumed
-                for v in succ[n]:
-                    nxt[v] -= 1
-                order.append(n)
-                yield from rec(order, nxt)
-                order.pop()
-                if count >= limit:
-                    return
-
-    return rec([], indeg)

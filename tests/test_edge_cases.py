@@ -11,7 +11,7 @@ from repro.errors import HLSError, PolyhedralError
 from repro.flow import FlowOptions, compile_any
 from repro.poly.codegen_ast import build_loop_ast, scheduled_loop_dims
 from repro.poly.dataflow import statement_raw_deps, statement_rar_pairs
-from repro.poly.reschedule import RescheduleOptions, reschedule
+from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
 
@@ -134,8 +134,9 @@ class TestSchedulingEdges:
             scheduled_loop_dims(prog, s0)
 
     def test_reschedule_options_validation(self):
+        fn = canonicalize(lower_program(gradient_program(3)))
         with pytest.raises(ValueError):
-            RescheduleOptions(reduction_placement="sideways")
+            reschedule(reference_schedule(fn), "sideways")
 
 
 class TestHlsEdges:

@@ -106,6 +106,16 @@ class TestOptionSpecs:
         # cache keys hash option reprs: equality must extend to repr
         assert repr(restored) == repr(opts)
 
+    def test_bad_reduction_placement_rejected_early(self):
+        # a job spec is decoded before any stage runs, so a bad placement
+        # fails there, naming the allowed values
+        with pytest.raises(SystemGenerationError, match="'innermost', 'outside'"):
+            FlowOptions(reduction_placement="sideways")
+        spec = FlowOptions().to_spec()
+        spec["reduction_placement"] = "sideways"
+        with pytest.raises(SystemGenerationError, match="'free'"):
+            FlowOptions.from_spec(spec)
+
     def test_spec_is_primitives_only(self):
         spec = FlowOptions().to_spec()
 

@@ -8,7 +8,7 @@ from repro.codegen.hlsdirectives import HlsDirectives
 from repro.errors import HLSError
 from repro.hls import csim_kernel, synthesize
 from repro.hls.opcost import DEFAULT_LIBRARY, operators_for_kind
-from repro.poly.reschedule import RescheduleOptions, reschedule
+from repro.poly.reschedule import reschedule
 from repro.poly.schedule import reference_schedule
 from repro.teil import canonicalize, lower_program
 
@@ -16,9 +16,7 @@ from repro.teil import canonicalize, lower_program
 def helmholtz_kernel(n=11, pipeline="flatten", **kw):
     fn = canonicalize(lower_program(inverse_helmholtz_program(n)))
     placement = "outside" if pipeline == "flatten" else "innermost"
-    prog = reschedule(
-        reference_schedule(fn), RescheduleOptions(reduction_placement=placement)
-    )
+    prog = reschedule(reference_schedule(fn), placement)
     directives = HlsDirectives(pipeline=pipeline, **kw)
     return generate_kernel(prog, directives=directives), directives, prog
 
@@ -50,9 +48,7 @@ class TestResourceCalibration:
         from repro.apps.interpolation import interpolation_program
 
         fn = canonicalize(lower_program(interpolation_program(8, 12)))
-        prog = reschedule(
-            reference_schedule(fn), RescheduleOptions(reduction_placement="outside")
-        )
+        prog = reschedule(reference_schedule(fn), "outside")
         code = generate_kernel(prog)
         rep = synthesize(code)
         helm = synthesize(helmholtz_kernel()[0])

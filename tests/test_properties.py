@@ -153,7 +153,7 @@ class TestCompilerInvariants:
     @settings(max_examples=25, deadline=None)
     def test_factorization_and_codegen_preserve_semantics(self, progn, seed):
         from repro.codegen import run_python_kernel
-        from repro.poly.reschedule import RescheduleOptions, reschedule
+        from repro.poly.reschedule import reschedule
         from repro.poly.schedule import reference_schedule
         from repro.teil import canonicalize, interpret, lower_program
 
@@ -168,9 +168,7 @@ class TestCompilerInvariants:
         fac = canonicalize(raw)
         ref = interpret(raw, inputs)["v"]
         np.testing.assert_allclose(interpret(fac, inputs)["v"], ref, rtol=1e-10)
-        poly = reschedule(
-            reference_schedule(fac), RescheduleOptions(reduction_placement="outside")
-        )
+        poly = reschedule(reference_schedule(fac), "outside")
         got = run_python_kernel(poly, inputs)["v"]
         np.testing.assert_allclose(got, ref, rtol=1e-10)
 

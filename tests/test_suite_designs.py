@@ -1,7 +1,7 @@
 """Frozen designs of the suite kernels: CLIQUE groups and schedules.
 
-For every suite kernel with at most 14 arrays, compiled unfused and
-fused at ``-n 7`` and ``-n 11`` under ``SharingMode.CLIQUE``, the record
+For every suite kernel, compiled unfused and fused at ``-n 7`` and
+``-n 11`` under ``SharingMode.CLIQUE``, the record
 in ``data/suite_designs.json`` holds the PLM groups, the rescheduled
 statement order and each statement's loop order.  Speed-ups of the clique
 cover or of the rescheduler must leave every entry as it is: among
@@ -24,7 +24,6 @@ from repro.mnemosyne import SharingMode
 
 RECORD = pathlib.Path(__file__).with_name("data") / "suite_designs.json"
 DEGREES = (7, 11)
-MAX_ARRAYS = 14
 
 
 def design(result) -> dict:
@@ -51,10 +50,9 @@ def designs() -> dict:
                     FlowOptions(sharing=SharingMode.CLIQUE, fusion=fusion),
                     cache=cache,
                 )
+                tag = "fused" if fusion else "unfused"
                 for name, result in res.results.items():
-                    if len(result.mnemosyne_config.arrays) <= MAX_ARRAYS:
-                        tag = "fused" if fusion else "unfused"
-                        out[f"{suite}/{tag}/n{n}/{name}"] = design(result)
+                    out[f"{suite}/{tag}/n{n}/{name}"] = design(result)
     return out
 
 

@@ -13,7 +13,6 @@ from repro.utils import (
     is_power_of_two,
     pairwise_disjoint,
     prod,
-    stable_topo_orders,
 )
 
 
@@ -35,22 +34,6 @@ class TestUtils:
     def test_pairwise_disjoint(self):
         assert pairwise_disjoint([frozenset("ab"), frozenset("cd")])
         assert not pairwise_disjoint([frozenset("ab"), frozenset("bc")])
-
-    def test_topo_orders_chain(self):
-        orders = list(stable_topo_orders(["a", "b", "c"], {"a": ["b"], "b": ["c"]}))
-        assert orders == [("a", "b", "c")]
-
-    def test_topo_orders_independent(self):
-        orders = list(stable_topo_orders(["a", "b"], {}))
-        assert set(orders) == {("a", "b"), ("b", "a")}
-
-    def test_topo_orders_limit(self):
-        orders = list(stable_topo_orders(list("abcdef"), {}, limit=10))
-        assert len(orders) == 10
-
-    def test_topo_bad_edge(self):
-        with pytest.raises(ValueError):
-            list(stable_topo_orders(["a"], {"a": ["z"]}))
 
     def test_ascii_table(self):
         text = ascii_table(["a", "bb"], [[1, 22], [333, 4]], title="T")
