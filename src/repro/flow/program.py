@@ -580,6 +580,7 @@ class ProgramFlow:
             cache=self.cache,
             trace=self.trace,
             flight=self.flight,
+            fingerprint=kernel.text,
         )
 
     def run(self) -> ProgramResult:

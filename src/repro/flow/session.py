@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+import weakref
+from dataclasses import replace
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import SystemGenerationError
 from repro.flow.options import FlowOptions
@@ -44,8 +45,7 @@ from repro.flow.stages import (
 from repro.flow.store import CacheBackend, SingleFlight, StageCache, content_key
 
 
-@dataclass(frozen=True)
-class StageEvent:
+class StageEvent(NamedTuple):
     """One stage execution (or cache hit) observed by a trace.
 
     ``origin`` says where a hit came from: ``"memory"``, ``"disk"``, or
@@ -191,6 +191,18 @@ _override_counter = 0
 #: sessions must agree on the scheme)
 _digest = content_key
 
+#: per cache: (stage, option slice, input keys) -> (stage key, output
+#: keys), so a sweep derives each key once; a memo lives exactly as long
+#: as the cache its sessions share
+_KEY_MEMOS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _key_memo(cache: CacheBackend) -> dict:
+    try:
+        return _KEY_MEMOS.setdefault(cache, {})
+    except TypeError:  # a backend without weak references: no sharing
+        return {}
+
 
 class Flow:
     """One staged compilation session over a (source, options) pair.
@@ -200,6 +212,8 @@ class Flow:
     after the named stage, leaving intermediate artifacts in :attr:`state`
     for inspection.  ``override(key=value)`` replaces an artifact and
     invalidates everything downstream; ``resume()`` finishes the run.
+    ``fingerprint`` is the source's canonical text when the caller holds
+    it already (a :class:`~repro.flow.program.ProgramKernel`'s ``text``).
     """
 
     def __init__(
@@ -210,10 +224,12 @@ class Flow:
         cache: Optional[CacheBackend] = None,
         trace: Optional[FlowTrace] = None,
         flight: Optional[SingleFlight] = None,
+        fingerprint: Optional[str] = None,
     ) -> None:
         self.source = source
         self.options = options or FlowOptions()
         self.cache = cache if cache is not None else StageCache()
+        self._memo = _key_memo(self.cache)
         self.trace = trace
         #: single-flight coordinator shared with concurrent sessions (set
         #: by a parallel ``compile_many``); None = no coordination needed
@@ -222,9 +238,9 @@ class Flow:
         # kernel_fingerprint canonicalizes the source (parse + reprint),
         # so textual variants of one kernel — and a built AST next to its
         # text form — share every stage key from 'parse' on
+        fp = kernel_fingerprint(source) if fingerprint is None else fingerprint
         self._keys: Dict[str, str] = {
-            "source": _digest("source", str(STAGE_API_VERSION),
-                              kernel_fingerprint(source))
+            "source": _digest("source", str(STAGE_API_VERSION), fp)
         }
         self._completed: List[str] = []
         #: state keys holding user-overridden (or override-derived) values;
@@ -259,6 +275,7 @@ class Flow:
         flow.source = None
         flow.options = options or FlowOptions()
         flow.cache = cache if cache is not None else StageCache()
+        flow._memo = _key_memo(flow.cache)
         flow.trace = trace
         flow.flight = flight
         fp = fn.fingerprint() if fingerprint is None else fingerprint
@@ -348,21 +365,6 @@ class Flow:
         return self
 
     # -- execution -----------------------------------------------------------
-    def _stage_key(self, stage: Stage) -> str:
-        parts = [stage.name, str(STAGE_API_VERSION)]
-        for inp in stage.inputs:
-            parts.append(self._keys[inp])
-        parts.append(repr(stage.params(self.options)))
-        return _digest(*parts)
-
-    def _lookup(self, key: str, count: bool = True):
-        """Cache lookup returning (outputs, origin) or None on a miss.
-
-        ``count=False`` uses the backend's stat-free ``peek`` so that
-        race-closing re-checks don't inflate the hit/miss counters.
-        """
-        return self.cache.fetch(key) if count else self.cache.peek(key)
-
     def _compute_or_fetch(self, stage: Stage, key: str):
         """Run the stage or serve it from the shared cache.
 
@@ -375,8 +377,8 @@ class Flow:
         while True:
             # the initial lookup and every post-wait re-read are real
             # (counted) cache accesses; only the leader's race-closing
-            # re-check below stays out of the stats
-            hit = self._lookup(key)
+            # re-check below (a stat-free peek) stays out of the stats
+            hit = self.cache.fetch(key)
             if hit is not None:
                 return hit
             if self.flight is None or self.flight.begin(key):
@@ -385,7 +387,7 @@ class Flow:
                         # we may have become leader just after the previous
                         # one published its result; holding leadership, one
                         # re-check closes that race for good
-                        hit = self._lookup(key, count=False)
+                        hit = self.cache.peek(key)
                         if hit is not None:
                             return hit
                     outputs = stage.run(self.state, self.options)
@@ -397,14 +399,26 @@ class Flow:
             self.flight.wait(key)
 
     def _execute(self, stage: Stage) -> None:
-        missing = [i for i in stage.inputs if i not in self.state]
-        if missing:
+        try:
+            inputs = tuple([self._keys[inp] for inp in stage.inputs])
+        except KeyError:
+            missing = [i for i in stage.inputs if i not in self._keys]
             raise SystemGenerationError(
                 f"stage {stage.name!r} needs {missing} but no earlier stage "
                 "produced them"
-            )
-        key = self._stage_key(stage)
-        tainted = any(inp in self._tainted for inp in stage.inputs)
+            ) from None
+        tainted = not self._tainted.isdisjoint(stage.inputs)
+        params = stage.params(self.options)
+        # the slice's values, not its repr, identify it here: slices that
+        # compare equal (clock 200 and 200.0) share the first one's key
+        ident = (stage.name, params, inputs)
+        # one-off (override-derived) keys never recur: keep them out
+        keys = None if tainted else self._memo.get(ident)
+        if keys is None:
+            key = _digest(stage.name, str(STAGE_API_VERSION), *inputs,
+                          repr(params))
+        else:
+            key = keys[0]
         t0 = time.perf_counter()
         origin = ""
         if tainted:
@@ -421,24 +435,29 @@ class Flow:
             ))
         seconds = time.perf_counter() - t0
         self.state.update(outputs)
-        for out in stage.outputs:
-            fingerprint = CONTENT_KEYED_OUTPUTS.get(out)
-            if fingerprint is not None and not tainted:
-                # per-kernel granularity: key downstream work off the
-                # artifact's own content (the TeIL subtree), not the
-                # chain that produced it, so kernels lowering identically
-                # share every later stage regardless of source history
-                self._keys[out] = _digest(
-                    "content", out, str(STAGE_API_VERSION),
-                    fingerprint(self.state[out]),
-                )
-            else:
-                self._keys[out] = _digest(key, out)
-            if tainted:
-                self._tainted.add(out)
+        if keys is None:
+            keys = key, tuple(
+                self._output_key(key, out, tainted) for out in stage.outputs
+            )
+            if not tainted:
+                self._memo[ident] = keys
+        self._keys.update(zip(stage.outputs, keys[1]))
+        if tainted:
+            self._tainted.update(stage.outputs)
         self._completed.append(stage.name)
         if self.trace is not None:
             self.trace.record(stage.name, seconds, cached, origin)
+
+    def _output_key(self, key: str, out: str, tainted: bool) -> str:
+        fingerprint = CONTENT_KEYED_OUTPUTS.get(out)
+        if fingerprint is None or tainted:
+            return _digest(key, out)
+        # per-kernel granularity: key downstream work off the artifact's
+        # own content (the TeIL subtree), not the chain that produced it,
+        # so kernels lowering identically share every later stage
+        # regardless of source history
+        return _digest("content", out, str(STAGE_API_VERSION),
+                       fingerprint(self.state[out]))
 
     def run_until(self, stage_name: str) -> "Flow":
         """Execute stages in pipeline order through ``stage_name``."""

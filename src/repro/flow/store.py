@@ -48,13 +48,10 @@ def content_key(*parts: str) -> str:
     hash the kernel's canonical source or TeIL fingerprint.  Keeping the
     digest here, next to the stores, pins the one invariant all
     backends rely on: identical parts produce identical keys on every
-    host, process, and Python version.
+    host, process, and Python version.  ``tests/data/stage_keys.json``
+    pins the digests.
     """
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    return hashlib.sha256(("\0".join(parts) + "\0").encode()).hexdigest()
 
 #: how long an untouched lock file may sit before it counts as abandoned
 #: by a dead process — shared by :class:`FileSingleFlight` and the cache

@@ -9,7 +9,7 @@ constraint greatly simplifies the system integration logic").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.errors import SystemGenerationError
 from repro.hls.resources import KernelResources
@@ -41,6 +41,18 @@ class ReplicationChoice:
         )
 
 
+#: the largest m (and so k) any search considers
+_MAX_M = 1024
+
+
+class _MemorySums(NamedTuple):
+    """The sums :func:`system_resources` reads, taken once per search."""
+
+    brams: int
+    ctrl_luts: int
+    ctrl_ffs: int
+
+
 def system_resources(
     kernel: KernelResources,
     memory: MemorySubsystem,
@@ -65,7 +77,7 @@ def feasible_configurations(
     memory: MemorySubsystem,
     board: Board,
     platform: PlatformModel = DEFAULT_PLATFORM,
-    max_m: int = 1024,
+    max_m: int = _MAX_M,
 ) -> List[ReplicationChoice]:
     """All feasible (k, m) with k | m, both powers of two, m/k a power of two."""
     out: List[ReplicationChoice] = []
@@ -92,11 +104,20 @@ def max_parallel_config(
     """The configuration maximizing parallel kernels (the paper's choice).
 
     ``require_k_equals_m=True`` restricts to k = m ("we performed all
-    remaining tests with k = m", Sec. VI).
+    remaining tests with k = m", Sec. VI).  Resource counts are not
+    negative, so every total grows with k = m: the walk over k = m = 1,
+    2, 4, ... stops at the first k that does not fit.
     """
-    candidates = feasible_configurations(kernel, memory, board, platform)
     if require_k_equals_m:
-        candidates = [c for c in candidates if c.k == c.m]
+        sums = _MemorySums(memory.brams, memory.ctrl_luts, memory.ctrl_ffs)
+        candidates, k = [], 1
+        while k <= _MAX_M:
+            choice = system_resources(kernel, sums, k, k, platform)
+            if not board.fits(choice.lut, choice.ff, choice.dsp, choice.bram):
+                break
+            candidates, k = [choice], 2 * k
+    else:
+        candidates = feasible_configurations(kernel, memory, board, platform)
     if not candidates:
         raise SystemGenerationError(
             "no feasible configuration: a single kernel + memory exceeds the board"

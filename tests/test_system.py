@@ -1,16 +1,23 @@
 """Tests for the system generator: replication (Eq. 3), integration, HDL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL
 from repro.errors import SystemGenerationError
 from repro.flow import FlowOptions, compile_any
-from repro.mnemosyne import SharingMode
+from repro.hls.resources import KernelResources
+from repro.mnemosyne import PortClass, SharingMode
+from repro.mnemosyne.plm import MemorySubsystem, PLMUnit
 from repro.system import ZCU106, emit_system_hdl, emit_host_code
+from repro.system.board import ALVEO_U280, Board
 from repro.system.host import HostModel
+from repro.system.platform_data import DEFAULT_PLATFORM, PlatformModel
 from repro.system.replicate import (
     feasible_configurations,
     max_parallel_config,
+    system_resources,
     validate_configuration,
 )
 
@@ -61,6 +68,66 @@ class TestReplication:
         res = flow()
         with pytest.raises(SystemGenerationError):
             max_parallel_config(res.hls.resources, res.memory, tiny)
+
+
+SMALL_BOARD = Board("small", "x", lut=40_000, ff=60_000, dsp=48, bram36=24)
+#: no base or glue logic: an empty design fits at every k, up to the cap
+BARE_PLATFORM = PlatformModel(base_lut=0, base_ff=0, acc_glue_lut=0,
+                              acc_glue_ff=0)
+
+kernel_resources = st.builds(
+    KernelResources,
+    lut=st.integers(0, 300_000),
+    ff=st.integers(0, 400_000),
+    dsp=st.integers(0, 2_000),
+    bram=st.integers(0, 64),
+)
+plm_units = st.builds(
+    PLMUnit,
+    name=st.just("plm"),
+    members=st.lists(st.sampled_from("uvwxyz"), min_size=1, max_size=4,
+                     unique=True).map(tuple),
+    words=st.integers(1, 1 << 17),
+    port_class=st.sampled_from(PortClass),
+    banks=st.sampled_from((1, 2, 4)),
+)
+
+
+class TestMaxParallelConfig:
+    """The k = m walk returns the best k = m entry of the enumeration."""
+
+    @given(
+        kernel=st.one_of(st.just(KernelResources(0, 0, 0)), kernel_resources),
+        units=st.lists(plm_units, max_size=6),
+        board=st.sampled_from((ZCU106, ALVEO_U280, SMALL_BOARD)),
+        platform=st.sampled_from((DEFAULT_PLATFORM, BARE_PLATFORM)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_the_enumeration(self, kernel, units, board,
+                                          platform):
+        memory = MemorySubsystem(units)
+        configs = feasible_configurations(kernel, memory, board, platform)
+        # the enumeration itself: every (k, m) that system_resources fits
+        assert configs == [
+            c for c in (
+                system_resources(kernel, memory, k, m, platform)
+                for m in (1 << e for e in range(11))
+                for k in (1 << e for e in range(11)) if k <= m
+            )
+            if board.fits(c.lut, c.ff, c.dsp, c.bram)
+        ]
+        square = [c for c in configs if c.k == c.m]
+        if square:
+            want = max(square, key=lambda c: (c.k, c.m))
+            assert max_parallel_config(kernel, memory, board, platform) == want
+        else:
+            with pytest.raises(SystemGenerationError,
+                               match="no feasible configuration"):
+                max_parallel_config(kernel, memory, board, platform)
+        if configs:
+            assert max_parallel_config(
+                kernel, memory, board, platform, require_k_equals_m=False
+            ) == max(configs, key=lambda c: (c.k, c.m))
 
 
 class TestTableOne:
