@@ -11,11 +11,11 @@ number of nodes per dimension), with ``n = 11`` reproducing the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.cfdlang import Program, ProgramBuilder, analyze, parse_program
+from repro.cfdlang import Program, ProgramBuilder
 
 #: Verbatim DSL source of the paper's Fig. 1.
 HELMHOLTZ_DSL = """\
@@ -57,11 +57,6 @@ def inverse_helmholtz_program(n: int = 11) -> Program:
     return b.build()
 
 
-def parse_helmholtz() -> Program:
-    """The Fig. 1 source via the full lexer/parser/sema path."""
-    return analyze(parse_program(HELMHOLTZ_DSL))
-
-
 def reference_inverse_helmholtz(
     S: np.ndarray, D: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -90,14 +85,3 @@ def make_element_data(
     else:
         data["u"] = rng.standard_normal((n_elements, n, n, n))
     return data
-
-
-def operator_shapes(n: int = 11) -> Dict[str, Tuple[int, ...]]:
-    return {
-        "S": (n, n),
-        "D": (n, n, n),
-        "u": (n, n, n),
-        "v": (n, n, n),
-        "t": (n, n, n),
-        "r": (n, n, n),
-    }

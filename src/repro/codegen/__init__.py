@@ -2,9 +2,9 @@
 
 The C99 emitter produces the ``kernel_body`` function of Fig. 6 with every
 memory element exported as an interface parameter (flattened 1-D arrays,
-affine index expressions).  The Python emitter mirrors the same loop nests
-over flat NumPy buffers so generated-code semantics can be tested against
-the IR interpreter without a C toolchain.
+affine index expressions).  The Python emitter prints the same C AST as
+Python over flat NumPy buffers so generated-code semantics can be tested
+against the IR interpreter without a C toolchain.
 """
 
 from repro.codegen.cast import (

@@ -37,7 +37,8 @@ from repro.poly.schedule import PolyProgram
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Codegen-neutral description of one stage (shared with pyemit)."""
+    """Flat-address description of one stage: the C kernel is emitted
+    from it, and the HLS model reads it for latency and resources."""
 
     name: str
     kind: str                          # 'contract' | 'ewise:<op>'
@@ -82,7 +83,13 @@ def stage_plans(prog: PolyProgram, ast: Optional[LoopAst] = None) -> List[StageP
 
 @dataclass
 class KernelCode:
-    """Generated kernel artifact."""
+    """Generated kernel artifact.
+
+    ``function`` is the C AST, the one description of the kernel: its
+    text is ``source``, ``cnative`` re-types and compiles it, and
+    :mod:`repro.codegen.pyemit` prints it as Python.  ``plans`` are the
+    stage plans it was emitted from, for the HLS model.
+    """
 
     function: CFunction
     source: str

@@ -1,8 +1,10 @@
 """Python mirror of the generated C kernel, and its buffer layout.
 
-Emits a Python function with the *same* loop structure and flat-address
-arithmetic as the C99 kernel, compiled with ``exec``.  Running it against
-the IR interpreter validates the whole codegen path (schedules, layouts,
+:func:`generate_python_kernel` prints the C AST the HLS kernel is
+emitted from (:func:`repro.codegen.kernel.generate_kernel`) as a Python
+function: the same loops, statements, flat-address arithmetic and
+summation order, compiled with ``exec``.  Running it against the IR
+interpreter validates the whole codegen path (schedules, layouts,
 accumulator transformation, address expressions) without a C toolchain.
 
 :func:`pack_array` and :func:`unpack_array` move tensors in and out of
@@ -19,72 +21,37 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.kernel import StagePlan, stage_plans
-from repro.errors import IRError, LayoutError
+from repro.codegen.cast import CAssign, CBlock, CComment, CDecl, CFor, CFunction, CStmt
+from repro.errors import LayoutError
 from repro.layout.layout import Layout
-from repro.poly.aff import AffTuple
+from repro.mnemosyne.plm import MemorySubsystem
 from repro.poly.schedule import PolyProgram
 
-_EWISE_PY = {"*": "*", "/": "/", "+": "+", "-": "-"}
+
+def _print_stmt(stmt: CStmt, lines: List[str], depth: int) -> None:
+    pad = "    " * depth
+    if isinstance(stmt, CBlock):
+        for s in stmt.stmts:
+            _print_stmt(s, lines, depth)
+    elif isinstance(stmt, CFor):
+        lines.append(f"{pad}for {stmt.var} in range({stmt.lo}, {stmt.hi + 1}):")
+        _print_stmt(stmt.body, lines, depth + 1)
+    elif isinstance(stmt, CAssign):
+        lines.append(f"{pad}{stmt.lhs} {stmt.op} {stmt.rhs}")
+    elif isinstance(stmt, CDecl):
+        init = stmt.init if stmt.array_size is None else f"[0.0] * {stmt.array_size}"
+        lines.append(f"{pad}{stmt.name} = {init}")
+    elif isinstance(stmt, CComment):
+        lines.append(f"{pad}# {stmt.text}")
+    # pragmas direct HLS and have no meaning on the host
 
 
-def _addr_py(fn: AffTuple) -> str:
-    e = fn.exprs[0]
-    parts: List[str] = []
-    for d, c in e.coeffs:
-        parts.append(d if c == 1 else f"{c}*{d}")
-    if e.const or not parts:
-        parts.append(str(e.const))
-    return " + ".join(parts)
-
-
-def _emit_stage_py(plan: StagePlan, lines: List[str], indent: str) -> None:
-    lines.append(f"{indent}# stage {plan.name}: {plan.kind} -> {plan.write_array}")
-    write = f"{plan.write_array}[{_addr_py(plan.write_addr)}]"
-    reads = [f"{arr}[{_addr_py(fn)}]" for arr, fn in plan.reads]
-
-    def emit_loops(loop_specs, depth):
-        for var, lo, hi in loop_specs:
-            lines.append(f"{indent}{'    ' * depth}for {var} in range({lo}, {hi + 1}):")
-            depth += 1
-        return depth
-
-    if plan.kind.startswith("ewise"):
-        op = _EWISE_PY[plan.kind.split(":")[1]]
-        d = emit_loops(plan.loops, 0)
-        lines.append(f"{indent}{'    ' * d}{write} = {reads[0]} {op} {reads[1]}")
-        return
-    if plan.n_reduction_loops == 0:
-        d = emit_loops(plan.loops, 0)
-        lines.append(f"{indent}{'    ' * d}{write} = {' * '.join(reads)}")
-        return
-    if plan.accumulator_style:
-        n_out = len(plan.loops) - plan.n_reduction_loops
-        d = emit_loops(plan.loops[:n_out], 0)
-        lines.append(f"{indent}{'    ' * d}acc = 0.0")
-        d2 = emit_loops(plan.loops[n_out:], d)
-        lines.append(f"{indent}{'    ' * d2}acc += {' * '.join(reads)}")
-        lines.append(f"{indent}{'    ' * d}{write} = acc")
-        return
-    # memory accumulate
-    red = set(plan.reduction_dims)
-    init_loops = tuple(l for l in plan.loops if l[0] not in red)
-    d = emit_loops(init_loops, 0)
-    lines.append(f"{indent}{'    ' * d}{write} = 0.0")
-    d = emit_loops(plan.loops, 0)
-    lines.append(f"{indent}{'    ' * d}{write} += {' * '.join(reads)}")
-
-
-def generate_python_kernel(
-    prog: PolyProgram, name: str = "kernel_body", plans: Optional[List[StagePlan]] = None
-) -> str:
-    """Python source mirroring the C kernel (flat arrays as parameters)."""
-    plans = plans or stage_plans(prog)
-    fn = prog.function
-    params = [d.name for d in fn.interface()] + [d.name for d in fn.temporaries()]
-    lines = [f"def {name}({', '.join(params)}):"]
-    for plan in plans:
-        _emit_stage_py(plan, lines, "    ")
+def generate_python_kernel(fn: CFunction) -> str:
+    """``fn`` printed as a Python function over flat arrays: its
+    parameters, loops (``range(lo, hi + 1)``), assignments, declarations
+    (a local array as a list of zeros) and comments; pragmas dropped."""
+    lines = [f"def {fn.name}({', '.join(p.name for p in fn.params)}):"]
+    _print_stmt(fn.body, lines, 1)
     return "\n".join(lines) + "\n"
 
 
@@ -170,25 +137,19 @@ def unpack_array(
 
 
 def run_python_kernel(
-    prog: PolyProgram, inputs: Mapping[str, np.ndarray], name: str = "kernel_body"
+    prog: PolyProgram,
+    inputs: Mapping[str, np.ndarray],
+    memory: Optional[MemorySubsystem] = None,
 ) -> Dict[str, np.ndarray]:
-    """Allocate flat buffers, run the generated Python kernel, reshape outputs."""
+    """One element through the ``loops`` backend, every input streamed;
+    returns the outputs.  Given the kernel's ``memory`` subsystem, the
+    members of each PLM unit share one buffer, as Mnemosyne overlays
+    them (:func:`repro.exec.backend.batch_buffers`)."""
+    from repro.exec import get_backend  # repro.exec imports this module
+
     fn = prog.function
-    kernel = compile_python_kernel(generate_python_kernel(prog, name), name)
-    buffers: Dict[str, np.ndarray] = {}
-    for d in fn.decls.values():
-        layout = prog.layouts[d.name]
-        buffers[d.name] = np.zeros(layout.size, dtype=np.float64)
-    for d in fn.inputs():
-        if d.name not in inputs:
-            raise IRError(f"missing input {d.name!r}")
-        arr = np.asarray(inputs[d.name], dtype=np.float64)
-        if arr.shape != d.shape:
-            raise IRError(f"input {d.name!r} shape {arr.shape} != {d.shape}")
-        pack_array(buffers[d.name], prog.layouts[d.name], arr)
-    params = [d.name for d in fn.interface()] + [d.name for d in fn.temporaries()]
-    kernel(*[buffers[p] for p in params])
-    return {
-        d.name: unpack_array(buffers[d.name], prog.layouts[d.name])
-        for d in fn.outputs()
-    }
+    elements = {name: np.asarray(arr)[None] for name, arr in inputs.items()}
+    outputs = get_backend("loops").run_batch(
+        fn, elements, {}, [d.name for d in fn.inputs()], prog, memory=memory
+    )
+    return {name: np.asarray(arr)[0] for name, arr in outputs.items()}

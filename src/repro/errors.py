@@ -41,10 +41,6 @@ class LayoutError(ReproError):
     """Illegal layout or partitioning map (e.g. non-injective fixpoint)."""
 
 
-class SchedulingError(ReproError):
-    """No legal schedule satisfies the requested constraints."""
-
-
 class HLSError(ReproError):
     """HLS model cannot schedule or estimate the given kernel."""
 

@@ -7,10 +7,12 @@ and shared static operands, it produces the stacked outputs
 they differ in fidelity and throughput:
 
 ``loops``
-    The generated-Python mirror of the C kernel (:mod:`repro.codegen.
-    pyemit`), called once per element on row views of the batch
-    buffers.  Bit-exact with the generated C code's loop structure — the
-    reference the other backends are checked against.
+    The C kernel's AST printed as Python (:mod:`repro.codegen.pyemit`),
+    called once per element on row views of the batch buffers.
+    Bit-exact with the generated C code's loop structure — the
+    reference the other backends are checked against.  Given the
+    kernel's memory subsystem it overlays the members of each PLM unit
+    on one buffer, as the generated memory architecture does.
 ``numpy``
     Vectorized: one batched ``np.einsum`` per contraction stage and one
     array op per entry-wise stage, executing all ``Ne`` elements in a
@@ -41,15 +43,23 @@ the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.codegen.pyemit import pack_array, unpack_array
-from repro.errors import ExecBackendError, IRError, LayoutError, SimulationError
+from repro.errors import (
+    ExecBackendError,
+    IRError,
+    LayoutError,
+    MemoryArchitectureError,
+    SimulationError,
+)
 from repro.layout.layout import Layout
+from repro.mnemosyne.plm import MemorySubsystem
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
+from repro.teil.types import TensorKind
 
 
 @dataclass(frozen=True)
@@ -319,6 +329,7 @@ def batch_buffers(
     static_inputs: Mapping[str, np.ndarray],
     element_inputs: Sequence[str],
     lanes: int = 1,
+    memory: Optional[MemorySubsystem] = None,
 ) -> Tuple[int, Dict[str, np.ndarray]]:
     """Validate a batch and pack it for ``prog``'s generated kernel.
 
@@ -340,25 +351,78 @@ def batch_buffers(
     is, with no copy: a kernel never writes its inputs (TeIL rejects an
     assignment to one).  Any other :class:`Packed` input is unpacked
     and packed again.
+
+    Given the kernel's ``memory`` subsystem, the members of each PLM
+    unit share one buffer of the unit's ``words`` at offset 0, as
+    Mnemosyne overlays them: one row per lane group when a member is
+    streamed in or out, else one buffer for the whole batch.  A
+    :class:`Packed` input is never adopted into a unit.  Raises
+    :class:`MemoryArchitectureError` when a layout is larger than its
+    unit, and when a unit overlays a static input on another array:
+    the operand is loaded once for every element, which a per-element
+    row would hide.
     """
     fn = prog.function
     ne = consistent_batch_size(elements, element_inputs)
     inputs = checked_batch_inputs(fn, elements, static_inputs, element_inputs)
     per_element = set(element_inputs) | {d.name for d in fn.outputs()}
     groups = -(-ne // lanes)
+    overlay = (
+        {} if memory is None
+        else _unit_buffers(prog, memory, per_element, groups, lanes)
+    )
     buffers: Dict[str, np.ndarray] = {}
     for d in fn.interface() + fn.temporaries():
         layout = prog.layouts[d.name]
         arr = inputs.get(d.name)
-        if isinstance(arr, Packed):
-            if arr.lanes == lanes and _geometry(arr.layout) == _geometry(layout):
-                buffers[d.name] = arr.buffer
-                continue
-            arr = np.asarray(arr)
-        cells = layout.size * lanes
-        buffers[d.name] = _aligned_zeros(
-            (groups, cells) if d.name in per_element else (cells,), 8 * lanes
-        )
+        if d.name in overlay:
+            buffers[d.name] = overlay[d.name]
+        elif isinstance(arr, Packed) and arr.lanes == lanes and (
+            _geometry(arr.layout) == _geometry(layout)
+        ):
+            buffers[d.name] = arr.buffer
+            continue
+        else:
+            cells = layout.size * lanes
+            buffers[d.name] = _aligned_zeros(
+                (groups, cells) if d.name in per_element else (cells,), 8 * lanes
+            )
         if arr is not None:
-            pack_array(buffers[d.name], layout, arr, lanes)
+            pack_array(buffers[d.name], layout, np.asarray(arr), lanes)
     return ne, buffers
+
+
+def _unit_buffers(
+    prog: PolyProgram,
+    memory: MemorySubsystem,
+    per_element: Set[str],
+    groups: int,
+    lanes: int,
+) -> Dict[str, np.ndarray]:
+    """The one buffer of each PLM unit of ``memory`` that holds two or
+    more arrays, by member name; checks every unit (see
+    :func:`batch_buffers`)."""
+    out: Dict[str, np.ndarray] = {}
+    for unit in memory.units:
+        for name in unit.members:
+            size = prog.layouts[name].size
+            if size > unit.words:
+                raise MemoryArchitectureError(
+                    f"array {name!r} ({size} words) exceeds its PLM unit "
+                    f"{unit.name!r} ({unit.words} words)"
+                )
+        if len(unit.members) < 2:
+            continue
+        for name in unit.members:
+            decl = prog.function.decls[name]
+            if decl.kind is TensorKind.INPUT and name not in per_element:
+                raise MemoryArchitectureError(
+                    f"PLM unit {unit.name!r} overlays static input {name!r} "
+                    f"on {', '.join(m for m in unit.members if m != name)}: "
+                    f"a static operand is loaded once for every element"
+                )
+        cells = unit.words * lanes
+        rows = not per_element.isdisjoint(unit.members)
+        buf = _aligned_zeros((groups, cells) if rows else (cells,), 8 * lanes)
+        out.update(dict.fromkeys(unit.members, buf))
+    return out

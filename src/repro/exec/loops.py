@@ -1,7 +1,8 @@
 """The ``loops`` execution backend: generated Python, one element at a time.
 
-Runs the Python mirror of the generated C kernel (:mod:`repro.codegen.
-pyemit`) over flat, layout-addressed buffers — the same loop structure,
+Runs the C kernel the flow emits for HLS (:func:`repro.codegen.kernel.
+generate_kernel`), printed as Python by :mod:`repro.codegen.pyemit`,
+over flat, layout-addressed buffers — the same loop structure,
 statement order, and accumulation order the C code executes, which makes
 this the bit-exact reference the vectorized backends are checked
 against.  The kernel is compiled and every tensor packed once per batch
@@ -11,6 +12,11 @@ element's flat buffer.  The kernel then runs on each element's row
 views, so only the arithmetic remains a Python loop nest.  Outputs stay
 in those buffers, as :class:`~repro.exec.backend.Packed` one-lane
 stacks.
+
+Given the kernel's :class:`~repro.mnemosyne.plm.MemorySubsystem`, the
+run overlays the members of each PLM unit on one buffer, as the
+generated memory architecture does, so an illegal overlay corrupts the
+outputs; those come back as host arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +25,12 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.codegen.pyemit import compile_python_kernel, generate_python_kernel
+from repro.codegen.kernel import generate_kernel
+from repro.codegen.pyemit import (
+    compile_python_kernel,
+    generate_python_kernel,
+    unpack_array,
+)
 from repro.exec.backend import (
     Batch,
     ExecBackend,
@@ -27,6 +38,7 @@ from repro.exec.backend import (
     batch_buffers,
     resolved_program,
 )
+from repro.mnemosyne.plm import MemorySubsystem
 from repro.poly.schedule import PolyProgram
 from repro.teil.program import Function
 
@@ -43,13 +55,24 @@ class LoopsBackend(ExecBackend):
         static_inputs: Mapping[str, np.ndarray],
         element_inputs: Sequence[str],
         prog: Optional[PolyProgram] = None,
-    ) -> Dict[str, Packed]:
+        memory: Optional[MemorySubsystem] = None,
+    ) -> Dict[str, Batch]:
         prog = resolved_program(fn, prog)
-        ne, buffers = batch_buffers(prog, elements, static_inputs, element_inputs)
-        kernel = compile_python_kernel(generate_python_kernel(prog))
+        ne, buffers = batch_buffers(
+            prog, elements, static_inputs, element_inputs, memory=memory
+        )
+        code = generate_kernel(prog).function
+        kernel = compile_python_kernel(generate_python_kernel(code), code.name)
+        params = [buffers[p.name] for p in code.params]
         for e in range(ne):
-            kernel(*[b[e] if b.ndim == 2 else b for b in buffers.values()])
+            kernel(*[b[e] if b.ndim == 2 else b for b in params])
+        outputs = prog.function.outputs()
+        if memory is not None:  # a unit's buffer is wider than its output
+            return {
+                d.name: unpack_array(buffers[d.name], prog.layouts[d.name], count=ne)
+                for d in outputs
+            }
         return {
             d.name: Packed(buffers[d.name], prog.layouts[d.name], 1, ne)
-            for d in prog.function.outputs()
+            for d in outputs
         }

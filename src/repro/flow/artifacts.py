@@ -29,7 +29,7 @@ def write_artifacts(
     design = result.build_system(k, m)
     files = {
         "kernel.c": result.kernel.source,
-        "kernel_mirror.py": generate_python_kernel(result.poly, result.options.kernel_name),
+        "kernel_mirror.py": generate_python_kernel(result.kernel.function),
         "mnemosyne_config.json": result.mnemosyne_config.to_json(),
         "compat_graph.txt": result.compat.render(),
         "memory_subsystem.txt": result.memory.summary(),

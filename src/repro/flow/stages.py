@@ -34,7 +34,10 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (7: the ``simulate`` stage checks its functional batch against
+#: (8: no PLM unit overlays a static operand on another array, and the
+#: ``simulate`` stage's functional batch on ``loops`` runs the ``memory``
+#: stage's overlay;
+#: 7: the ``simulate`` stage checks its functional batch against
 #: ``teil.interp`` and records the error;
 #: 6: the ``memory`` stage's CLIQUE cover is exact above 14 arrays,
 #: where it was greedy;
@@ -46,7 +49,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 7
+STAGE_API_VERSION = 8
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]
@@ -244,7 +247,8 @@ def _run_memory(state, options):
     if options.partition_merges and not options.temporaries_internal:
         # Explicit address-space sharing via partitioning maps (Sec. IV-D):
         # the user-declared merge map is validated (injective fixpoint +
-        # lifetime disjointness) and handed to Mnemosyne as fixed groups.
+        # address-space compatibility, the same rule the optimizer obeys)
+        # and handed to Mnemosyne as fixed groups.
         from repro.layout.partition import merge_arrays
 
         declared = set(state["function"].decls)
@@ -260,9 +264,10 @@ def _run_memory(state, options):
         sizes = {a: compat.sizes[a] for a in pm.sources()}
         overlapping = pm.overlapping_pairs(sizes)
         for a, b in overlapping:
-            if not compat.address_space_compatible(a, b):
+            if not mn_config.compatible(a, b):
                 raise SystemGenerationError(
-                    f"partition map merges {a!r} and {b!r}, whose lifetimes overlap"
+                    f"partition map merges {a!r} and {b!r}, whose lifetimes "
+                    f"overlap (a static operand's spans every element)"
                 )
         merged = {a for group in options.partition_merges.values() for a in group}
         groups = [tuple(v) for v in options.partition_merges.values()]
@@ -335,7 +340,10 @@ def _run_functional_batch(state, options):
     a kernel that streams only outputs); everything else gets
     deterministic static data.  A one-element run first builds the
     kernel (on ``cnative``, the C compile), so the record times the
-    batch alone: inputs in, kernel, outputs back as host arrays.  The
+    batch alone: inputs in, kernel, outputs back as host arrays.  On
+    ``loops`` the batch runs the stage's memory architecture: the
+    members of each PLM unit share one buffer, so an illegal overlay
+    corrupts the outputs.  The
     batch's first and last element are recomputed with ``teil.interp``
     (a backend that computes several elements per call holds the last
     one in its final, padded group); an output off by more than
@@ -346,7 +354,7 @@ def _run_functional_batch(state, options):
 
     import numpy as np
 
-    from repro.exec import FunctionalRecord, require_backend
+    from repro.exec import FunctionalRecord, LoopsBackend, require_backend
     from repro.system.integration import transfer_footprint
     from repro.teil.interp import interpret
 
@@ -366,13 +374,19 @@ def _run_functional_batch(state, options):
         for d in fn.inputs()
         if d.name not in set(streamed)
     }
+    # ``cnative`` hands every buffer to C as ``lane *restrict``, where two
+    # parameters on one buffer are undefined behaviour, and ``numpy``
+    # keeps no buffers: both run unaliased
+    overlay = (
+        {"memory": state["memory"]} if isinstance(backend, LoopsBackend) else {}
+    )
     warmup = {n: arr[:1] for n, arr in elements.items()}
-    backend.run_batch(fn, warmup, static, streamed, prog=prog)
+    backend.run_batch(fn, warmup, static, streamed, prog=prog, **overlay)
     t0 = time.perf_counter()
     outputs = {
         name: np.asarray(arr)
         for name, arr in backend.run_batch(
-            fn, elements, static, streamed, prog=prog
+            fn, elements, static, streamed, prog=prog, **overlay
         ).items()
     }
     seconds = time.perf_counter() - t0
@@ -607,7 +621,7 @@ register_stage(Stage(
 ))
 register_stage(Stage(
     name="simulate",
-    inputs=("system", "poly", "port_classes", "banking"),
+    inputs=("system", "poly", "port_classes", "memory", "banking"),
     outputs=("sim", "functional"),
     run=_run_simulate,
     params=lambda o: (

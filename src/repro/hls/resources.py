@@ -32,9 +32,6 @@ class KernelResources:
             self.bram + other.bram,
         )
 
-    def scaled(self, k: int) -> "KernelResources":
-        return KernelResources(self.lut * k, self.ff * k, self.dsp * k, self.bram * k)
-
     def __str__(self) -> str:
         s = f"{self.lut} LUT, {self.ff} FF, {self.dsp} DSP"
         if self.bram:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set
 
-import networkx as nx
-
 from repro.memory.liveness import ArrayLiveness, stage_liveness
 from repro.poly.schedule import PolyProgram
 
@@ -39,17 +37,6 @@ class CompatibilityGraph:
 
     def interface_compatible(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.interface_edges
-
-    def as_networkx(self, kind: str = "address") -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.arrays)
-        edges = (
-            self.address_space_edges if kind == "address" else self.interface_edges
-        )
-        for e in edges:
-            a, b = tuple(e)
-            g.add_edge(a, b)
-        return g
 
     def to_dict(self) -> dict:
         """Serializable form (part of the Mnemosyne configuration artifact)."""

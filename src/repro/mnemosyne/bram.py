@@ -26,7 +26,6 @@ ones to dual-port RAM (TDP geometry).
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 from repro.errors import MemoryArchitectureError
 from repro.utils import ceil_div
@@ -82,7 +81,3 @@ def hls_internal_lutram_luts(words: int) -> int:
     if not hls_internal_is_lutram(words):
         return 0
     return words * WORD_BITS // 64 * 2  # RAM64X1D uses 2 LUTs per 64x1 bit
-
-
-def total_brams(counts: Iterable[int]) -> int:
-    return sum(counts)

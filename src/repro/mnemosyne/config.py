@@ -121,12 +121,25 @@ def config_from_compat(
     word_bits: int = 64,
     banks: Dict[str, int] | None = None,
 ) -> MnemosyneConfig:
+    """The Mnemosyne configuration of ``graph``'s arrays.
+
+    A static operand shares no PLM unit: it is loaded once and read by
+    every element its PLM set runs, while the graph's liveness spans
+    one kernel call, so an array written after its last read would
+    clobber it for the next element.  Its address-space edges go.
+    """
+    static = {
+        a for a in graph.interface_arrays
+        if port_classes[a] is PortClass.ACCELERATOR_ONLY
+    }
     return MnemosyneConfig(
         arrays=list(graph.arrays),
         sizes=dict(graph.sizes),
         word_bits=word_bits,
         port_classes=dict(port_classes),
-        address_space_edges=set(graph.address_space_edges),
+        address_space_edges={
+            e for e in graph.address_space_edges if static.isdisjoint(e)
+        },
         interface_edges=set(graph.interface_edges),
         banks=dict(banks or {}),
     )

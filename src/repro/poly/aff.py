@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.errors import PolyhedralError
 from repro.poly.space import Space
@@ -35,9 +35,6 @@ class AffExpr:
         return AffExpr(items, int(const))
 
     # -- views -------------------------------------------------------------
-    def coeff_dict(self) -> Dict[str, int]:
-        return dict(self.coeffs)
-
     def coeff(self, dim: str) -> int:
         return dict(self.coeffs).get(dim, 0)
 

@@ -102,14 +102,6 @@ class IMap:
             ISet.empty(_canonical_space(in_space.rank, out_space.rank)),
         )
 
-    @staticmethod
-    def from_constraint_parts(
-        in_space: Space, out_space: Space, parts: Sequence[BasicSet]
-    ) -> "IMap":
-        comb = _canonical_space(in_space.rank, out_space.rank)
-        fixed = [p.with_space(comb) for p in parts]
-        return IMap(in_space, out_space, ISet(comb, fixed))
-
     # -- shape -----------------------------------------------------------
     @property
     def n_in(self) -> int:

@@ -21,7 +21,7 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PolyhedralError
 from repro.poly.aff import AffExpr, AffTuple
@@ -245,10 +245,6 @@ class BasicSet:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def universe(space: Space) -> "BasicSet":
-        return BasicSet(space, ())
-
-    @staticmethod
     def empty(space: Space) -> "BasicSet":
         return BasicSet(space, ((tuple(0 for _ in range(space.rank)), -1, False),))
 
@@ -348,10 +344,6 @@ class BasicSet:
             for c in self.constraints
         ]
         return BasicSet(new_space, cons, self.n_exists)
-
-    def rename_dims(self, mapping: Mapping[str, str]) -> "BasicSet":
-        new_space = Space(self.space.name, tuple(mapping.get(d, d) for d in self.space.dims))
-        return BasicSet(new_space, self.constraints, self.n_exists)
 
     def with_space(self, space: Space) -> "BasicSet":
         """Reinterpret visible dims over a same-rank space (positional)."""

@@ -16,12 +16,9 @@ data path itself runs on the :mod:`repro.exec` backends:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.sim.cpu import CpuModel, simulate_software
 from repro.system.host import HostModel
 from repro.system.integration import SystemDesign
-from repro.teil.program import Function
 
 
 @dataclass(frozen=True)
@@ -207,10 +204,3 @@ def simulate_system_events(design: SystemDesign, n_elements: int) -> SimulationR
         transfer,
         control,
     )
-
-
-def software_baseline_seconds(
-    fn: Function, n_elements: int, variant: str = "ref", cpu: Optional[CpuModel] = None
-) -> float:
-    """Convenience wrapper for Fig. 10's software rows."""
-    return simulate_software(fn, n_elements, cpu or CpuModel(), variant)

@@ -42,15 +42,6 @@ class HostModel:
     def total_rounds(self) -> int:
         return self.main_iterations * self.rounds_per_iteration
 
-    @property
-    def total_start_commands(self) -> int:
-        return self.total_rounds  # one broadcast start per round
-
-    @property
-    def total_interrupts(self) -> int:
-        return self.total_rounds
-
-
 def emit_cpp_binding(design: SystemDesign, kernel_name: str = "kernel_body") -> str:
     """C++ host-application binding (Sec. III-B: "seamless integration of
     the CFDlang in Fortran or C++ code ... called via a predefined function

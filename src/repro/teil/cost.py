@@ -27,21 +27,6 @@ def function_macs(fn: Function) -> int:
     return sum(statement_macs(s, shapes) for s in fn.statements)
 
 
-def statement_reads_writes(stmt: Statement, shapes: Dict[str, Tuple[int, ...]]) -> Tuple[int, int]:
-    """(elements read, elements written) by one statement."""
-    op = stmt.op
-    if isinstance(op, Contraction):
-        extents = op.index_extents(shapes)
-        domain = prod(extents[i] for i in op.all_indices)
-        reads = domain * len(op.operands)
-        writes = prod(op.output_shape(shapes))
-        return reads, writes
-    if isinstance(op, Ewise):
-        n = prod(op.output_shape(shapes))
-        return 2 * n, n
-    raise TypeError(f"unknown op {type(op).__name__}")
-
-
 def live_ranges(fn: Function) -> Dict[str, Tuple[int, int]]:
     """Statement-granularity live range [def, last_use] for every tensor.
 

@@ -69,12 +69,6 @@ class Function:
         """Interface tensors in declaration order (inputs then outputs)."""
         return self.inputs() + self.outputs()
 
-    def defining_statement(self, name: str) -> Statement:
-        for s in self.statements:
-            if s.target == name:
-                return s
-        raise IRError(f"tensor {name!r} has no defining statement")
-
     def consumers(self, name: str) -> List[int]:
         """Statement indices that read the given tensor."""
         return [i for i, s in enumerate(self.statements) if name in s.operands]

@@ -36,11 +36,5 @@ class TensorDecl:
     def n_bytes(self) -> int:
         return self.n_elements * DTYPE_BYTES
 
-    @property
-    def is_interface(self) -> bool:
-        """True for tensors visible at the kernel interface (Fig. 5 groups
-        interface arrays separately from temporaries)."""
-        return self.kind in (TensorKind.INPUT, TensorKind.OUTPUT)
-
     def __str__(self) -> str:
         return f"{self.name}: {self.kind.value}[{'x'.join(map(str, self.shape))}]"

@@ -121,6 +121,6 @@ class TestPythonMirror:
         from repro.codegen import generate_python_kernel
 
         prog = poly_of(inverse_helmholtz_program(3))
-        src = generate_python_kernel(prog)
+        src = generate_python_kernel(generate_kernel(prog).function)
         assert src.count("for ") >= 7 * 3
         assert "def kernel_body(" in src

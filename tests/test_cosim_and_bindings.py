@@ -101,11 +101,11 @@ class TestPreconditionerApp:
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_sharing_safe_with_ewise_chain(self):
-        from repro.sim.sharedmem import run_python_kernel_shared
+        from repro.codegen import run_python_kernel
 
         res = compile_any(preconditioner_program(5))
         data, ref = make_preconditioner_data(5, seed=6)
-        got = run_python_kernel_shared(res.poly, res.memory, data)["w"]
+        got = run_python_kernel(res.poly, data, memory=res.memory)["w"]
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_latency_dominated_by_divider(self):

@@ -1,7 +1,9 @@
 """End-to-end flow tests: compile_any, artifacts, CLI."""
 
+import inspect
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +107,37 @@ class TestArtifacts:
         ns: dict = {}
         exec(compile(src, "kernel_mirror.py", "exec"), ns)
         assert callable(ns["kernel_body"])
+
+    def test_mirror_artifact_is_kernel_c_with_internal_temporaries(self, tmp_path):
+        """``kernel.c`` declares the temporaries inside the function; the
+        mirror takes the same parameters and matches ``teil.interp``."""
+        from repro.apps.helmholtz import inverse_helmholtz_program
+        from repro.codegen.pyemit import pack_array, unpack_array
+        from repro.teil import interpret
+
+        n = 4
+        res = compile_any(
+            inverse_helmholtz_program(n), FlowOptions(temporaries_internal=True)
+        )
+        write_artifacts(res, str(tmp_path), k=1, m=1)
+        signature = (tmp_path / "kernel.c").read_text().split(") {")[0]
+        params = re.findall(r"double (\w+)\[", signature)
+        assert params == ["S", "D", "u", "v"]
+        ns: dict = {}
+        src = (tmp_path / "kernel_mirror.py").read_text()
+        exec(compile(src, "kernel_mirror.py", "exec"), ns)
+        kernel = ns["kernel_body"]
+        assert list(inspect.signature(kernel).parameters) == params
+        data = make_element_data(n, seed=4)
+        layouts = res.poly.layouts
+        buffers = [np.zeros(layouts[p].size) for p in params]
+        for p, buf in zip(params, buffers):
+            if p in data:
+                pack_array(buf, layouts[p], data[p])
+        kernel(*buffers)
+        want = interpret(res.function, data)["v"]
+        got = unpack_array(buffers[params.index("v")], layouts["v"])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCli:

@@ -291,7 +291,7 @@ class TestExactCliqueCover:
         mem = build_memory_subsystem(config, SharingMode.CLIQUE)
         assert [u.members for u in mem.units] == subset_dp_cover(config)
 
-    @pytest.mark.parametrize("n, brams", [(7, 14), (11, 30)])
+    @pytest.mark.parametrize("n, brams", [(7, 16), (11, 32)])
     def test_fused_fem_cfd_gets_the_minimum(self, n, brams):
         """18 arrays: beyond what a subset DP over every submask affords."""
         res = compile_program(

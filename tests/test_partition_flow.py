@@ -11,9 +11,9 @@ from repro.apps.helmholtz import (
     reference_inverse_helmholtz,
     inverse_helmholtz_program,
 )
+from repro.codegen import run_python_kernel
 from repro.errors import SystemGenerationError
 from repro.flow import FlowOptions, compile_any
-from repro.sim.sharedmem import run_python_kernel_shared
 
 
 class TestExplicitPartitionMerges:
@@ -33,6 +33,18 @@ class TestExplicitPartitionMerges:
             compile_any(
                 HELMHOLTZ_DSL,
                 FlowOptions(partition_merges={"bad": ("u", "t0")}),
+            )
+
+    def test_static_operand_merge_rejected(self):
+        """S is loaded once for every element, so update_tmp0, written
+        after S's last read in one fused kernel call, would clobber it."""
+        from repro.apps.workloads import make_workload
+        from repro.flow import compile_program
+
+        with pytest.raises(SystemGenerationError, match="lifetimes overlap"):
+            compile_program(
+                make_workload("smoother", n=7).program,
+                FlowOptions(fusion="auto", partition_merges={"bad": ("S", "update_tmp0")}),
             )
 
     def test_multi_group_merge(self):
@@ -55,7 +67,7 @@ class TestExplicitPartitionMerges:
             FlowOptions(partition_merges={"uv_buf": ("u", "v"), "tt": ("t0", "t2")}),
         )
         data = make_element_data(n, seed=33)
-        got = run_python_kernel_shared(res.poly, res.memory, data)["v"]
+        got = run_python_kernel(res.poly, data, memory=res.memory)["v"]
         ref = reference_inverse_helmholtz(data["S"], data["D"], data["u"])
         np.testing.assert_allclose(got, ref, rtol=1e-11)
 

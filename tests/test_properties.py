@@ -176,9 +176,9 @@ class TestCompilerInvariants:
     @settings(max_examples=20, deadline=None)
     def test_sharing_is_safe_on_random_programs(self, progn):
         """Liveness-driven overlays never corrupt results."""
+        from repro.codegen import run_python_kernel
         from repro.flow import FlowOptions, compile_any
         from repro.mnemosyne import SharingMode
-        from repro.sim.sharedmem import run_python_kernel_shared
         from repro.teil import interpret
 
         prog, n = progn
@@ -189,7 +189,7 @@ class TestCompilerInvariants:
             "u": rng.standard_normal((n, n, n)),
             "w": rng.standard_normal((n, n, n)),
         }
-        got = run_python_kernel_shared(res.poly, res.memory, inputs)["v"]
+        got = run_python_kernel(res.poly, inputs, memory=res.memory)["v"]
         ref = interpret(res.function, inputs)["v"]
         np.testing.assert_allclose(got, ref, rtol=1e-10)
 
