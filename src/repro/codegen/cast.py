@@ -105,6 +105,8 @@ class CPragma(CStmt):
 @dataclass
 class CBlock(CStmt):
     stmts: List[CStmt] = field(default_factory=list)
+    #: printed in braces, so that its declarations are its own
+    scoped: bool = False
 
 
 @dataclass

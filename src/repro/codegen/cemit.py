@@ -17,6 +17,9 @@ _INDENT = "  "
 def emit_node(node: CStmt, depth: int = 0) -> List[str]:
     pad = _INDENT * depth
     if isinstance(node, CBlock):
+        if node.scoped:
+            inner = emit_node(CBlock(node.stmts), depth + 1)
+            return [f"{pad}{{", *inner, f"{pad}}}"]
         out: List[str] = []
         for s in node.stmts:
             out.extend(emit_node(s, depth))

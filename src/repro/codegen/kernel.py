@@ -120,8 +120,21 @@ def _product_cexpr(reads, ewise_op: Optional[str] = None) -> CExpr:
     return out
 
 
-def _emit_stage(plan: StagePlan, directives: HlsDirectives) -> List[CStmt]:
-    """One loop nest per stage."""
+def accumulator_name(prog: PolyProgram) -> str:
+    """The name of a contraction's accumulator in ``prog``'s kernel:
+    ``acc`` unless one of the kernel's arrays is named so, else the
+    first ``acc<i>`` that none is."""
+    taken = set(prog.function.decls) | {
+        layout.array for layout in prog.layouts.values()
+    }
+    name, i = "acc", 0
+    while name in taken:
+        name, i = f"acc{i}", i + 1
+    return name
+
+
+def _emit_stage(plan: StagePlan, directives: HlsDirectives, acc: str) -> List[CStmt]:
+    """One loop nest per stage; ``acc`` names the accumulator."""
     out: List[CStmt] = [CComment(f"stage {plan.name}: {plan.kind} -> {plan.write_array}")]
     write = CIndex(plan.write_array, _addr_cexpr(plan.write_addr))
 
@@ -151,12 +164,12 @@ def _emit_stage(plan: StagePlan, directives: HlsDirectives) -> List[CStmt]:
     if plan.accumulator_style:
         n_out = len(plan.loops) - plan.n_reduction_loops
         red_loops = plan.loops[n_out:]
-        inner_body = [CAssign(CVar("acc"), _product_cexpr(plan.reads), op="+=")]
+        inner_body = [CAssign(CVar(acc), _product_cexpr(plan.reads), op="+=")]
         red_nest = nest(red_loops, inner_body, directives.innermost_pragmas())
         mid = [
-            CDecl("double", "acc", CLiteral(0.0)),
+            CDecl("double", acc, CLiteral(0.0)),
             red_nest,
-            CAssign(write, CVar("acc")),
+            CAssign(write, CVar(acc)),
         ]
         out.append(nest(plan.loops[:n_out], mid, []))
         return out
@@ -212,8 +225,9 @@ def generate_kernel(
         for t in temps:
             body.append(CDecl("double", t, array_size=sizes[t]))
     plans = stage_plans(prog)
+    acc = accumulator_name(prog)
     for plan in plans:
-        body.extend(_emit_stage(plan, directives))
+        body.extend(_emit_stage(plan, directives, acc))
     return KernelCode(
         function=cfn,
         source=emit_function(cfn),

@@ -313,12 +313,14 @@ def _geometry(layout: Layout) -> tuple:
     return layout.shape, layout.strides, layout.offset, layout.size
 
 
-def _aligned_zeros(shape: Tuple[int, ...], align: int) -> np.ndarray:
-    """A float64 zero array whose data starts on an ``align``-byte
-    boundary: one vector over-allocated and sliced off (``.base`` keeps
-    the allocation alive)."""
+def _aligned_array(
+    shape: Tuple[int, ...], align: int, zeroed: bool = True
+) -> np.ndarray:
+    """A float64 array, zeros or uninitialised, whose data starts on an
+    ``align``-byte boundary: one vector over-allocated and sliced off
+    (``.base`` keeps the allocation alive)."""
     n = int(np.prod(shape))
-    raw = np.zeros(n + align // 8)
+    raw = (np.zeros if zeroed else np.empty)(n + align // 8)
     start = (-raw.ctypes.data % align) // 8
     return raw[start:start + n].reshape(shape)
 
@@ -339,12 +341,13 @@ def batch_buffers(
     ``lanes`` consecutive elements, one per lane, and one kernel call
     computes a whole row of ``size * lanes`` cells.  Streamed inputs and
     outputs get one row per lane group, ``(ceil(Ne / lanes), size *
-    lanes)``, the unused lanes of the last one packed as zeros; static
-    inputs get their tensor copied into every lane of one shared ``(size
-    * lanes,)`` buffer, and temporaries one shared zero buffer of that
-    size.  With ``lanes=1`` a row is one element.  Every buffer starts on
-    an ``8 * lanes``-byte boundary, so no lane vector straddles two cache
-    lines.
+    lanes)``, the unused lanes of an input's last row packed as zeros;
+    static inputs get their tensor copied into every lane of one shared
+    ``(size * lanes,)`` buffer, and temporaries one shared buffer of that
+    size.  Output and temporary buffers start uninitialised: the kernel
+    writes every cell before it reads it.  With ``lanes=1`` a row is one
+    element.  Every buffer starts on an ``8 * lanes``-byte boundary, so
+    no lane vector straddles two cache lines.
 
     A :class:`Packed` streamed input at ``lanes`` lanes whose layout
     geometry matches the parameter's is the parameter's buffer as it
@@ -384,8 +387,10 @@ def batch_buffers(
             continue
         else:
             cells = layout.size * lanes
-            buffers[d.name] = _aligned_zeros(
-                (groups, cells) if d.name in per_element else (cells,), 8 * lanes
+            buffers[d.name] = _aligned_array(
+                (groups, cells) if d.name in per_element else (cells,),
+                8 * lanes,
+                zeroed=arr is not None,
             )
         if arr is not None:
             pack_array(buffers[d.name], layout, np.asarray(arr), lanes)
@@ -423,6 +428,6 @@ def _unit_buffers(
                 )
         cells = unit.words * lanes
         rows = not per_element.isdisjoint(unit.members)
-        buf = _aligned_zeros((groups, cells) if rows else (cells,), 8 * lanes)
+        buf = _aligned_array((groups, cells) if rows else (cells,), 8 * lanes)
         out.update(dict.fromkeys(unit.members, buf))
     return out

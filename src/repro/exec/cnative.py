@@ -4,14 +4,19 @@ Takes the kernel the flow emits for HLS (:func:`repro.codegen.kernel.
 generate_kernel`) and compiles it with the system C compiler into a
 shared library that computes several elements per kernel call, one per
 SIMD lane, as the paper replicates one kernel over independent
-elements.  The C AST is re-emitted with every array element and
-accumulator typed ``lane``, a GCC/Clang vector of ``CFD_LANES``
-doubles, and ``0.0`` written as a zero lane; the statements, loop order
-and summation order stay the HLS kernel's.  Each operator applies the
-same IEEE operation lane by lane and ``-ffp-contract=off`` keeps the
-compiler from fusing multiply-adds, so every lane is bit-identical to
-the ``loops`` reference.  ``#pragma HLS`` lines are unknown pragmas to a
-host compiler and are ignored; the HLS text itself is untouched.
+elements.  The C AST is re-emitted with every array element typed
+``lane``, a GCC/Clang vector of ``CFD_LANES`` doubles.  The HLS kernel
+accumulates a contraction through memory, the shape that pipelines at
+II=1 on the FPGA; on a CPU the partial sums belong in registers, so each
+contraction stage with reduction loops is re-emitted from its
+:class:`~repro.codegen.kernel.StagePlan` as one register-blocked nest
+(:func:`lane_kernel_source`).  Every output still sums the same terms in
+the same order from +0.0, each operator applies the same IEEE operation
+lane by lane, and ``-ffp-contract=off`` keeps the compiler from fusing
+multiply-adds, so every lane is bit-identical to the ``loops``
+reference, which runs the HLS kernel itself.  ``#pragma HLS`` lines are
+unknown pragmas to a host compiler and are ignored; the HLS text itself
+is untouched.
 
 ``CFD_LANES`` follows the compiled ISA: 8 when the compiler defines
 ``__AVX512F__`` (512-bit registers), 4 with ``__AVX__`` (256-bit), else
@@ -51,6 +56,7 @@ import atexit
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -63,10 +69,26 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.codegen.cast import CAssign, CBlock, CDecl, CFor, CLiteral, CStmt
+from repro.codegen.cast import (
+    CAssign,
+    CBlock,
+    CComment,
+    CDecl,
+    CFor,
+    CIndex,
+    CLiteral,
+    CStmt,
+    affine_cexpr,
+)
 from repro.codegen.cemit import emit_function
-from repro.codegen.kernel import generate_kernel
-from repro.errors import ExecBackendError
+from repro.codegen.kernel import (
+    StagePlan,
+    _addr_cexpr,
+    _product_cexpr,
+    accumulator_name,
+    generate_kernel,
+)
+from repro.errors import ExecBackendError, IRError
 from repro.exec.backend import (
     Batch,
     ExecBackend,
@@ -94,7 +116,6 @@ _PRELUDE = """\
 typedef double lane __attribute__((vector_size(8 * CFD_LANES), aligned(8)));
 
 """
-_ZERO_LANE = CLiteral("(lane){0}")
 
 _build_dir: Optional[str] = None
 _compiled: Dict[str, KernelLibrary] = {}
@@ -168,31 +189,73 @@ def lane_kernel_source(prog: PolyProgram) -> Tuple[str, int]:
     """``prog``'s ``kernel_body`` with every element typed ``lane``, and
     its parameter count.
 
-    The HLS kernel's C AST re-emitted: parameters and ``double``
-    declarations become ``lane``, ``0.0`` stores and initialisers a zero
-    lane, and the function ``static``; every statement, loop and sum
-    keeps its order.
+    The HLS kernel's C AST re-emitted: parameters and local arrays
+    become ``lane`` and the function ``static``.  A contraction stage
+    with reduction loops becomes :func:`_register_blocked`'s nest; every
+    other stage keeps its statements.
     """
-    fn = generate_kernel(prog).function
+    code = generate_kernel(prog)
+    fn = code.function
+    acc = accumulator_name(prog)
+    stmts = fn.body.stmts
+    # each stage's statements start with its comment
+    starts = [i for i, s in enumerate(stmts) if isinstance(s, CComment)]
+    if len(starts) != len(code.plans):
+        raise IRError(
+            f"kernel {fn.name!r} has {len(starts)} stage comments for "
+            f"{len(code.plans)} stages"
+        )
+    body: List[CStmt] = [
+        replace(s, ctype="lane") if isinstance(s, CDecl) else s
+        for s in stmts[: starts[0] if starts else len(stmts)]
+    ]
+    for plan, lo, hi in zip(code.plans, starts, starts[1:] + [len(stmts)]):
+        if plan.kind == "contract" and plan.n_reduction_loops:
+            body += [stmts[lo], _register_blocked(plan, acc)]
+        else:
+            body += stmts[lo:hi]
     lane_fn = replace(
         fn,
         params=[replace(p, ctype="lane") for p in fn.params],
-        body=_lane_stmt(fn.body),
+        body=CBlock(body),
         return_type="static void",
     )
     return emit_function(lane_fn), len(fn.params)
 
 
-def _lane_stmt(stmt: CStmt) -> CStmt:
-    if isinstance(stmt, CBlock):
-        return CBlock([_lane_stmt(s) for s in stmt.stmts])
-    if isinstance(stmt, CFor):
-        return replace(stmt, body=_lane_stmt(stmt.body))
-    if isinstance(stmt, CDecl) and stmt.ctype == "double":
-        init = _ZERO_LANE if stmt.init == CLiteral(0.0) else stmt.init
-        return replace(stmt, ctype="lane", init=init)
-    if isinstance(stmt, CAssign) and stmt.rhs == CLiteral(0.0):
-        return replace(stmt, rhs=_ZERO_LANE)
+def _register_blocked(plan: StagePlan, acc: str) -> CStmt:
+    """A contraction stage summed in registers: inside the stage's
+    output loops but the innermost one, a zeroed ``lane`` array ``acc``
+    with one entry per iteration of that loop, the reduction loops in
+    plan order around it adding the HLS statement's product, then one
+    loop that stores ``acc`` into the output array.
+
+    Each output sums the same terms in the same order from +0.0 as the
+    HLS kernel's zero-store and ``+=`` nests (or its scalar
+    accumulator), so every lane keeps the ``loops`` result bit for bit.
+    """
+    red = set(plan.reduction_dims)
+    out = [loop for loop in plan.loops if loop[0] not in red]
+    outer, inner = out[:-1], out[-1:]  # a rank-0 output has no inner loop
+    slot = CIndex(acc, affine_cexpr(
+        [(1, var) for var, _, _ in inner], -sum(lo for _, lo, _ in inner)
+    ))
+    width = math.prod(hi - lo + 1 for _, lo, hi in inner)
+    stage = CBlock([
+        CDecl("lane", acc, CLiteral("{0}"), width),
+        _nest([loop for loop in plan.loops if loop[0] in red] + inner,
+              CAssign(slot, _product_cexpr(plan.reads), op="+=")),
+        _nest(inner, CAssign(
+            CIndex(plan.write_array, _addr_cexpr(plan.write_addr)), slot
+        )),
+    ], scoped=not outer)  # a scope of its own where no loop gives one
+    return _nest(outer, stage)
+
+
+def _nest(loops, stmt: CStmt) -> CStmt:
+    """``stmt`` inside ``(var, lo, hi)`` loops, outermost first."""
+    for var, lo, hi in reversed(loops):
+        stmt = CFor(var, lo, hi, CBlock([stmt]))
     return stmt
 
 

@@ -188,11 +188,12 @@ class SolverLoop:
     ) -> SolverResult:
         """Run ``steps`` time steps; returns the per-step records and the
         final outputs."""
-        from repro.exec.backend import streamed_array
+        from repro.exec.backend import require_backend, streamed_array
         from repro.exec.programs import run_chain_batch
 
         if steps < 1:
             raise SystemGenerationError(f"steps must be >= 1, got {steps}")
+        backend = require_backend(self.backend)
         state = {name: streamed_array(arr) for name, arr in elements.items()}
         static = dict(static or {})
         n_elements = (
@@ -212,7 +213,7 @@ class SolverLoop:
             step_events = self.trace.events[before:]
             t1 = time.perf_counter()
             outputs = run_chain_batch(
-                compiled.chain(), state, static, backend=self.backend
+                compiled.chain(), state, static, backend=backend
             )
             if step == steps:
                 outputs = {n: np.asarray(a) for n, a in outputs.items()}

@@ -34,7 +34,9 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (8: no PLM unit overlays a static operand on another array, and the
+#: (9: the ``codegen`` stage names a contraction's accumulator ``acc``
+#: only when no kernel array is named so;
+#: 8: no PLM unit overlays a static operand on another array, and the
 #: ``simulate`` stage's functional batch on ``loops`` runs the ``memory``
 #: stage's overlay;
 #: 7: the ``simulate`` stage checks its functional batch against
@@ -49,7 +51,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 8
+STAGE_API_VERSION = 9
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]

@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -45,12 +46,14 @@ from repro.exec import (
     require_backend,
 )
 from repro.exec.backend import batch_buffers
+from repro.exec.cnative import find_compiler
 from repro.exec.programs import run_chain_batch
 from repro.flow import compile_any, compile_program
 from repro.flow.options import FlowOptions, SystemOptions
 from repro.flow.session import Flow, FlowTrace
 from repro.flow.solver import SolverLoop
 from repro.layout.layout import Layout
+from repro.teil.interp import interpret
 
 NE = 3
 LANES = (1, 2, 4, 8)
@@ -68,6 +71,15 @@ VARIANTS = {
     "column-major-u": FlowOptions(layout_overrides={"u": "column_major"}),
     "innermost-reduction": FlowOptions(reduction_placement="innermost"),
 }
+
+#: a kernel whose input shares the accumulator's default name (and an
+#: input ``u``, which every variant's layout override needs)
+ACC_KERNEL = """\
+var input u : [4 4]
+var input acc : [4 4]
+var output v : [4 4]
+v = u # acc . [[1 2]]
+"""
 
 
 def _batch(res, kind="all", seed=0, ne=NE):
@@ -141,6 +153,37 @@ class TestConformance:
                         got[name], ref[name], rtol=1e-12, atol=1e-12
                     )
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_a_tensor_named_acc_is_not_the_accumulator(self, variant):
+        """The accumulator takes a fresh name when a kernel array is
+        named ``acc``: every backend matches the interpreter, and the
+        kernel.c text is C the host compiler accepts."""
+        res = compile_any(ACC_KERNEL, VARIANTS[variant])
+        rng = np.random.default_rng(2)
+        elements = {n: rng.random((3, 4, 4)) for n in ("u", "acc")}
+        want = [
+            interpret(res.function, {n: a[e] for n, a in elements.items()})["v"]
+            for e in range(3)
+        ]
+        for name in ("loops", "numpy", "cnative"):
+            b = get_backend(name)
+            if not b.available():
+                continue
+            got = b.run_batch(
+                res.function, elements, {}, ["u", "acc"], prog=res.poly
+            )
+            np.testing.assert_allclose(
+                got["v"], want, rtol=1e-12, atol=1e-12, err_msg=name
+            )
+        cc = find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler for the syntax check")
+        check = subprocess.run(
+            [cc, "-std=c99", "-fsyntax-only", "-x", "c", "-"],
+            input=res.kernel.source, capture_output=True, text=True,
+        )
+        assert check.returncode == 0, check.stderr
+
     def test_default_schedule_fallback(self):
         """Backends work without a laid-out program (prog=None)."""
         res = compile_any(APPS["helmholtz"]())
@@ -194,6 +237,39 @@ class TestCNativeBatch:
         )
         loop.run(wl.elements, wl.static, steps=3)
         assert len(generations) == 1
+
+    @pytest.mark.parametrize("steps", [1, 16])
+    def test_a_solve_looks_its_backend_up_once(self, steps, monkeypatch):
+        """``available()`` stats every ``PATH`` entry on ``cnative``; a
+        run asks it once, whatever the step count."""
+        backend = _cnative()
+        calls = []
+        real = type(backend).available
+        monkeypatch.setattr(
+            type(backend), "available",
+            lambda self: calls.append(self) or real(self),
+        )
+        wl, _ = _smoother("auto")
+        SolverLoop(
+            wl.program, carry=wl.carry, backend="cnative", fusion="auto"
+        ).run(wl.elements, wl.static, steps=steps)
+        assert calls == [backend]
+
+    def test_an_unavailable_backend_fails_before_any_numeric_work(
+        self, monkeypatch
+    ):
+        backend = get_backend("cnative")
+        monkeypatch.setattr(type(backend), "available", lambda self: False)
+        monkeypatch.setattr(
+            type(backend), "run_batch",
+            lambda *args, **kwargs: pytest.fail("ran a batch"),
+        )
+        wl, _ = _smoother("auto")
+        loop = SolverLoop(wl.program, carry=wl.carry, backend="cnative")
+        with pytest.raises(
+            ExecBackendError, match="execution backend 'cnative' is not available"
+        ):
+            loop.run(wl.elements, wl.static, steps=2)
 
     def test_layout_variants_never_share_a_kernel(self):
         """The memo is keyed by program object: a row-major and a
@@ -310,42 +386,126 @@ class TestCNativeBatch:
         assert np.array_equal(unpack_array(flat, layout), batch)
 
 
-@pytest.fixture(scope="module")
-def lane_case(variant_result):
+def _lane_case(res):
     """A mixed batch of 2 * max(LANES) + 1 elements and its ``loops``
     outputs; elements are independent, so every prefix of the batch has
     the matching prefix of the outputs."""
-    elements, static, streamed = _batch(
-        variant_result, "mixed", ne=2 * max(LANES) + 1
-    )
+    elements, static, streamed = _batch(res, "mixed", ne=2 * max(LANES) + 1)
     ref = get_backend("loops").run_batch(
-        variant_result.function, elements, static, streamed,
-        prog=variant_result.poly,
+        res.function, elements, static, streamed, prog=res.poly
     )
     return elements, static, streamed, ref
 
 
+@pytest.fixture(scope="module")
+def lane_case(variant_result):
+    return _lane_case(variant_result)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(s, f) for s in sorted(WORKLOAD_SUITES) for f in (None, "auto")],
+    ids=lambda p: f"{p[0]}-{p[1] or 'unfused'}",
+)
+def suite_cases(request):
+    """Every kernel of one suite, unfused or fused, each with its
+    :func:`_lane_case`."""
+    return [(r, _lane_case(r)) for r in _suite_kernels(*request.param).values()]
+
+
+def _matches_loops_at_every_batch_size(backend, res, case, lanes):
+    elements, static, streamed, ref = case
+    for ne in sorted({0, 1, lanes - 1, lanes + 1, 2 * lanes + 1}):
+        batch = {n: a[:ne] for n, a in elements.items()}
+        got = backend.run_batch(
+            res.function, batch, static, streamed, prog=res.poly
+        )
+        assert set(got) == set(ref)
+        for name in ref:
+            want = np.asarray(ref[name])[:ne]
+            assert np.array_equal(got[name], want), (ne, name)
+    assert backend._kernel(res.poly).lanes == lanes
+
+
+def _fill_uninitialised(monkeypatch, value):
+    """Fill every buffer ``batch_buffers`` leaves uninitialised with
+    ``value``."""
+    from repro.exec import backend as backend_module
+
+    real = backend_module._aligned_array
+
+    def aligned(shape, align, zeroed=True):
+        buf = real(shape, align, zeroed)
+        if not zeroed:
+            buf.fill(value)
+        return buf
+
+    monkeypatch.setattr(backend_module, "_aligned_array", aligned)
+
+
 class TestLanes:
     """Every lane count computes every element bit-identically: the
-    lane build runs the HLS kernel's loops, one element per lane."""
+    lane build sums the same terms in the same order as the HLS kernel,
+    one element per lane."""
 
     @pytest.mark.parametrize("lanes", LANES)
     def test_every_lane_count_and_batch_size_matches_loops(
         self, variant_result, lane_case, lanes, monkeypatch
     ):
         backend = _lane_backend(monkeypatch, lanes)
+        _matches_loops_at_every_batch_size(
+            backend, variant_result, lane_case, lanes
+        )
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_every_suite_kernel_matches_loops(
+        self, suite_cases, lanes, monkeypatch
+    ):
+        backend = _lane_backend(monkeypatch, lanes)
+        for res, case in suite_cases:
+            _matches_loops_at_every_batch_size(backend, res, case, lanes)
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_outputs_of_rank_0_and_1_sum_in_a_scope_of_their_own(
+        self, lanes, monkeypatch
+    ):
+        """Stages whose only output loop is the innermost one, or which
+        have none, declare their accumulators outside any loop."""
+        from repro.cfdlang import ProgramBuilder
+
+        b = ProgramBuilder()
+        u, c = b.input("u", (4, 4)), b.input("c", (4,))
+        b.assign(b.output("s", ()), b.contract(u, [(0, 1)]))
+        b.assign(b.output("t", (4,)), b.contract(b.outer(u, c), [(1, 2)]))
+        res = compile_any(b.build())
+        _matches_loops_at_every_batch_size(
+            _lane_backend(monkeypatch, lanes), res, _lane_case(res), lanes
+        )
+
+    @pytest.mark.parametrize("lanes", [None, *LANES], ids=lambda n: (
+        "loops" if n is None else f"cnative-{n}"
+    ))
+    def test_every_cell_is_written_before_it_is_read(
+        self, variant_result, lanes, monkeypatch
+    ):
+        """Outputs and temporaries start uninitialised: filled with NaN
+        they give what zero-filled buffers give, in the HLS kernel's
+        form (``loops``) and in the register-blocked one (``cnative``)."""
+        backend = (
+            get_backend("loops") if lanes is None
+            else _lane_backend(monkeypatch, lanes)
+        )
         res = variant_result
-        elements, static, streamed, ref = lane_case
-        for ne in sorted({0, 1, lanes - 1, lanes + 1, 2 * lanes + 1}):
-            batch = {n: a[:ne] for n, a in elements.items()}
-            got = backend.run_batch(
-                res.function, batch, static, streamed, prog=res.poly
-            )
-            assert set(got) == set(ref)
-            for name in ref:
-                want = np.asarray(ref[name])[:ne]
-                assert np.array_equal(got[name], want), (ne, name)
-        assert backend._kernel(res.poly).lanes == lanes
+        elements, static, streamed = _batch(res, "mixed", ne=2 * max(LANES) + 1)
+        runs = []
+        for value in (0.0, np.nan):
+            _fill_uninitialised(monkeypatch, value)
+            runs.append(backend.run_batch(
+                res.function, elements, static, streamed, prog=res.poly
+            ))
+        zeroed, nan_filled = runs
+        for name in zeroed:
+            assert np.array_equal(zeroed[name], nan_filled[name]), name
 
     @pytest.mark.parametrize("lanes", LANES)
     def test_buffers_start_on_a_vector_boundary(self, variant_result, lanes):
@@ -574,15 +734,19 @@ class TestHostBuild:
             assert hashlib.sha256(source.encode()).hexdigest() == want[key], key
 
 
+def _suite_kernels(suite, fusion) -> dict:
+    """The kernels of one suite at n = 5, by name, unfused or fused."""
+    return compile_program(
+        make_workload(suite, n=5).program, FlowOptions(fusion=fusion)
+    ).results
+
+
 def kernel_texts() -> dict:
     """The HLS kernel text of every suite kernel, unfused and fused."""
     out = {}
     for suite in WORKLOAD_SUITES:
         for fusion in (None, "auto"):
-            res = compile_program(
-                make_workload(suite, n=5).program, FlowOptions(fusion=fusion)
-            )
-            for name, result in res.results.items():
+            for name, result in _suite_kernels(suite, fusion).items():
                 out[f"{suite}/{fusion or 'unfused'}/{name}"] = result.kernel.source
     return out
 
