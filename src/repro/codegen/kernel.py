@@ -120,16 +120,16 @@ def _product_cexpr(reads, ewise_op: Optional[str] = None) -> CExpr:
     return out
 
 
-def accumulator_name(prog: PolyProgram) -> str:
-    """The name of a contraction's accumulator in ``prog``'s kernel:
-    ``acc`` unless one of the kernel's arrays is named so, else the
-    first ``acc<i>`` that none is."""
+def free_name(prog: PolyProgram, stem: str) -> str:
+    """A C name of ``prog``'s kernel that no array of it holds:
+    ``stem`` unless one of the kernel's arrays is named so, else the
+    first ``stem<i>`` that none is."""
     taken = set(prog.function.decls) | {
         layout.array for layout in prog.layouts.values()
     }
-    name, i = "acc", 0
+    name, i = stem, 0
     while name in taken:
-        name, i = f"acc{i}", i + 1
+        name, i = f"{stem}{i}", i + 1
     return name
 
 
@@ -171,7 +171,10 @@ def _emit_stage(plan: StagePlan, directives: HlsDirectives, acc: str) -> List[CS
             red_nest,
             CAssign(write, CVar(acc)),
         ]
-        out.append(nest(plan.loops[:n_out], mid, []))
+        # a rank-0 output has no loop body to hold ``acc``: give it a scope
+        out.append(
+            nest(plan.loops[:n_out], mid, []) if n_out else CBlock(mid, scoped=True)
+        )
         return out
 
     # memory-accumulate fallback: zero-init nest + update nest
@@ -225,7 +228,7 @@ def generate_kernel(
         for t in temps:
             body.append(CDecl("double", t, array_size=sizes[t]))
     plans = stage_plans(prog)
-    acc = accumulator_name(prog)
+    acc = free_name(prog, "acc")  # a contraction's accumulator
     for plan in plans:
         body.extend(_emit_stage(plan, directives, acc))
     return KernelCode(

@@ -18,7 +18,7 @@ from repro.exec.backend import (
 from repro.exec.cnative import CNativeBackend
 from repro.exec.loops import LoopsBackend
 from repro.exec.numpy_backend import NumpyBackend
-from repro.exec.programs import chain_element_inputs, run_chain_batch
+from repro.exec.programs import run_chain_batch
 
 register_backend(LoopsBackend())
 register_backend(NumpyBackend())
@@ -38,5 +38,4 @@ __all__ = [
     "register_backend",
     "require_backend",
     "run_chain_batch",
-    "chain_element_inputs",
 ]

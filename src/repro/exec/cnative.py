@@ -85,7 +85,7 @@ from repro.codegen.kernel import (
     StagePlan,
     _addr_cexpr,
     _product_cexpr,
-    accumulator_name,
+    free_name,
     generate_kernel,
 )
 from repro.errors import ExecBackendError, IRError
@@ -192,11 +192,13 @@ def lane_kernel_source(prog: PolyProgram) -> Tuple[str, int]:
     The HLS kernel's C AST re-emitted: parameters and local arrays
     become ``lane`` and the function ``static``.  A contraction stage
     with reduction loops becomes :func:`_register_blocked`'s nest; every
-    other stage keeps its statements.
+    other stage keeps its statements.  Where a kernel array is named
+    ``lane``, which hides the type inside ``kernel_body``, the source
+    first names the type afresh.
     """
     code = generate_kernel(prog)
     fn = code.function
-    acc = accumulator_name(prog)
+    acc, vec = free_name(prog, "acc"), free_name(prog, "lane")
     stmts = fn.body.stmts
     # each stage's statements start with its comment
     starts = [i for i, s in enumerate(stmts) if isinstance(s, CComment)]
@@ -206,26 +208,27 @@ def lane_kernel_source(prog: PolyProgram) -> Tuple[str, int]:
             f"{len(code.plans)} stages"
         )
     body: List[CStmt] = [
-        replace(s, ctype="lane") if isinstance(s, CDecl) else s
+        replace(s, ctype=vec) if isinstance(s, CDecl) else s
         for s in stmts[: starts[0] if starts else len(stmts)]
     ]
     for plan, lo, hi in zip(code.plans, starts, starts[1:] + [len(stmts)]):
         if plan.kind == "contract" and plan.n_reduction_loops:
-            body += [stmts[lo], _register_blocked(plan, acc)]
+            body += [stmts[lo], _register_blocked(plan, acc, vec)]
         else:
             body += stmts[lo:hi]
     lane_fn = replace(
         fn,
-        params=[replace(p, ctype="lane") for p in fn.params],
+        params=[replace(p, ctype=vec) for p in fn.params],
         body=CBlock(body),
         return_type="static void",
     )
-    return emit_function(lane_fn), len(fn.params)
+    typedef = "" if vec == "lane" else f"typedef lane {vec};\n"
+    return typedef + emit_function(lane_fn), len(fn.params)
 
 
-def _register_blocked(plan: StagePlan, acc: str) -> CStmt:
+def _register_blocked(plan: StagePlan, acc: str, vec: str) -> CStmt:
     """A contraction stage summed in registers: inside the stage's
-    output loops but the innermost one, a zeroed ``lane`` array ``acc``
+    output loops but the innermost one, a zeroed ``vec`` array ``acc``
     with one entry per iteration of that loop, the reduction loops in
     plan order around it adding the HLS statement's product, then one
     loop that stores ``acc`` into the output array.
@@ -242,7 +245,7 @@ def _register_blocked(plan: StagePlan, acc: str) -> CStmt:
     ))
     width = math.prod(hi - lo + 1 for _, lo, hi in inner)
     stage = CBlock([
-        CDecl("lane", acc, CLiteral("{0}"), width),
+        CDecl(vec, acc, CLiteral("{0}"), width),
         _nest([loop for loop in plan.loops if loop[0] in red] + inner,
               CAssign(slot, _product_cexpr(plan.reads), op="+=")),
         _nest(inner, CAssign(

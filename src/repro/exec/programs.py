@@ -26,7 +26,7 @@ layout matches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -118,20 +118,3 @@ def run_chain_batch(
             static.update(outs)
         produced.update(outs)
     return produced
-
-
-def chain_element_inputs(
-    stages: Iterable[ChainStage], elements: Sequence[str]
-) -> Dict[str, Sequence[str]]:
-    """Which inputs of each chained kernel are streamed (name -> list),
-    given the caller-streamed tensor names — useful for sizing transfer
-    footprints of a whole program without executing it."""
-    streamed = set(elements)
-    out: Dict[str, Sequence[str]] = {}
-    for item in stages:
-        fn = item[0] if isinstance(item, tuple) else item
-        mine = [d.name for d in fn.inputs() if d.name in streamed]
-        out[fn.name] = mine
-        if mine:
-            streamed.update(d.name for d in fn.outputs())
-    return out

@@ -10,7 +10,7 @@ session with caching and tracing); a finished session, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cfdlang import Program
 from repro.codegen import KernelCode
@@ -24,12 +24,7 @@ from repro.mnemosyne.plm import MemorySubsystem
 from repro.flow.options import FlowOptions
 from repro.poly.schedule import PolyProgram
 from repro.sim.simulator import SimulationResult, simulate_system
-from repro.system.integration import (
-    SystemDesign,
-    TransferFootprint,
-    build_system,
-    transfer_footprint,
-)
+from repro.system.integration import SystemDesign, TransferFootprint, build_system
 from repro.system.replicate import max_parallel_config
 from repro.teil.program import Function
 
@@ -56,6 +51,9 @@ class FlowResult:
     memory: MemorySubsystem
     hls: HlsReport
     port_classes: Dict[str, PortClass]
+    #: the ``port-classes`` stage's host<->PLM traffic: which interface
+    #: arrays stream per element, which move once, and their bytes
+    footprint: TransferFootprint
     system: Optional[SystemDesign] = None
     sim: Optional[SimulationResult] = None
     #: throughput record of the simulate stage's functional batch (only
@@ -64,26 +62,6 @@ class FlowResult:
     #: tensor -> HBM pseudo-channel report of the ``bank-assign`` stage
     #: (only when :attr:`SystemOptions.memory_model` is ``"hbm"``)
     banking: Optional["BankingReport"] = None
-
-    # -- transfer footprint ---------------------------------------------------
-    def transfer_footprint(self) -> TransferFootprint:
-        return transfer_footprint(self.function, self.port_classes)
-
-    def streamed_arrays(self) -> List[str]:
-        """Arrays transferred per element (the non-static interface)."""
-        return list(self.transfer_footprint().streamed)
-
-    def static_arrays(self) -> List[str]:
-        return list(self.transfer_footprint().static)
-
-    def bytes_in_per_element(self) -> int:
-        return self.transfer_footprint().bytes_in_per_element
-
-    def bytes_out_per_element(self) -> int:
-        return self.transfer_footprint().bytes_out_per_element
-
-    def static_bytes(self) -> int:
-        return self.transfer_footprint().static_bytes
 
     # -- system generation ------------------------------------------------------
     def build_system(self, k: Optional[int] = None, m: Optional[int] = None) -> SystemDesign:
@@ -106,7 +84,6 @@ class FlowResult:
                 self.hls.resources, self.memory, board, self.options.platform
             )
             k, m = choice.k, choice.m
-        footprint = self.transfer_footprint()
         return build_system(
             self.hls,
             self.memory,
@@ -114,9 +91,9 @@ class FlowResult:
             m,  # type: ignore[arg-type]
             board=board,
             platform=self.options.platform,
-            bytes_in_per_element=footprint.bytes_in_per_element,
-            bytes_out_per_element=footprint.bytes_out_per_element,
-            static_bytes=footprint.static_bytes,
+            bytes_in_per_element=self.footprint.bytes_in_per_element,
+            bytes_out_per_element=self.footprint.bytes_out_per_element,
+            static_bytes=self.footprint.static_bytes,
         )
 
     def simulate(

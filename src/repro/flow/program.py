@@ -248,13 +248,6 @@ class Program:
         return program.validate()
 
 
-def _streamed_inputs(fn: Function) -> List[str]:
-    """Inputs the port-class policy would stream for this kernel alone
-    (exactly one reader statement — see :func:`repro.mnemosyne.config.
-    port_class_assignment`)."""
-    return [d.name for d in fn.inputs() if len(fn.consumers(d.name)) == 1]
-
-
 @dataclass(frozen=True)
 class FusionPlan:
     """Which contiguous kernel groups of a program compile as one system.
@@ -266,11 +259,12 @@ class FusionPlan:
 
     Build plans with :meth:`resolve`: ``"auto"`` greedily groups
     *streamed-compatible* adjacent kernels — a group starts at a kernel
-    with a per-element (single-reader) input; a kernel joins when it
-    reads a tensor that is per-element *for the group* (a member output,
-    or an input some member reads exactly once), produces no tensor the
-    group already produced, and rebinds no tensor an earlier member read
-    externally; a kernel touching no per-element data ends the group.  Explicit groups skip the
+    that streams an input (:meth:`~repro.teil.program.Function.
+    streamed_inputs`); a kernel joins when it reads a tensor that is
+    per-element *for the group* (a member output, or an input some
+    member streams), produces no tensor the group already produced, and
+    rebinds no tensor an earlier member read externally; a kernel
+    touching no per-element data ends the group.  Explicit groups skip the
     compatibility heuristics but are validated for existence,
     contiguity, and disjointness; impossible merges (duplicate
     producers, read-before-write rebinding) still fail in
@@ -378,7 +372,7 @@ def _auto_groups(
         fn = functions[kernel.name]
         if current and _auto_compatible(current, fn, functions):
             current.append(kernel.name)
-        elif _streamed_inputs(fn):
+        elif fn.streamed_inputs():
             # only a kernel with its own per-element input can *start*
             # a group; joining an existing group is judged relative to
             # the group's streamed set in _auto_compatible
@@ -397,14 +391,14 @@ def _group_streamed(
 ) -> set:
     """Tensors that are per-element from the group's point of view:
     member outputs (chain intermediates stream with the element even
-    when re-read many times) plus inputs some member reads exactly once
-    (the single-kernel streaming criterion of any one member extends to
-    the whole group — see ``system_port_hints`` in teil.fuse)."""
+    when re-read many times) plus the inputs some member streams (what
+    one member streams, the whole group streams — see
+    ``system_port_hints`` in teil.fuse)."""
     streamed: set = set()
     for m in current:
         mfn = functions[m]
         streamed.update(d.name for d in mfn.outputs())
-        streamed.update(_streamed_inputs(mfn))
+        streamed.update(mfn.streamed_inputs())
     return streamed
 
 
@@ -475,13 +469,10 @@ class ProgramResult:
         chain (streamed bytes in + out, summed over units).  Comparing a
         fused against an unfused compile of the same program gives the
         transfer bytes the fusion's on-device intermediates eliminated."""
-        from repro.system.integration import transfer_footprint
-
-        total = 0
-        for res in self.results.values():
-            fp = transfer_footprint(res.function, res.port_classes)
-            total += fp.bytes_in_per_element + fp.bytes_out_per_element
-        return total
+        return sum(
+            res.footprint.bytes_in_per_element + res.footprint.bytes_out_per_element
+            for res in self.results.values()
+        )
 
     def summary(self) -> str:
         from repro.utils import ascii_table

@@ -497,6 +497,7 @@ class Flow:
             memory=self.state["memory"],
             hls=self.state["hls"],
             port_classes=self.state["port_classes"],
+            footprint=self.state["footprint"],
             system=self.state["system"],
             sim=self.state["sim"],
             functional=functional,

@@ -34,7 +34,10 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (9: the ``codegen`` stage names a contraction's accumulator ``acc``
+#: (10: the ``port-classes`` stage also outputs the transfer footprint,
+#: which the system stages read, and the ``build-system`` slice holds
+#: the board and the platform themselves;
+#: 9: the ``codegen`` stage names a contraction's accumulator ``acc``
 #: only when no kernel array is named so;
 #: 8: no PLM unit overlays a static operand on another array, and the
 #: ``simulate`` stage's functional batch on ``loops`` runs the ``memory``
@@ -51,7 +54,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 9
+STAGE_API_VERSION = 10
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]
@@ -201,7 +204,14 @@ def _run_compat(state, options):
 
 
 def _run_port_classes(state, options):
-    return {"port_classes": port_class_assignment(state["poly"])}
+    from repro.system.integration import transfer_footprint
+
+    fn = state["poly"].function
+    port_classes = port_class_assignment(state["poly"])
+    return {
+        "port_classes": port_classes,
+        "footprint": transfer_footprint(fn, port_classes),
+    }
 
 
 def _run_mnemosyne_config(state, options):
@@ -293,7 +303,7 @@ def _run_hls_synth(state, options):
 
 
 def _run_build_system(state, options):
-    from repro.system.integration import build_system, transfer_footprint
+    from repro.system.integration import build_system
     from repro.system.replicate import max_parallel_config
 
     sys_opts = options.system
@@ -313,7 +323,7 @@ def _run_build_system(state, options):
             # artifact is simply absent (explicit k/m still raise)
             return {"system": None}
         k, m = choice.k, choice.m
-    footprint = transfer_footprint(state["function"], state["port_classes"])
+    footprint = state["footprint"]
     return {
         "system": build_system(
             hls,
@@ -357,14 +367,13 @@ def _run_functional_batch(state, options):
     import numpy as np
 
     from repro.exec import FunctionalRecord, LoopsBackend, require_backend
-    from repro.system.integration import transfer_footprint
     from repro.teil.interp import interpret
 
     prog = state["poly"]
     fn = prog.function
     backend = require_backend(options.system.exec_backend)
     ne = options.system.functional_elements
-    footprint = transfer_footprint(fn, state["port_classes"])
+    footprint = state["footprint"]
     streamed = [d.name for d in fn.inputs() if d.name in footprint.streamed]
     # a kernel that streams only outputs (all its inputs static) still
     # computes Ne elements: give each its own inputs
@@ -438,16 +447,14 @@ def _run_bank_assign(state, options):
             + (", ".join(with_hbm) or "none registered")
         )
     from repro.mnemosyne.hbm import assign_banks, demands_from_footprint
-    from repro.system.integration import transfer_footprint
 
     p = options.platform
     round_cycles = (
         system.hls.latency_cycles + p.control_cycles_per_round(system.k)
     )
     elements_per_sec = system.k * system.clock_hz / round_cycles
-    footprint = transfer_footprint(state["function"], state["port_classes"])
     demands = demands_from_footprint(
-        footprint,
+        state["footprint"],
         state["function"].decls,
         elements_per_sec=elements_per_sec,
         n_elements=options.system.n_elements,
@@ -558,7 +565,7 @@ register_stage(Stage(
 register_stage(Stage(
     name="port-classes",
     inputs=("poly",),
-    outputs=("port_classes",),
+    outputs=("port_classes", "footprint"),
     run=_run_port_classes,
     description="port class assignment (accelerator/system visibility)",
 ))
@@ -595,20 +602,15 @@ register_stage(Stage(
 ))
 register_stage(Stage(
     name="build-system",
-    inputs=("function", "port_classes", "memory", "hls"),
+    inputs=("footprint", "memory", "hls"),
     outputs=("system",),
     run=_run_build_system,
-    params=lambda o: (
-        o.system.k,
-        o.system.m,
-        repr(o.resolved_board()),
-        repr(o.platform),
-    ),
+    params=lambda o: (o.system.k, o.system.m, o.resolved_board(), o.platform),
     description="k x m system assembly on the target board (Fig. 7)",
 ))
 register_stage(Stage(
     name="bank-assign",
-    inputs=("system", "function", "port_classes"),
+    inputs=("system", "function", "footprint"),
     outputs=("banking",),
     run=_run_bank_assign,
     params=lambda o: (
@@ -623,7 +625,7 @@ register_stage(Stage(
 ))
 register_stage(Stage(
     name="simulate",
-    inputs=("system", "poly", "port_classes", "memory", "banking"),
+    inputs=("system", "poly", "footprint", "memory", "banking"),
     outputs=("sim", "functional"),
     run=_run_simulate,
     params=lambda o: (

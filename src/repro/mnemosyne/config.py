@@ -80,36 +80,18 @@ class MnemosyneConfig:
 def port_class_assignment(prog: PolyProgram) -> Dict[str, PortClass]:
     """Assign port classes per the streaming policy (see bram.py).
 
-    Inputs/outputs whose data changes per element are streamed through the
-    interconnect and need the extra system port; *static operands* — inputs
-    read by two or more statements, i.e. reused operator matrices like S —
-    are transferred once and need only the accelerator's ports, as do all
-    temporaries.
-
-    A fused chain breaks the reader-count heuristic: a per-element state
-    tensor read once by each of three fused member kernels looks like a
-    thrice-read static operand in the composite.  :func:`repro.teil.fuse.
-    fuse_functions` therefore stamps ``system_port_hints`` on the fused
-    function — the inputs that were per-element in at least one member —
-    and when present that set, not the reader count, decides which
-    inputs stream.
+    Outputs and the inputs :meth:`~repro.teil.program.Function.
+    streamed_inputs` names change per element: they stream through the
+    interconnect and need the extra system port.  The other inputs are
+    *static operands* such as ``S``, transferred once, and like every
+    temporary they need only the accelerator's ports.
     """
-    hints = getattr(prog.function, "system_port_hints", None)
+    fn = prog.function
+    streamed = fn.streamed_inputs()
     out: Dict[str, PortClass] = {}
-    for d in prog.function.decls.values():
-        if d.kind is TensorKind.OUTPUT:
+    for d in fn.decls.values():
+        if d.kind is TensorKind.OUTPUT or d.name in streamed:
             out[d.name] = PortClass.ACCELERATOR_AND_SYSTEM
-        elif d.kind is TensorKind.INPUT:
-            if hints is not None:
-                static_operand = d.name not in hints
-            else:
-                n_readers = len(prog.readers_of(d.name))
-                static_operand = n_readers >= 2
-            out[d.name] = (
-                PortClass.ACCELERATOR_ONLY
-                if static_operand
-                else PortClass.ACCELERATOR_AND_SYSTEM
-            )
         else:
             out[d.name] = PortClass.ACCELERATOR_ONLY
     return out

@@ -16,10 +16,10 @@ whose statements are the members' statements in order, with
   ``keep_outputs`` — demoted to internal temporaries, so they vanish
   from the fused interface: the system model stops streaming them and
   the memory subsystem accounts them as on-device buffers, and
-* :attr:`Function.system_port_hints` recording which fused inputs were
-  per-element (single-reader) in at least one member, so port-class
-  assignment does not misread a state tensor shared by several members
-  (read once each) as a reused static operand.
+* :attr:`Function.system_port_hints` recording which fused inputs some
+  member streams (:meth:`Function.streamed_inputs`), so the composite
+  does not misread a state tensor shared by several members (read once
+  each) as a reused static operand.
 
 The result is wrapped in a :class:`FusedKernel` whose
 :meth:`~FusedKernel.fingerprint` composes the member functions' content
@@ -31,7 +31,7 @@ outputs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import IRError
@@ -56,9 +56,6 @@ class FusedKernel:
     member_fingerprints: Tuple[str, ...]
     internalized: Tuple[str, ...] = ()
     kept: Tuple[str, ...] = ()
-    #: streamed-input hint set stamped on ``function`` (mirrored here so
-    #: the record survives ``function`` copies that drop attributes)
-    port_hints: frozenset = field(default_factory=frozenset)
 
     def fingerprint(self) -> str:
         """Content identity composed from the member fingerprints.
@@ -183,11 +180,9 @@ def fuse_functions(
             fused.statements.append(
                 Statement(rename.get(s.target, s.target), _rename_op(s.op, rename))
             )
-        for d in fn.inputs():
-            # a per-element input of any member stays per-element for the
-            # fused system, even when other members re-read it
-            if d.name not in producers and len(fn.consumers(d.name)) == 1:
-                hint_names.add(d.name)
+        # a per-element input of any member stays per-element for the
+        # fused system, even when other members re-read it
+        hint_names.update(fn.streamed_inputs())
 
     internalized = []
     for tensor, member in producers.items():
@@ -197,16 +192,14 @@ def fuse_functions(
             internalized.append(tensor)
     fused.validate()
 
-    hints = frozenset(
-        n for n in hint_names
-        if n in fused.decls and fused.decls[n].kind is TensorKind.INPUT
+    # a member output read by a later member is not a fused input
+    fused.system_port_hints = frozenset(
+        n for n in hint_names if fused.decls[n].kind is TensorKind.INPUT
     )
-    fused.system_port_hints = hints  # carried by copy_function, pickled via __dict__
     return FusedKernel(
         function=fused,
         members=tuple(names),
         member_fingerprints=tuple(fn.fingerprint() for fn in chain),
         internalized=tuple(internalized),
         kept=tuple(sorted(keep & set(producers))),
-        port_hints=hints,
     )

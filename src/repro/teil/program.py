@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.errors import IRError
 from repro.teil.ops import Operation
@@ -33,6 +33,9 @@ class Function:
     name: str
     decls: Dict[str, TensorDecl] = field(default_factory=dict)
     statements: List[Statement] = field(default_factory=list)
+    #: the streamed inputs a fusion recorded (see :mod:`repro.teil.fuse`);
+    #: a class attribute, not a field, so ``__init__`` and ``==`` skip it
+    system_port_hints = None
 
     # -- declaration helpers -------------------------------------------------
     def declare(self, name: str, shape: Tuple[int, ...], kind: TensorKind) -> TensorDecl:
@@ -72,6 +75,23 @@ class Function:
     def consumers(self, name: str) -> List[int]:
         """Statement indices that read the given tensor."""
         return [i for i, s in enumerate(self.statements) if name in s.operands]
+
+    def streamed_inputs(self) -> FrozenSet[str]:
+        """The inputs that change per element, which the system streams
+        between host and PLMs; every other input is a static operand,
+        moved once for all elements.
+
+        This is the streaming policy.  An input that exactly one
+        statement reads is per-element data; one that several statements
+        read is a reused operator such as ``S``.  A fused chain reads a
+        per-element state once in each member, so a fused function
+        answers with the ``system_port_hints`` its fusion recorded.
+        """
+        if self.system_port_hints is not None:
+            return self.system_port_hints
+        return frozenset(
+            d.name for d in self.inputs() if len(self.consumers(d.name)) == 1
+        )
 
     # -- validation ---------------------------------------------------------------
     def validate(self) -> "Function":
@@ -145,9 +165,5 @@ def copy_function(fn: Function) -> Function:
     out = Function(fn.name)
     out.decls = dict(fn.decls)
     out.statements = list(fn.statements)
-    hints = getattr(fn, "system_port_hints", None)
-    if hints is not None:
-        # fused functions carry streamed-input hints for port-class
-        # assignment; a copy must not silently drop them
-        out.system_port_hints = hints
+    out.system_port_hints = fn.system_port_hints
     return out

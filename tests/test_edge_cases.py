@@ -57,13 +57,6 @@ class TestRectangularShapes:
         assert res.poly.layouts["w"].size == 729
         assert res.kernel.array_sizes["w"] == 729
 
-    def test_interpolation_transfer_footprint(self):
-        res = compile_any(interpolation_program(5, 9))
-        # I is a static operand (read 3x); u streams in, w streams out
-        assert res.static_arrays() == ["I"]
-        assert res.bytes_in_per_element() == 125 * 8
-        assert res.bytes_out_per_element() == 729 * 8
-
     def test_growing_output_brams(self):
         small = compile_any(interpolation_program(5, 6))
         big = compile_any(interpolation_program(5, 12))

@@ -81,6 +81,14 @@ var output v : [4 4]
 v = u # acc . [[1 2]]
 """
 
+#: a kernel whose input shares the lane type's name
+LANE_KERNEL = """\
+var input S : [4 4]
+var input lane : [4 4]
+var output v : [4 4]
+v = S # lane . [[1 2]]
+"""
+
 
 def _batch(res, kind="all", seed=0, ne=NE):
     """One batch of inputs: ``all`` streams every input (the strictest
@@ -95,6 +103,38 @@ def _batch(res, kind="all", seed=0, ne=NE):
     elements = {n: rng.random((ne,) + res.function.decls[n].shape) for n in streamed}
     static = {d.name: rng.random(d.shape) for d in inputs if d.name not in streamed}
     return elements, static, streamed
+
+
+def _matches_interpreter(res, elements):
+    """Every available backend computes each element of ``elements``
+    (all streamed) as ``teil.interp`` does."""
+    ne = len(next(iter(elements.values())))
+    want = [
+        interpret(res.function, {n: a[e] for n, a in elements.items()})
+        for e in range(ne)
+    ]
+    for name in ("loops", "numpy", "cnative"):
+        b = get_backend(name)
+        if not b.available():
+            continue
+        got = b.run_batch(res.function, elements, {}, list(elements), prog=res.poly)
+        for out in want[0]:
+            np.testing.assert_allclose(
+                got[out], [w[out] for w in want], rtol=1e-12, atol=1e-12,
+                err_msg=f"{name}: {out}",
+            )
+
+
+def _assert_valid_c(source):
+    """The host compiler accepts ``source`` as C99."""
+    cc = find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler for the syntax check")
+    check = subprocess.run(
+        [cc, "-std=c99", "-fsyntax-only", "-x", "c", "-"],
+        input=source, capture_output=True, text=True,
+    )
+    assert check.returncode == 0, check.stderr
 
 
 def _cnative():
@@ -160,29 +200,24 @@ class TestConformance:
         kernel.c text is C the host compiler accepts."""
         res = compile_any(ACC_KERNEL, VARIANTS[variant])
         rng = np.random.default_rng(2)
-        elements = {n: rng.random((3, 4, 4)) for n in ("u", "acc")}
-        want = [
-            interpret(res.function, {n: a[e] for n, a in elements.items()})["v"]
-            for e in range(3)
-        ]
-        for name in ("loops", "numpy", "cnative"):
-            b = get_backend(name)
-            if not b.available():
-                continue
-            got = b.run_batch(
-                res.function, elements, {}, ["u", "acc"], prog=res.poly
-            )
-            np.testing.assert_allclose(
-                got["v"], want, rtol=1e-12, atol=1e-12, err_msg=name
-            )
-        cc = find_compiler()
-        if cc is None:
-            pytest.skip("no C compiler for the syntax check")
-        check = subprocess.run(
-            [cc, "-std=c99", "-fsyntax-only", "-x", "c", "-"],
-            input=res.kernel.source, capture_output=True, text=True,
+        _matches_interpreter(
+            res, {n: rng.random((3, 4, 4)) for n in ("u", "acc")}
         )
-        assert check.returncode == 0, check.stderr
+        _assert_valid_c(res.kernel.source)
+
+    def test_rank_0_accumulators_have_scopes_of_their_own(self):
+        """Two rank-0 contractions each declare the accumulator, each
+        in a block of its own: kernel.c is C the host compiler accepts,
+        and every backend matches the interpreter."""
+        from repro.cfdlang import ProgramBuilder
+
+        b = ProgramBuilder()
+        a = b.input("a", (4, 4))
+        b.assign(b.output("s", ()), b.contract(a, [(0, 1)]))
+        b.assign(b.output("t", ()), b.contract(a, [(0, 1)]))
+        res = compile_any(b.build())
+        _matches_interpreter(res, {"a": np.random.default_rng(3).random((3, 4, 4))})
+        _assert_valid_c(res.kernel.source)
 
     def test_default_schedule_fallback(self):
         """Backends work without a laid-out program (prog=None)."""
@@ -478,6 +513,15 @@ class TestLanes:
         b.assign(b.output("s", ()), b.contract(u, [(0, 1)]))
         b.assign(b.output("t", (4,)), b.contract(b.outer(u, c), [(1, 2)]))
         res = compile_any(b.build())
+        _matches_loops_at_every_batch_size(
+            _lane_backend(monkeypatch, lanes), res, _lane_case(res), lanes
+        )
+
+    @pytest.mark.parametrize("lanes", LANES)
+    def test_a_tensor_named_lane_is_not_the_lane_type(self, lanes, monkeypatch):
+        """The lane build names its vector type afresh when a kernel
+        array is named ``lane``."""
+        res = compile_any(LANE_KERNEL)
         _matches_loops_at_every_batch_size(
             _lane_backend(monkeypatch, lanes), res, _lane_case(res), lanes
         )

@@ -13,8 +13,72 @@ from repro.apps.helmholtz import (
     make_element_data,
     reference_inverse_helmholtz,
 )
-from repro.flow import FlowOptions, compile_any, write_artifacts
+from repro.apps.gradient import gradient_program
+from repro.apps.interpolation import interpolation_program
+from repro.apps.workloads import make_workload
+from repro.flow import FlowOptions, compile_any, compile_program, write_artifacts
 from repro.flow.cli import main as cli_main
+from repro.mnemosyne import PortClass
+from repro.system.integration import TransferFootprint
+
+
+def _smoother(kernel, fusion=None):
+    program = make_workload("smoother", n=5).program
+    return compile_program(program, FlowOptions(fusion=fusion))[kernel]
+
+
+#: kernel -> (its flow result, streamed arrays, static arrays, bytes in
+#: and out per element, static bytes).  Gradient's per-element ``u`` is
+#: read by three statements, so the policy moves it once as static data
+#: (an open modeling fault); a fix shows up here on purpose.
+SPLITS = {
+    "helmholtz": (
+        lambda: compile_any(HELMHOLTZ_DSL),
+        ("D", "u", "v"), ("S",), 2 * 1331 * 8, 1331 * 8, 121 * 8,
+    ),
+    "interpolation": (
+        lambda: compile_any(interpolation_program(5, 9)),
+        ("u", "w"), ("I",), 125 * 8, 729 * 8, 45 * 8,
+    ),
+    "gradient": (
+        lambda: compile_any(gradient_program(5)),
+        ("gx", "gy", "gz"), ("Dm", "u"), 0, 3 * 125 * 8, 150 * 8,
+    ),
+    "smoother-helmholtz": (
+        lambda: _smoother("helmholtz"),
+        ("D", "u", "v"), ("S",), 2 * 125 * 8, 125 * 8, 25 * 8,
+    ),
+    "smoother-update": (
+        lambda: _smoother("update"),
+        ("u", "D", "v", "w"), (), 3 * 125 * 8, 125 * 8, 0,
+    ),
+    "smoother-fused": (
+        lambda: _smoother("fused_helmholtz_update", fusion="auto"),
+        ("D", "u", "w"), ("S",), 2 * 125 * 8, 125 * 8, 25 * 8,
+    ),
+    # no statement reads ``a``: no element needs its own copy
+    "unread-input": (
+        lambda: compile_any(
+            "var input a : [4]\nvar input b : [4]\nvar output c : [4]\n"
+            "c = b * b\n"
+        ),
+        ("b", "c"), ("a",), 4 * 8, 4 * 8, 4 * 8,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", list(SPLITS))
+def test_streamed_vs_static_split(kernel):
+    build, streamed, static, bytes_in, bytes_out, static_bytes = SPLITS[kernel]
+    res = build()
+    assert res.footprint == TransferFootprint(
+        streamed, static, bytes_in, bytes_out, static_bytes
+    )
+    # the port classes stream exactly the policy's inputs
+    assert {
+        d.name for d in res.function.inputs()
+        if res.port_classes[d.name] is PortClass.ACCELERATOR_AND_SYSTEM
+    } == res.function.streamed_inputs()
 
 
 class TestCompileFlow:
@@ -30,14 +94,6 @@ class TestCompileFlow:
 
         res = compile_any(inverse_helmholtz_program(11))
         assert res.memory.brams == 18
-
-    def test_streamed_vs_static_split(self):
-        res = compile_any(HELMHOLTZ_DSL)
-        assert res.streamed_arrays() == ["D", "u", "v"]
-        assert res.static_arrays() == ["S"]
-        assert res.bytes_in_per_element() == 2 * 1331 * 8
-        assert res.bytes_out_per_element() == 1331 * 8
-        assert res.static_bytes() == 121 * 8
 
     def test_temporaries_internal_flow(self):
         res = compile_any(HELMHOLTZ_DSL, FlowOptions(temporaries_internal=True))

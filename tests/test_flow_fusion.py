@@ -10,7 +10,7 @@ import pytest
 from repro.apps.workloads import WORKLOAD_SUITES, make_workload
 from repro.errors import SimulationError, SystemGenerationError
 from repro.exec.backend import get_backend
-from repro.exec.programs import chain_element_inputs, run_chain_batch
+from repro.exec.programs import run_chain_batch
 from repro.flow import (
     FlowOptions,
     FlowTrace,
@@ -295,11 +295,8 @@ class TestFusedSystemModel:
         assert r.port_classes["u"] is PortClass.ACCELERATOR_AND_SYSTEM
 
     def test_fused_footprint_drops_internal_intermediates(self):
-        from repro.system.integration import transfer_footprint
-
         _, res = fused_compile("helmholtz-gradient", keep=())
-        r = res.results["fused_helmholtz_gradient"]
-        fp = transfer_footprint(r.function, r.port_classes)
+        fp = res.results["fused_helmholtz_gradient"].footprint
         assert "v" not in fp.streamed and "v" not in fp.static
 
 
@@ -366,40 +363,57 @@ class TestChainShadowingGuards:
             run_chain_batch(res.chain(), wl.elements, static)
 
 
-class TestChainElementInputs:
-    def build(self, *kernels):
+class TestChainStreaming:
+    """Which tensors a chain streams: an output comes back as an
+    ``(Ne, ...)`` stack when its kernel read per-element data, and as
+    one shared array when it read only static operands."""
+
+    NE = 3
+
+    def run(self, elements, static, *kernels):
         p = Program("p")
         for name, text in kernels:
             p.add_kernel(name, text)
-        res = compile_program(p.validate())
-        return res.chain()
+        chain = compile_program(p.validate()).chain()
+        rng = np.random.default_rng(0)
+        return run_chain_batch(
+            chain,
+            {n: rng.random((self.NE, N, N)) for n in elements},
+            {n: rng.random((N, N)) for n in static},
+            backend="numpy",
+        )
 
     def test_static_only_kernel_mid_chain(self):
         # "mats" reads only static operands: its output joins the static
         # environment, not the streamed one, so the downstream kernel
         # streams only the caller's element tensor
         d = f"[{N} {N}]"
-        chain = self.build(
+        out = self.run(
+            ["u"], ["A"],
             ("scale", f"var input u : {d}\nvar output s : {d}\ns = u + u\n"),
             ("mats", f"var input A : {d}\nvar output B : {d}\nB = A * A\n"),
             ("apply", f"var input s : {d}\nvar input B : {d}\n"
                       f"var output y : {d}\ny = s * B\n"),
         )
-        mapping = chain_element_inputs(chain, ["u"])
-        assert mapping == {"scale": ["u"], "mats": [], "apply": ["s"]}
+        assert {n: np.shape(a) for n, a in out.items()} == {
+            "s": (self.NE, N, N), "B": (N, N), "y": (self.NE, N, N),
+        }
+        np.testing.assert_array_equal(out["y"], out["s"] * out["B"])
 
     def test_output_restreamed_later(self):
         # s produced by the first kernel is consumed two kernels later:
         # it stays in the streamed set across the gap
         d = f"[{N} {N}]"
-        chain = self.build(
+        out = self.run(
+            ["u", "w"], [],
             ("scale", f"var input u : {d}\nvar output s : {d}\ns = u + u\n"),
             ("other", f"var input w : {d}\nvar output q : {d}\nq = w * w\n"),
             ("late", f"var input s : {d}\nvar output y : {d}\ny = s * s\n"),
         )
-        mapping = chain_element_inputs(chain, ["u", "w"])
-        assert mapping["late"] == ["s"]
-        assert mapping["other"] == ["w"]
+        assert {n: np.shape(a) for n, a in out.items()} == {
+            "s": (self.NE, N, N), "q": (self.NE, N, N), "y": (self.NE, N, N),
+        }
+        np.testing.assert_array_equal(out["y"], out["s"] * out["s"])
 
 
 class TestFusedSolverLoop:

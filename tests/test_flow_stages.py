@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.helmholtz import HELMHOLTZ_DSL, inverse_helmholtz_program
+from repro.apps.workloads import make_workload
 from repro.errors import SystemGenerationError
 from repro.flow import (
     Flow,
@@ -17,6 +18,7 @@ from repro.flow import (
 )
 from repro.flow.stages import producer_of
 from repro.mnemosyne import SharingMode
+from repro.system.board import ALVEO_U280, ZCU106
 
 ALL_MODES = (SharingMode.NONE, SharingMode.MATCHING, SharingMode.CLIQUE)
 
@@ -249,6 +251,34 @@ class TestCompileMany:
         # without the flag the first failing job (in job order) raises
         with pytest.raises(SystemGenerationError):
             compile_many([(HELMHOLTZ_DSL, good), (HELMHOLTZ_DSL, bad)])
+
+    def test_a_grid_computes_each_kernel_footprint_once(self, monkeypatch):
+        """The ``port-classes`` stage computes the transfer footprint,
+        and every board, memory model and k x m point reads it."""
+        from repro.system import integration
+
+        calls = []
+        real = integration.transfer_footprint
+
+        def counting(function, port_classes):
+            calls.append(function.name)
+            return real(function, port_classes)
+
+        monkeypatch.setattr(integration, "transfer_footprint", counting)
+        targets = ((ZCU106, "bram"), (ALVEO_U280, "bram"), (ALVEO_U280, "hbm"))
+        points = [
+            (program, FlowOptions(system=SystemOptions(
+                k=k, m=m, board=board, memory_model=memory_model,
+            )))
+            for program in (
+                HELMHOLTZ_DSL, make_workload("smoother", n=5).program
+            )
+            for board, memory_model in targets
+            for k, m in ((1, 2), (2, 2), (4, 4))
+        ]
+        results = compile_many(points, cache=StageCache(), executor="serial")
+        assert len(results) == len(points)
+        assert sorted(calls) == ["helmholtz", "kernel_body", "update"]
 
 
 class TestSystemStages:

@@ -183,7 +183,7 @@ class TestBankAssignStage:
         res = Flow(HELMHOLTZ_DSL, hbm_options()).run()
         banking = res.banking
         assert banking is not None
-        footprint = res.transfer_footprint()
+        footprint = res.footprint
         # >= 1 channel per streamed transfer-footprint tensor
         for name in footprint.streamed:
             assert banking.assignment_of(name).n_channels >= 1

@@ -173,12 +173,11 @@ class TestDemotion:
 class TestPortHints:
     def test_single_reader_external_input_hinted(self):
         fk = fuse_functions([fn_square(), fn_outer()])
-        assert "x" in fk.port_hints
-        assert fk.function.system_port_hints == fk.port_hints
+        assert "x" in fk.function.system_port_hints
 
     def test_demoted_intermediate_not_hinted(self):
         fk = fuse_functions([fn_square(), fn_outer()])
-        assert "y" not in fk.port_hints
+        assert "y" not in fk.function.system_port_hints
 
     def test_multi_reader_external_input_not_hinted(self):
         # s is read by two statements of the same member: a reused
@@ -191,7 +190,7 @@ class TestPortHints:
         multi.statements.append(Statement("x", Ewise(EwiseKind.ADD, "t0", "s")))
         multi.validate()
         fk = fuse_functions([multi, fn_square()])
-        assert "s" not in fk.port_hints
+        assert "s" not in fk.function.system_port_hints
 
 
 class TestFingerprint:
