@@ -6,7 +6,7 @@ whole ``Ne``-element batch executes in a handful of batched einsum /
 array-op calls instead of ``Ne`` Python loop-nest interpretations, which
 must be at least 50x faster on Ne >= 256 while matching the ``loops``
 reference within 1e-12.  Where a C compiler exists, ``cnative`` (the
-compiled generated C kernel, one call per batch) must match ``loops``
+compiled generated C kernel, one call per span of the batch) must match ``loops``
 exactly and be at least as fast as ``numpy``.
 """
 

@@ -10,7 +10,7 @@ shows multi-dimensional arrays only "for readability").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codegen.cast import (
     CArrayParam,
@@ -58,24 +58,40 @@ def _flat_access(prog: PolyProgram, tensor: str, fn: AffTuple) -> Tuple[str, Aff
 
 
 def stage_plans(prog: PolyProgram, ast: Optional[LoopAst] = None) -> List[StagePlan]:
-    """Lower the loop AST to flat-address stage plans."""
+    """Lower the loop AST to flat-address stage plans.
+
+    A loop variable named like one of the kernel's arrays would hide the
+    array inside its nest, so it takes a fresh name (see
+    :func:`free_name`).
+    """
     ast = ast or build_loop_ast(prog)
+    arrays = _array_names(prog)
     plans: List[StagePlan] = []
     for node in ast.stages:
         s = node.stmt
+        loop_vars = [loop.var for loop in node.loops]
+        taken = arrays | set(loop_vars)
+        var: Dict[str, str] = {}
+        for v in loop_vars:
+            if v in arrays:
+                var[v] = _fresh(v, taken)
+                taken.add(var[v])
         warr, waddr = _flat_access(prog, s.write.tensor, s.write.fn)
         reads = tuple(_flat_access(prog, a.tensor, a.fn) for a in s.reads)
         plans.append(
             StagePlan(
                 name=s.name,
                 kind=s.kind,
-                loops=tuple((l.var, l.lo, l.hi) for l in node.loops),
+                loops=tuple(
+                    (var.get(loop.var, loop.var), loop.lo, loop.hi)
+                    for loop in node.loops
+                ),
                 n_reduction_loops=node.n_reduction_loops,
-                reduction_dims=tuple(s.reduction_dims),
+                reduction_dims=tuple(var.get(d, d) for d in s.reduction_dims),
                 accumulator_style=node.accumulator_style,
                 write_array=warr,
-                write_addr=waddr,
-                reads=reads,
+                write_addr=waddr.rename(var),
+                reads=tuple((arr, fn.rename(var)) for arr, fn in reads),
             )
         )
     return plans
@@ -120,17 +136,27 @@ def _product_cexpr(reads, ewise_op: Optional[str] = None) -> CExpr:
     return out
 
 
-def free_name(prog: PolyProgram, stem: str) -> str:
-    """A C name of ``prog``'s kernel that no array of it holds:
-    ``stem`` unless one of the kernel's arrays is named so, else the
-    first ``stem<i>`` that none is."""
-    taken = set(prog.function.decls) | {
+def _array_names(prog: PolyProgram) -> Set[str]:
+    """The names of ``prog``'s tensors and of the arrays that hold them."""
+    return set(prog.function.decls) | {
         layout.array for layout in prog.layouts.values()
     }
+
+
+def _fresh(stem: str, taken: Set[str]) -> str:
+    """``stem`` unless ``taken`` holds it, else the first ``stem<i>``
+    that it does not."""
     name, i = stem, 0
     while name in taken:
         name, i = f"{stem}{i}", i + 1
     return name
+
+
+def free_name(prog: PolyProgram, stem: str) -> str:
+    """A C name of ``prog``'s kernel that no array of it holds:
+    ``stem`` unless one of the kernel's arrays is named so, else the
+    first ``stem<i>`` that none is."""
+    return _fresh(stem, _array_names(prog))
 
 
 def _emit_stage(plan: StagePlan, directives: HlsDirectives, acc: str) -> List[CStmt]:

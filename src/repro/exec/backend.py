@@ -21,9 +21,10 @@ they differ in fidelity and throughput:
 ``cnative``
     The C99 kernel from :mod:`repro.codegen.cemit` compiled with the
     system C compiler into a shared library that computes 2, 4 or 8
-    elements per kernel call, one per SIMD lane; one ``ctypes`` call
-    walks the whole batch in C.  Bit-exact with ``loops`` at every lane
-    count; unavailable (and auto-skipped) when no compiler is installed.
+    elements per kernel call, one per SIMD lane; one ``ctypes`` call per
+    usable CPU walks its span of the batch in C, all at once.  Bit-exact
+    with ``loops`` at every lane and span count; unavailable (and
+    auto-skipped) when no compiler is installed.
 
 Both generated-kernel backends pack a batch with :func:`batch_buffers`:
 flat, layout-addressed buffers whose every cell holds one element per
@@ -42,8 +43,11 @@ the ``simulate`` flow stage and the ``--exec-backend`` CLI flag, and
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -182,6 +186,43 @@ class ExecBackend:
         :class:`Packed` values on the generated-kernel backends.
         """
         raise NotImplementedError
+
+
+#: programs whose kernel a :class:`KernelMemo` keeps (least recently used go)
+MEMO_SIZE = 64
+
+
+class KernelMemo:
+    """Each program object's kernel, built once by ``build(prog)``; the
+    ``size`` most recently used programs keep theirs.  The
+    generated-kernel backends each own one.
+
+    Keyed by ``id(prog)``, each entry holds a weak reference to its
+    program, which tells a live program from a dead one whose id was
+    reused.  Threads may share a memo; two that miss on one program at
+    once both build it, and the later store wins.
+    """
+
+    def __init__(self, build: Callable[[PolyProgram], object]) -> None:
+        self.build = build
+        self.size = MEMO_SIZE
+        #: id(prog) -> (weakref to prog, kernel), least recently used first
+        self.entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, prog: PolyProgram):
+        with self._lock:
+            hit = self.entries.get(id(prog))
+            if hit is not None and hit[0]() is prog:
+                self.entries.move_to_end(id(prog))
+                return hit[1]
+        kernel = self.build(prog)
+        with self._lock:
+            self.entries[id(prog)] = (weakref.ref(prog), kernel)
+            self.entries.move_to_end(id(prog))
+            while len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+        return kernel
 
 
 _REGISTRY: Dict[str, ExecBackend] = {}

@@ -32,19 +32,34 @@ same: a vector type otherwise demands its own size as alignment, and a
 caller's NumPy buffer may be only 8-byte aligned.  The alignment is for
 speed; every buffer is correct.
 
-An appended ``kernel_batch`` walks the lane groups of a batch in one
-``ctypes`` call, as the paper's host streams its elements through an
-accelerator: streamed inputs and outputs advance by one row of the
-lane-interleaved buffers, static inputs and exported temporaries stay
-put.  ``kernel_body`` is ``static`` so that it is inlined there, where
-every pointer is ``restrict``: the outputs and temporaries have fresh
-buffers, and the kernel only reads its inputs, so no buffer it writes
-aliases another parameter.  The streamed outputs come back as
-:class:`~repro.exec.backend.Packed` lane buffers, which the next kernel
-of a chain, or the next solver step, adopts as its input without a
-copy.  Libraries are cached by source, compiler and flags for the
-process lifetime and removed at exit, and each program object's kernel
-is generated once.
+An appended ``kernel_batch`` walks a run of lane groups in C, as the
+paper's host streams its elements through an accelerator: streamed
+inputs and outputs advance by one row of the lane-interleaved buffers,
+static inputs and exported temporaries stay put.  It calls the
+``static`` ``kernel_body`` once per lane group; gcc 12 at ``-O3`` does
+not inline a body that size (it emits ``call kernel_body`` for the
+fused smoother and for Helmholtz), so the ``restrict`` on
+``kernel_batch``'s pointers does not reach the body, whose parameters
+are plain ``lane`` arrays.  No buffer the kernel writes aliases another
+parameter all the same: the outputs and temporaries have fresh buffers,
+and the kernel only reads its inputs.
+
+A batch's lane groups split into one contiguous span per usable CPU, as
+the paper runs k copies of its kernel over independent elements, and
+each span is one ``ctypes`` call of ``kernel_batch`` on its rows of the
+streamed buffers.  The calling thread runs the first span while a
+process-wide pool of threads, started on first use and forgotten in a
+forked child, runs the others; ``ctypes`` releases the GIL for each
+call.  Every span but the first gets temporaries of its own, and all
+share the static inputs, which the kernel only reads.  Each element
+runs the same code on the same inputs at any span count, so the split
+leaves the results bit for bit as they are.
+
+The streamed outputs come back as :class:`~repro.exec.backend.Packed`
+lane buffers, which the next kernel of a chain, or the next solver
+step, adopts as its input without a copy.  Libraries are cached by
+source, compiler and flags for the process lifetime and removed at
+exit, and each program object's kernel is generated once.
 
 The backend reports itself unavailable (and callers auto-skip it) when
 no C compiler is on ``PATH``; set ``CFDLANG_CC`` to pick a specific one.
@@ -62,8 +77,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import weakref
-from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import replace
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -92,7 +106,9 @@ from repro.errors import ExecBackendError, IRError
 from repro.exec.backend import (
     Batch,
     ExecBackend,
+    KernelMemo,
     Packed,
+    _aligned_array,
     batch_buffers,
     resolved_program,
 )
@@ -318,18 +334,97 @@ def compile_kernel_library(
         return _compiled[key]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _span_pool() -> ThreadPoolExecutor:
+    """The process-wide threads that run every span but the first:
+    one fewer than the usable CPUs, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(1, _usable_cpus() - 1), thread_name_prefix="cnative-span"
+            )
+        return _pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_spans(
+    lib: KernelLibrary,
+    prog: PolyProgram,
+    buffers: Mapping[str, np.ndarray],
+    groups: int,
+) -> None:
+    """Run ``lib`` over the first ``groups`` lane groups of the
+    :func:`~repro.exec.backend.batch_buffers` ``buffers``, one contiguous
+    span of groups per usable CPU.
+
+    The calling thread runs the first span and the span pool the others
+    meanwhile, since ``ctypes`` releases the GIL during each call.  Each
+    span hands ``kernel_batch`` its rows of the streamed buffers and
+    temporaries of its own, uninitialised like the first span's; the
+    static inputs are shared, and the kernel only reads them.
+    """
+    n = max(1, min(_usable_cpus(), groups))
+    temps = {d.name for d in prog.function.temporaries()}
+    bounds = [groups * i // n for i in range(n + 1)]
+    spans: List[list] = []
+    owned: List[np.ndarray] = []  # later spans' temporaries, kept alive
+    for lo, hi in zip(bounds, bounds[1:]):
+        args = [hi - lo]
+        for name, buf in buffers.items():
+            if buf.ndim == 2:  # one row per lane group
+                row = buf.ctypes.data + lo * buf.strides[0]
+                args += [prog.layouts[name].size, row]
+                continue
+            if lo and name in temps:
+                buf = _aligned_array(buf.shape, 8 * lib.lanes, zeroed=False)
+                owned.append(buf)
+            args += [0, buf.ctypes.data]
+        spans.append(args)
+    pending = [_span_pool().submit(lib.batch, *args) for args in spans[1:]]
+    try:
+        lib.batch(*spans[0])
+    finally:
+        wait(pending)  # no span outlives the buffers it writes
+    for future in pending:
+        future.result()
+
+
+def _kernel_library(prog: PolyProgram) -> KernelLibrary:
+    """``prog``'s lane kernel, generated and compiled."""
+    return compile_kernel_library(*lane_kernel_source(prog))
+
+
 class CNativeBackend(ExecBackend):
-    """Whole-batch execution of the compiled C kernel, one element per SIMD lane."""
+    """Whole-batch execution of the compiled C kernel, one element per SIMD lane.
+
+    A batch runs one span of its lane groups per usable CPU.
+    """
 
     name = "cnative"
-    #: programs whose compiled kernel stays memoized (least recently used go)
-    MEMO_SIZE = 64
 
     def __init__(self) -> None:
-        # id(prog) -> (weakref to prog, library); the weakref tells a
-        # live program from a dead one whose id was reused
-        self._kernels: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+        self._kernel = KernelMemo(_kernel_library)
 
     def available(self) -> bool:
         return find_compiler() is not None
@@ -338,22 +433,6 @@ class CNativeBackend(ExecBackend):
         if self.available():
             return None
         return "no C compiler on PATH (tried $CFDLANG_CC, cc, gcc, clang)"
-
-    def _kernel(self, prog: PolyProgram) -> KernelLibrary:
-        """The compiled kernel of ``prog``, generated and compiled on the
-        first call per program object."""
-        with self._lock:
-            hit = self._kernels.get(id(prog))
-            if hit is not None and hit[0]() is prog:
-                self._kernels.move_to_end(id(prog))
-                return hit[1]
-        lib = compile_kernel_library(*lane_kernel_source(prog))
-        with self._lock:
-            self._kernels[id(prog)] = (weakref.ref(prog), lib)
-            self._kernels.move_to_end(id(prog))
-            while len(self._kernels) > self.MEMO_SIZE:
-                self._kernels.popitem(last=False)
-        return lib
 
     def run_batch(
         self,
@@ -368,10 +447,7 @@ class CNativeBackend(ExecBackend):
         ne, buffers = batch_buffers(
             prog, elements, static_inputs, element_inputs, lib.lanes
         )
-        args: List[int] = []
-        for name, buf in buffers.items():  # ``buffers`` keeps them alive
-            args += [prog.layouts[name].size if buf.ndim == 2 else 0, buf.ctypes.data]
-        lib.batch(-(-ne // lib.lanes), *args)
+        _run_spans(lib, prog, buffers, -(-ne // lib.lanes))
         return {
             d.name: Packed(buffers[d.name], prog.layouts[d.name], lib.lanes, ne)
             for d in prog.function.outputs()

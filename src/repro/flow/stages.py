@@ -34,7 +34,9 @@ from repro.teil import canonicalize, lower_program
 from repro.teil.program import Function
 
 #: bump when a stage's semantics change, to invalidate stale cache entries
-#: (10: the ``port-classes`` stage also outputs the transfer footprint,
+#: (11: the ``codegen`` stage renames a loop variable that a kernel
+#: array's name would hide;
+#: 10: the ``port-classes`` stage also outputs the transfer footprint,
 #: which the system stages read, and the ``build-system`` slice holds
 #: the board and the platform themselves;
 #: 9: the ``codegen`` stage names a contraction's accumulator ``acc``
@@ -54,7 +56,7 @@ from repro.teil.program import Function
 #: content-keyed namespace; 3: per-kernel cache granularity —
 #: canonicalized source keys and content-keyed TeIL rekeying changed
 #: every downstream key)
-STAGE_API_VERSION = 10
+STAGE_API_VERSION = 11
 
 StageFn = Callable[[Mapping[str, object], FlowOptions], Dict[str, object]]
 ParamFn = Callable[[FlowOptions], Tuple]

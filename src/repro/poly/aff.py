@@ -163,6 +163,15 @@ class AffTuple:
             self.target,
         )
 
+    def rename(self, mapping: Mapping[str, str]) -> "AffTuple":
+        """The same function over input dims renamed by ``mapping``."""
+        dims = tuple(mapping.get(d, d) for d in self.domain.dims)
+        return AffTuple(
+            Space(self.domain.name, dims),
+            tuple(e.rename(mapping) for e in self.exprs),
+            self.target,
+        )
+
     def concat_outputs(self, other: "AffTuple") -> "AffTuple":
         """Pair two functions over the same domain: x -> (f(x), g(x))."""
         if other.domain.dims != self.domain.dims:

@@ -18,11 +18,14 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from repro.codegen.pyemit import pack_array, unpack_array
 from repro.errors import ExecBackendError, LayoutError, SimulationError
 from repro.exec import (
     CNativeBackend,
+    LoopsBackend,
     Packed,
     available_backend_names,
     backend_names,
@@ -88,6 +92,16 @@ var input lane : [4 4]
 var output v : [4 4]
 v = S # lane . [[1 2]]
 """
+
+
+#: kernels whose second input is named like a loop variable of the
+#: contraction (``i0``) and of the entry-wise product (``e0``)
+LOOP_VAR_KERNELS = {
+    "i0": "var input u : [4 4]\nvar input i0 : [4 4]\nvar output v : [4 4]\n"
+          "v = u # i0 . [[1 2]]\n",
+    "e0": "var input u : [4 4]\nvar input e0 : [4 4]\nvar output v : [4 4]\n"
+          "v = u * e0\n",
+}
 
 
 def _batch(res, kind="all", seed=0, ne=NE):
@@ -205,6 +219,19 @@ class TestConformance:
         )
         _assert_valid_c(res.kernel.source)
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", sorted(LOOP_VAR_KERNELS))
+    def test_a_tensor_named_like_a_loop_variable_keeps_its_name(
+        self, name, variant
+    ):
+        """The loop variable takes a fresh name where a kernel array
+        holds its own: every backend matches the interpreter, and the
+        kernel.c text is C the host compiler accepts."""
+        res = compile_any(LOOP_VAR_KERNELS[name], VARIANTS[variant])
+        rng = np.random.default_rng(4)
+        _matches_interpreter(res, {n: rng.random((3, 4, 4)) for n in ("u", name)})
+        _assert_valid_c(res.kernel.source)
+
     def test_rank_0_accumulators_have_scopes_of_their_own(self):
         """Two rank-0 contractions each declare the accumulator, each
         in a block of its own: kernel.c is C the host compiler accepts,
@@ -236,23 +263,29 @@ class TestConformance:
 
 
 class TestCNativeBatch:
-    """One C call per batch over a kernel generated once per program."""
+    """One C call per span of a batch over a kernel generated once per
+    program."""
 
     @pytest.fixture
     def generations(self, monkeypatch):
-        """The programs cnative generates a kernel for, in call order."""
-        from repro.exec import cnative
+        """The programs ``cnative`` and ``loops`` generate a kernel for,
+        in call order."""
+        from repro.exec import cnative, loops
 
-        _cnative()
         calls = []
-        real = cnative.generate_kernel
-        monkeypatch.setattr(
-            cnative, "generate_kernel", lambda prog: calls.append(prog) or real(prog)
-        )
+        for module in (cnative, loops):
+            monkeypatch.setattr(
+                module, "generate_kernel",
+                lambda prog, real=module.generate_kernel:
+                calls.append(prog) or real(prog),
+            )
         return calls
 
-    def test_warm_run_batch_generates_nothing(self, generations):
-        backend = CNativeBackend()  # an empty kernel memo
+    @pytest.mark.parametrize("backend", [CNativeBackend, LoopsBackend])
+    def test_warm_run_batch_generates_nothing(self, generations, backend):
+        backend = backend()  # an empty kernel memo
+        if not backend.available():
+            pytest.skip(backend.unavailable_reason())
         res = compile_any(APPS["helmholtz"]())
         elements, static, streamed = _batch(res, "mixed")
         args = (res.function, elements, static, streamed)
@@ -266,6 +299,7 @@ class TestCNativeBatch:
         object, so only the first step generates the fused kernel."""
         from repro.apps.workloads import make_workload
 
+        _cnative()
         wl = make_workload("smoother", n=4, n_elements=4, seed=0)
         loop = SolverLoop(
             wl.program, carry=wl.carry, backend="cnative", fusion="auto"
@@ -329,10 +363,10 @@ class TestCNativeBatch:
         assert backend._kernel(default.poly) is not backend._kernel(column.poly)
         # free the default program and hand its memo entry to the id of
         # the column-major one, as if the allocator had reused it
-        stale = backend._kernels.pop(id(default.poly))
+        stale = backend._kernel.entries.pop(id(default.poly))
         del default
         gc.collect()
-        backend._kernels[id(column.poly)] = stale
+        backend._kernel.entries[id(column.poly)] = stale
         assert run(column)
 
     def test_packed_input_is_adopted_or_repacked_by_geometry(
@@ -376,7 +410,7 @@ class TestCNativeBatch:
         once: every batch stays exact and the memo keeps MEMO_SIZE."""
         _cnative()
         backend = CNativeBackend()
-        monkeypatch.setattr(backend, "MEMO_SIZE", 2)
+        monkeypatch.setattr(backend._kernel, "size", 2)
         cases = []
         for app in sorted(APPS):
             res = compile_any(APPS[app]())
@@ -406,7 +440,7 @@ class TestCNativeBatch:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(backend._kernels) == 2
+        assert len(backend._kernel.entries) == 2
 
     def test_short_buffer_raises_layout_error(self):
         layout = Layout.column_major("u", (3, 4))
@@ -463,9 +497,11 @@ def _matches_loops_at_every_batch_size(backend, res, case, lanes):
 
 
 def _fill_uninitialised(monkeypatch, value):
-    """Fill every buffer ``batch_buffers`` leaves uninitialised with
+    """Fill every buffer ``batch_buffers`` leaves uninitialised, and the
+    temporaries of every later span of a ``cnative`` batch, with
     ``value``."""
     from repro.exec import backend as backend_module
+    from repro.exec import cnative
 
     real = backend_module._aligned_array
 
@@ -475,7 +511,34 @@ def _fill_uninitialised(monkeypatch, value):
             buf.fill(value)
         return buf
 
-    monkeypatch.setattr(backend_module, "_aligned_array", aligned)
+    for module in (backend_module, cnative):
+        monkeypatch.setattr(module, "_aligned_array", aligned)
+
+
+def _span_backend(monkeypatch, cpus):
+    """A fresh ``cnative`` backend run as if ``cpus`` CPUs were usable,
+    and the lane-group count of each of its kernel calls."""
+    from repro.exec import cnative
+
+    _cnative()
+    monkeypatch.setattr(cnative, "_usable_cpus", lambda: cpus)
+    calls = []
+    real = cnative.compile_kernel_library
+
+    def counted(*args, **kwargs):
+        lib = real(*args, **kwargs)
+        return lib._replace(
+            batch=lambda ng, *rest: calls.append(ng) or lib.batch(ng, *rest)
+        )
+
+    monkeypatch.setattr(cnative, "compile_kernel_library", counted)
+    return CNativeBackend(), calls
+
+
+def _span_groups(groups, cpus):
+    """The lane groups of each span of a batch of ``groups`` groups."""
+    n = max(1, min(cpus, groups))
+    return [groups * (i + 1) // n - groups * i // n for i in range(n)]
 
 
 class TestLanes:
@@ -584,6 +647,95 @@ class TestLanes:
         cells = packed.buffer[-1].reshape(-1, lanes)  # the last group, cell by lane
         assert np.isnan(cells[:, ne % lanes:]).all() == (lanes > 1)
         assert not np.isnan(cells[:, : ne % lanes]).any()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_span_count_matches_loops(self, suite_cases, cpus, monkeypatch):
+        """A batch runs one contiguous span of its lane groups per
+        usable CPU: uneven spans, and the padded group in the last one,
+        leave every element as ``loops`` computes it."""
+        backend, calls = _span_backend(monkeypatch, cpus)
+        for res, case in suite_cases:
+            lanes = backend._kernel(res.poly).lanes
+            calls.clear()
+            _matches_loops_at_every_batch_size(backend, res, case, lanes)
+            sizes = sorted({0, 1, lanes - 1, lanes + 1, 2 * lanes + 1})
+            want = [g for ne in sizes for g in _span_groups(-(-ne // lanes), cpus)]
+            assert sorted(calls) == sorted(want)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_span_writes_its_temporaries_before_reading_them(
+        self, variant_result, cpus, monkeypatch
+    ):
+        """Every span's temporaries start uninitialised: filled with NaN
+        they give what zero-filled ones give."""
+        backend, calls = _span_backend(monkeypatch, cpus)
+        res, ne = variant_result, 2 * max(LANES) + 1
+        elements, static, streamed = _batch(res, "mixed", ne=ne)
+        runs = []
+        for value in (0.0, np.nan):
+            _fill_uninitialised(monkeypatch, value)
+            runs.append(backend.run_batch(
+                res.function, elements, static, streamed, prog=res.poly
+            ))
+        groups = -(-ne // backend._kernel(res.poly).lanes)
+        assert sorted(calls) == sorted(2 * _span_groups(groups, cpus))
+        zeroed, nan_filled = runs
+        for name in zeroed:
+            assert np.array_equal(zeroed[name], nan_filled[name]), name
+
+    def test_spans_that_run_at_once_keep_temporaries_of_their_own(
+        self, monkeypatch
+    ):
+        """Two spans of a fused smoother batch, long enough to overlap,
+        each write all eight temporaries: every run equals the one-span
+        run (shared temporaries broke most such runs)."""
+        from repro.exec import cnative
+
+        backend, _ = _span_backend(monkeypatch, 1)
+        wl, compiled = _smoother("auto", ne=256, n=5)
+        run = functools.partial(
+            run_chain_batch, compiled.chain(), wl.elements, wl.static, backend
+        )
+        want = {n: np.asarray(p) for n, p in run().items()}
+        monkeypatch.setattr(cnative, "_usable_cpus", lambda: 2)
+        for _ in range(10):
+            got = run()
+            assert all(np.array_equal(got[n], want[n]) for n in want)
+
+    def test_a_forked_child_runs_its_batch_on_threads_of_its_own(
+        self, monkeypatch
+    ):
+        """A child forked after its parent ran spans on the pool has
+        none of the pool's threads; its batch starts new ones, finishes
+        and matches the parent's."""
+        backend, _ = _span_backend(monkeypatch, 2)
+        res = compile_any(APPS["helmholtz"]())
+        args = (res.function, *_batch(res, "mixed", ne=2 * max(LANES) + 1))
+        want = {n: np.asarray(p) for n, p in backend.run_batch(
+            *args, prog=res.poly
+        ).items()}
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of fork() in a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            code = 1
+            try:
+                got = backend.run_batch(*args, prog=res.poly)
+                code = int(not all(np.array_equal(got[n], want[n]) for n in want))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's batch did not finish in 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _smoother(fusion, ne=3, n=4):

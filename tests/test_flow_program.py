@@ -7,7 +7,7 @@ from repro.apps.helmholtz import (
     inverse_helmholtz_program,
     inverse_helmholtz_source,
 )
-from repro.apps.workloads import WORKLOAD_SUITES, make_workload
+from repro.apps.workloads import make_workload
 from repro.errors import (
     CFDlangSyntaxError,
     SystemGenerationError,

@@ -1,8 +1,6 @@
 """HBM memory architectures: bank assignment, the bank-assign stage,
 and banked transfer timing (Soldavini et al. 2022 sequel flow)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from repro.mnemosyne.hbm import (
     assign_banks,
     channels_needed,
 )
-from repro.system.board import ALVEO_U280, ZCU106, get_board
+from repro.system.board import ALVEO_U280, ZCU106
 
 GB = 1e9
 MIB = 1 << 20
